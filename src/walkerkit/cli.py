@@ -27,9 +27,8 @@ from .geometry import (
 )
 from .jets import symmetry_check, system2
 from .liealg import (
-    BASIS, DIM, NotClosed, adjoint_matrix, bracket, decompose,
-    parse_generator, proof_case_replays, render_generator, sc,
-    subalgebra_closed,
+    BASIS, DIM, NotClosed, adjoint_matrix, parse_generator,
+    proof_case_replays, render_generator, sc, subalgebra_closed,
 )
 from .pis import (
     ansatz_substitute, defect, invariant_check, invariant_rank,
@@ -125,8 +124,27 @@ def _zero_note(e, ctx) -> tuple:
 
 # --- subcommands -------------------------------------------------------------
 
-def cmd_brackets(args, rep: Report) -> None:
-    table = sc()
+def _table_checks(rep: Report, prefix: str, closure_id: str,
+                  closure_witness: str):
+    """Build the structure constants and report closure, antisymmetry and
+    Jacobi. Building decomposes all 49 basis brackets, so closure fails
+    exactly when it raises; returns the table, or None then."""
+    try:
+        table = sc()
+    except NotClosed as exc:
+        rep.add(closure_id, False, str(exc))
+        return None
+    rep.add(closure_id, True, closure_witness)
+    rep.add(f"{prefix}.antisymmetry", table.antisymmetric())
+    rep.add(f"{prefix}.jacobi", table.jacobi_holds(), "35 triples")
+    return table
+
+
+def cmd_brackets(args, rep: Report, parser) -> None:
+    table = _table_checks(rep, "brackets", "brackets.decomposition",
+                          "49 ordered pairs")
+    if table is None:
+        return
     grid = []
     for i in range(DIM):
         row = []
@@ -136,19 +154,11 @@ def cmd_brackets(args, rep: Report) -> None:
             row.append(text if text else "0")
         grid.append(row)
     rep.details["table"] = grid
-    ok = True
-    for i in range(DIM):
-        for j in range(DIM):
-            try:
-                decompose(bracket(BASIS[i], BASIS[j]))
-            except NotClosed:
-                ok = False
-    rep.add("brackets.decomposition", ok, "49 ordered pairs")
-    rep.add("brackets.antisymmetry", table.antisymmetric())
-    rep.add("brackets.jacobi", table.jacobi_holds(), "35 triples")
 
 
-def cmd_adjoint(args, rep: Report) -> None:
+def cmd_adjoint(args, rep: Report, parser) -> None:
+    if not 1 <= args.gen <= DIM:
+        parser.error(f"--gen must be 1..{DIM}")
     try:
         s = num(Fraction(args.s))
         exact = True
@@ -165,7 +175,7 @@ def cmd_adjoint(args, rep: Report) -> None:
     rep.details["s"] = args.s
 
 
-def cmd_subalgebra(args, rep: Report) -> None:
+def cmd_subalgebra(args, rep: Report, parser) -> None:
     texts = [t.strip() for t in args.gens.replace(";", ",").split(",")
              if t.strip()]
     vectors = [parse_generator(t) for t in texts]
@@ -186,7 +196,7 @@ def cmd_subalgebra(args, rep: Report) -> None:
                 "symbolic" if closure.symbolic else "")
 
 
-def cmd_symmetries(args, rep: Report) -> None:
+def cmd_symmetries(args, rep: Report, parser) -> None:
     sys2 = system2()
     residuals = {}
     for i in range(DIM):
@@ -372,17 +382,8 @@ def _verify_entry(entry, ctx, rep: Report) -> None:
 
 
 def _verify_suite(ctx, rep: Report) -> None:
-    table = sc()
-    ok = True
-    for i in range(DIM):
-        for j in range(DIM):
-            try:
-                decompose(bracket(BASIS[i], BASIS[j]))
-            except NotClosed:
-                ok = False
-    rep.add("algebra.brackets", ok, "49 ordered pairs decompose")
-    rep.add("algebra.antisymmetry", table.antisymmetric())
-    rep.add("algebra.jacobi", table.jacobi_holds(), "35 triples")
+    _table_checks(rep, "algebra", "algebra.brackets",
+                  "49 ordered pairs decompose")
 
     rng = random.Random(ctx.seed)
     worst = 0.0
@@ -453,7 +454,7 @@ def cmd_reducibility(args, rep: Report, parser) -> None:
     _check_reducibility(entry, args, rep)
 
 
-def cmd_equivalence_probe(args, rep: Report) -> None:
+def cmd_equivalence_probe(args, rep: Report, parser) -> None:
     probe = equivalence_probe(samples=args.samples, tol=args.tol,
                               seed=args.seed)
     rep.add("equivalence.on_shell", probe.on_shell_max < args.tol,
@@ -468,7 +469,9 @@ def cmd_equivalence_probe(args, rep: Report) -> None:
         k: list(v) for k, v in probe.correspondence.items()}
 
 
-def cmd_emit_metric(args, parser) -> int:
+def cmd_emit_metric(args, rep: Report, parser) -> int:
+    """Prints the metric itself, so it returns the exit code and the
+    report is not printed."""
     entry = _entry_or_die(parser, args.entry)
     if not entry.solutions:
         parser.error(f"entry {args.entry!r} carries no solutions")
@@ -501,28 +504,34 @@ def _build_parser() -> argparse.ArgumentParser:
                     " 4D metrics and their symmetry algebra")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    subs.add_parser("brackets", parents=[common])
+    subs.add_parser("brackets", parents=[common]).set_defaults(
+        run=cmd_brackets)
 
     p = subs.add_parser("adjoint", parents=[common])
+    p.set_defaults(run=cmd_adjoint)
     p.add_argument("--gen", type=int, required=True, metavar="I",
                    help="generator index 1..7")
     p.add_argument("--s", required=True, metavar="V",
                    help="flow parameter, rational or float")
 
     p = subs.add_parser("subalgebra", parents=[common])
+    p.set_defaults(run=cmd_subalgebra)
     p.add_argument("--gens", required=True,
                    help="generator expressions separated by ';' or ','")
     p.add_argument("--check-closed", action="store_true")
 
-    subs.add_parser("symmetries", parents=[common])
+    subs.add_parser("symmetries", parents=[common]).set_defaults(
+        run=cmd_symmetries)
 
     p = subs.add_parser("einstein", parents=[common])
+    p.set_defaults(run=cmd_einstein)
     p.add_argument("--a")
     p.add_argument("--b")
     p.add_argument("--c")
     p.add_argument("--entry")
 
     p = subs.add_parser("verify", parents=[common])
+    p.set_defaults(run=cmd_verify)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--entry")
     g.add_argument("--all", action="store_true")
@@ -530,14 +539,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="auto")
 
     p = subs.add_parser("defect", parents=[common])
+    p.set_defaults(run=cmd_defect_cmd)
     p.add_argument("--entry", required=True)
 
     p = subs.add_parser("reducibility", parents=[common])
+    p.set_defaults(run=cmd_reducibility)
     p.add_argument("--entry", required=True)
 
-    subs.add_parser("equivalence-probe", parents=[common])
+    subs.add_parser("equivalence-probe", parents=[common]).set_defaults(
+        run=cmd_equivalence_probe)
 
     p = subs.add_parser("emit-metric", parents=[common])
+    p.set_defaults(run=cmd_emit_metric)
     p.add_argument("--entry", required=True)
     p.add_argument("--format", choices=("latex", "json"), default="latex")
     return parser
@@ -554,32 +567,14 @@ def main(argv=None) -> int:
     if not hasattr(args, "mode"):
         args.mode = "auto"
 
-    if args.command == "emit-metric":
-        return cmd_emit_metric(args, parser)
-
     rep = Report(command=args.command, seed=args.seed,
                  samples=args.samples, tol=args.tol, mode=args.mode)
     start = time.monotonic()
-    if args.command == "brackets":
-        cmd_brackets(args, rep)
-    elif args.command == "adjoint":
-        if not 1 <= args.gen <= DIM:
-            parser.error(f"--gen must be 1..{DIM}")
-        cmd_adjoint(args, rep)
-    elif args.command == "subalgebra":
-        cmd_subalgebra(args, rep)
-    elif args.command == "symmetries":
-        cmd_symmetries(args, rep)
-    elif args.command == "einstein":
-        cmd_einstein(args, rep, parser)
-    elif args.command == "verify":
-        cmd_verify(args, rep, parser)
-    elif args.command == "defect":
-        cmd_defect_cmd(args, rep, parser)
-    elif args.command == "reducibility":
-        cmd_reducibility(args, rep, parser)
-    elif args.command == "equivalence-probe":
-        cmd_equivalence_probe(args, rep)
+    # Handlers fill ``rep``; one that prints its own output returns the
+    # exit code instead.
+    code = args.run(args, rep, parser)
+    if code is not None:
+        return code
     rep.seconds = time.monotonic() - start
 
     print(rep.to_json() if args.report == "json" else rep.to_text())

@@ -28,8 +28,6 @@ PLANE_DEPS = (1, 2)
 SIGN_PARAMS = frozenset({"eps", "epsp"})
 TERNARY_PARAMS = frozenset({"epz"})
 
-_POW_EXPAND_LIMIT = 8
-
 
 class ExprError(ValueError):
     """Invalid construction: 0^0, exact division by zero, bad indices."""
@@ -461,41 +459,15 @@ def diff(e: Expr, v: str) -> Expr:
     i = COORD_INDEX.get(v)
     if i is None:
         raise ExprError(f"unknown coordinate {v!r}")
-    return _diff(e, v, i)
 
-
-def _diff(e: Expr, v: str, i: int) -> Expr:
-    if isinstance(e, (Num, Param)):
+    def leaf(a: Expr) -> Expr:
+        if isinstance(a, Coord):
+            return ONE if a.name == v else ZERO
+        if isinstance(a, Func) and i in a.deps:
+            return Func(a.name, tuple(sorted(a.idx + (i,))), a.deps)
         return ZERO
-    if isinstance(e, Coord):
-        return ONE if e.name == v else ZERO
-    if isinstance(e, Func):
-        if i not in e.deps:
-            return ZERO
-        return Func(e.name, tuple(sorted(e.idx + (i,))), e.deps)
-    if isinstance(e, Sum):
-        return add(*[_diff(t, v, i) for t in e.terms])
-    if isinstance(e, Prod):
-        terms = []
-        fl = e.factors
-        for k, fk in enumerate(fl):
-            dk = _diff(fk, v, i)
-            if dk is ZERO or (isinstance(dk, Num) and dk.value == 0):
-                continue
-            terms.append(mul(Num(e.coeff), dk, *fl[:k], *fl[k + 1:]))
-        return add(*terms)
-    if isinstance(e, Pow):
-        db = _diff(e.base, v, i)
-        if isinstance(db, Num) and db.value == 0:
-            return ZERO
-        return mul(Num(e.exp), pow_(e.base, e.exp - 1), db)
-    if isinstance(e, Ln):
-        return mul(_diff(e.arg, v, i), pow_(e.arg, -1))
-    if isinstance(e, ExpF):
-        return mul(_diff(e.arg, v, i), e)
-    if isinstance(e, Atan):
-        return mul(_diff(e.arg, v, i), pow_(add(ONE, pow_(e.arg, 2)), -1))
-    raise ExprError(f"cannot differentiate {e!r}")
+
+    return _derive(e, leaf)
 
 
 def partial(e: Expr, atom: Expr) -> Expr:
@@ -506,32 +478,36 @@ def partial(e: Expr, atom: Expr) -> Expr:
     is an independent variable here. Used for jet-space partials and for
     vector fields on the full (x, t, a, b, c) space.
     """
-    if e == atom:
-        return ONE
+    return _derive(e, lambda a: ONE if a == atom else ZERO)
+
+
+def _derive(e: Expr, leaf) -> Expr:
+    """Sum, product, power and chain rules; ``leaf`` differentiates the
+    atoms (numbers, coordinates, parameters, function symbols)."""
     if isinstance(e, (Num, Coord, Param, Func)):
-        return ZERO
+        return leaf(e)
     if isinstance(e, Sum):
-        return add(*[partial(t, atom) for t in e.terms])
+        return add(*[_derive(t, leaf) for t in e.terms])
     if isinstance(e, Prod):
         terms = []
         fl = e.factors
         for k, fk in enumerate(fl):
-            dk = partial(fk, atom)
+            dk = _derive(fk, leaf)
             if isinstance(dk, Num) and dk.value == 0:
                 continue
             terms.append(mul(Num(e.coeff), dk, *fl[:k], *fl[k + 1:]))
         return add(*terms)
     if isinstance(e, Pow):
-        db = partial(e.base, atom)
+        db = _derive(e.base, leaf)
         if isinstance(db, Num) and db.value == 0:
             return ZERO
         return mul(Num(e.exp), pow_(e.base, e.exp - 1), db)
     if isinstance(e, Ln):
-        return mul(partial(e.arg, atom), pow_(e.arg, -1))
+        return mul(_derive(e.arg, leaf), pow_(e.arg, -1))
     if isinstance(e, ExpF):
-        return mul(partial(e.arg, atom), e)
+        return mul(_derive(e.arg, leaf), e)
     if isinstance(e, Atan):
-        return mul(partial(e.arg, atom), pow_(add(ONE, pow_(e.arg, 2)), -1))
+        return mul(_derive(e.arg, leaf), pow_(add(ONE, pow_(e.arg, 2)), -1))
     raise ExprError(f"cannot differentiate {e!r}")
 
 

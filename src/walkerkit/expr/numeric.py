@@ -98,12 +98,16 @@ def sample_point(atoms, rng: random.Random, overrides: dict | None = None) -> di
     return point
 
 
-def _term_scale(e: Expr, point: dict) -> float:
-    """max(1, largest |term|): relative scale for sums, absolute else."""
+def eval_scaled(e: Expr, point: dict) -> tuple:
+    """(value, scale) at ``point``, evaluating each term of a sum once.
+
+    ``scale`` is max(1, largest |term|) for a sum and 1 otherwise, so
+    value / scale is a residual relative to the size of its own terms.
+    """
     if isinstance(e, Sum):
-        m = max(abs(eval_expr(t, point)) for t in e.terms)
-        return max(1.0, m)
-    return 1.0
+        values = [eval_expr(t, point) for t in e.terms]
+        return sum(values), max(1.0, max(map(abs, values)))
+    return eval_expr(e, point), 1.0
 
 
 @dataclass
@@ -138,8 +142,7 @@ def probe_zero(e: Expr, samples: int = 64, tol: float = 1e-9,
         for _ in range(MAX_RESAMPLES):
             cand = sample_point(atoms, rng, overrides)
             try:
-                value = eval_expr(e, cand)
-                scale = _term_scale(e, cand)
+                value, scale = eval_scaled(e, cand)
             except EvalGuard:
                 continue
             point = cand

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    ALL_DEPS, Expr, INDEX_COORD, ZERO, ONE, Sum, add, diff, eval_expr,
+    ALL_DEPS, Expr, INDEX_COORD, ZERO, ONE, add, diff, eval_scaled,
     funcsym, is_zero, mul, neg, num, render,
 )
 from . import jets
@@ -184,10 +184,8 @@ class EquivalenceReport:
 def _eval_components(comps, values) -> list:
     out = []
     for e in comps:
-        scale = 1.0
-        if isinstance(e, Sum):
-            scale = max(1.0, max(abs(eval_expr(t, values)) for t in e.terms))
-        out.append(eval_expr(e, values) / scale)
+        value, scale = eval_scaled(e, values)
+        out.append(value / scale)
     return out
 
 

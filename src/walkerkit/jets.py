@@ -17,9 +17,9 @@ import random
 from dataclasses import dataclass
 
 from .expr import (
-    ALL_DEPS, EvalGuard, Expr, ExprError, PLANE_DEPS, Sum, atom_name,
-    coord, diff, add, eval_expr, free_atoms, funcsym, mul, neg, parse,
-    partial, INDEX_COORD,
+    ALL_DEPS, EvalGuard, Expr, ExprError, PLANE_DEPS, atom_name,
+    coord, diff, add, eval_expr, eval_scaled, free_atoms, funcsym, mul,
+    neg, parse, partial, INDEX_COORD,
 )
 from .liealg import VectorField
 
@@ -103,18 +103,6 @@ class JetPoint:
     def residuals(self, sys: PDESystem) -> list:
         return [eval_expr(r, self.values) for r in sys.residuals]
 
-    def scaled_residuals(self, sys: PDESystem) -> list:
-        out = []
-        for r in sys.residuals:
-            out.append(abs(eval_expr(r, self.values)) / _scale(r, self.values))
-        return out
-
-
-def _scale(e: Expr, point: dict) -> float:
-    if isinstance(e, Sum):
-        return max(1.0, max(abs(eval_expr(t, point)) for t in e.terms))
-    return 1.0
-
 
 def _parse_atom(name: str, deps: tuple):
     base, _, idx = name.partition("_")
@@ -158,13 +146,10 @@ def on_shell_sample(seed: int, sys: PDESystem | None = None,
             values[name] = (targets.get(k, 0.0) - base) / coeff
         if not ok:
             continue
-        point = JetPoint(values)
-        hit = all(
-            abs(res - targets.get(k, 0.0)) / _scale(sys.residuals[k],
-                                                    values) <= RESIDUAL_TOL
-            for k, res in enumerate(point.residuals(sys)))
-        if hit:
-            return point
+        scaled = [eval_scaled(r, values) for r in sys.residuals]
+        if all(abs(res - targets.get(k, 0.0)) / scale <= RESIDUAL_TOL
+               for k, (res, scale) in enumerate(scaled)):
+            return JetPoint(values)
     raise ExprError("could not draw an on-shell jet within the retry budget")
 
 
@@ -267,7 +252,8 @@ def symmetry_check(v: VectorField, sys: PDESystem | None = None,
         worst = 0.0
         witness = None
         for p in points:
-            val = abs(eval_expr(action, p.values)) / _scale(action, p.values)
+            value, scale = eval_scaled(action, p.values)
+            val = abs(value) / scale
             if val > worst:
                 worst = val
                 witness = p.values

@@ -91,18 +91,25 @@ def bracket(v: VectorField, w: VectorField) -> VectorField:
         for k in range(5)))
 
 
-# --- exact linear algebra over Fractions -----------------------------------
+# --- Gauss-Jordan elimination ----------------------------------------------
 
-def solve_exact(rows: list, rhs: list):
-    """Solve A x = b over Fractions. Returns x or None if inconsistent;
-    requires unique solution on the pivoted columns (free columns get 0)."""
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    nrow, ncol = len(m), len(m[0]) - 1
-    piv_of_col = [-1] * ncol
-    r = 0
+def rref(m: list, ncol: int, eps=0) -> list:
+    """Reduce ``m`` in place to reduced row echelon form over its first
+    ``ncol`` columns; returns the pivot columns, pivot k in row k.
+
+    Each pivot is the entry of largest magnitude in its column, and an
+    entry with |v| <= eps counts as zero. Over Fractions (eps = 0) the
+    result is the unique exact RREF; over floats a relative ``eps`` turns
+    the pivot count into a numeric rank.
+    """
+    nrow = len(m)
+    pivots = []
     for col in range(ncol):
-        piv = next((i for i in range(r, nrow) if m[i][col] != 0), None)
-        if piv is None:
+        r = len(pivots)
+        if r == nrow:
+            break
+        piv = max(range(r, nrow), key=lambda i: abs(m[i][col]))
+        if abs(m[piv][col]) <= eps:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = 1 / m[r][col]
@@ -111,17 +118,21 @@ def solve_exact(rows: list, rhs: list):
             if i != r and m[i][col] != 0:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_of_col[col] = r
-        r += 1
-        if r == nrow:
-            break
-    for i in range(r, nrow):
-        if m[i][ncol] != 0:
-            return None
+        pivots.append(col)
+    return pivots
+
+
+def solve_exact(rows: list, rhs: list):
+    """Solve A x = b over Fractions. Returns x or None if inconsistent;
+    requires unique solution on the pivoted columns (free columns get 0)."""
+    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
+    ncol = len(m[0]) - 1
+    pivots = rref(m, ncol)
+    if any(row[ncol] != 0 for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncol
-    for col, pr in enumerate(piv_of_col):
-        if pr >= 0:
-            x[col] = m[pr][ncol]
+    for r, col in enumerate(pivots):
+        x[col] = m[r][ncol]
     return x
 
 
@@ -130,31 +141,16 @@ def nullspace_exact(rows: list) -> list:
     m = [list(map(Fraction, r)) for r in rows]
     if not m:
         return []
-    nrow, ncol = len(m), len(m[0])
-    piv_cols = []
-    r = 0
-    for col in range(ncol):
-        piv = next((i for i in range(r, nrow) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrow):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == nrow:
-            break
-    free_cols = [c for c in range(ncol) if c not in piv_cols]
+    ncol = len(m[0])
+    pivots = rref(m, ncol)
     out = []
-    for fc in free_cols:
+    for fc in range(ncol):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncol
         v[fc] = Fraction(1)
-        for pr, pc in enumerate(piv_cols):
-            v[pc] = -m[pr][fc]
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
         out.append(v)
     return out
 
@@ -459,7 +455,6 @@ def _char_poly(m: list) -> list:
     ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     coeffs = [Fraction(1)]
     mk = [row[:] for row in ident]
-    prod = m
     for k in range(1, n + 1):
         prod = _mat_mul_frac(m, mk)
         ck = -Fraction(sum(prod[i][i] for i in range(n)), k)

@@ -1,9 +1,9 @@
 """Partially invariant machinery: invariant sets, ansatz substitution,
 reduced-system verification, characteristics, defect, reducibility.
 
-Ranks are numeric at random points (20 samples, relative singular-value
-cutoff 1e-8); everything else goes through the exact kernel and its
-three-valued zero test.
+Ranks are numeric at random points (20 samples, float elimination with a
+relative pivot cutoff of 1e-8); everything else goes through the exact
+kernel and its three-valued zero test.
 """
 
 from __future__ import annotations
@@ -11,14 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .expr import (
     Expr, ExprError, EvalGuard, NONZERO, add, coord, diff, div,
     eval_expr, free_atoms, is_zero, mul, neg, render, sample_point,
     substitute,
 )
-from .liealg import coeffs_to_field
+from .liealg import coeffs_to_field, rref
 from .jets import PDESystem
 
 RANK_SAMPLES = 20
@@ -85,11 +83,16 @@ class InvariantReport:
 
 def _numeric_rank(rows, samples: int, cutoff: float, seed: int,
                   allow_variation: bool = False) -> int:
-    """Rank of a matrix of Exprs at random points; must be stable."""
+    """Rank of a matrix of Exprs at random points; must be stable.
+
+    At each point the rank is the pivot count of float Gauss-Jordan
+    elimination, with entries up to cutoff * (largest |entry|) as zero.
+    """
     atoms = set()
     for row in rows:
         for e in row:
             atoms |= free_atoms(e)
+    ncol = len(rows[0]) if rows else 0
     rng = random.Random(seed)
     ranks = []
     tries = 0
@@ -97,17 +100,11 @@ def _numeric_rank(rows, samples: int, cutoff: float, seed: int,
         tries += 1
         point = sample_point(atoms, rng)
         try:
-            m = np.array([[eval_expr(e, point) for e in row]
-                          for row in rows], dtype=float)
+            m = [[eval_expr(e, point) for e in row] for row in rows]
         except EvalGuard:
             continue
-        if m.size == 0:
-            ranks.append(0)
-            continue
-        s = np.linalg.svd(m, compute_uv=False)
-        top = s[0] if len(s) else 0.0
-        ranks.append(int(np.sum(s > cutoff * max(top, 1e-300))) if top > 0
-                     else 0)
+        top = max((abs(v) for row in m for v in row), default=0.0)
+        ranks.append(len(rref(m, ncol, cutoff * top)))
     if len(ranks) < samples:
         raise ExprError("rank sampling exhausted the retry budget")
     if allow_variation:

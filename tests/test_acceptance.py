@@ -235,8 +235,10 @@ def test_9_deterministic_reports(capsys):
     second = capsys.readouterr().out
     elapsed = time.perf_counter() - start
     doc = json.loads(first)
+    failed = [c["id"] for c in doc["checks"] if c["verdict"] == "fail"]
     ok = (first == second and code1 == code2
-          and doc["summary"]["total"] > 100 and elapsed < 120.0)
+          and doc["summary"]["total"] == 141
+          and failed == ["eq26.family3.solution"] and elapsed < 120.0)
     _verdict(9, "deterministic reporting", ok,
              f"{doc['summary']['total']} checks, two runs byte-identical, "
              f"{elapsed:.1f}s < 120s; "

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import walkerkit
 from walkerkit.cli import main
 
 
@@ -179,6 +183,19 @@ def test_usage_errors_exit_two(capsys):
         main(["defect", "--entry", "thm31.1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_defect_runs_without_numpy():
+    # a None entry in sys.modules makes any `import numpy` fail
+    src = os.path.dirname(os.path.dirname(walkerkit.__file__))
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from walkerkit.cli import main; "
+            "sys.exit(main(['defect', '--entry', 'eq25.family1']))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS eq25.family1.defect" in proc.stdout
 
 
 def test_expected_failure_is_honest(capsys):

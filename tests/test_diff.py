@@ -12,7 +12,7 @@ import pytest
 
 from walkerkit.expr import (
     EvalGuard, add, coord, diff, eval_expr, free_atoms, funcsym, mul,
-    parse, sample_point,
+    parse, partial, sample_point,
 )
 
 CLOSED_FORMS = [
@@ -80,6 +80,14 @@ def test_function_symbol_chains_index():
     assert diff(diff(a, "t"), "x") == funcsym("a", (1, 2), (1, 2))
     # mixed partials commute because indices are kept sorted
     assert diff(diff(a, "x"), "t") == diff(diff(a, "t"), "x")
+
+
+def test_partial_does_not_chain_function_symbols():
+    a = funcsym("a", (), (1, 2))
+    a_1 = funcsym("a", (1,), (1, 2))
+    # a jet coordinate is independent of its base symbol under partial
+    assert partial(a_1, a) == parse("0")
+    assert diff(a, "x") == a_1
 
 
 def test_function_symbol_outside_dependency_is_zero():

@@ -16,6 +16,7 @@ from walkerkit.expr import (
     substitute,
 )
 from walkerkit import liealg as la
+from walkerkit.pis import RANK_CUTOFF
 
 
 # hand oracle: {(j, k): {i: coefficient}} for j < k, 1-based, omitted = zero
@@ -239,6 +240,37 @@ def test_closure_invariant_under_basis_change():
         h2 = tuple(add(mul(num(m[1][0]), a), mul(num(m[1][1]), b))
                    for a, b in zip(g1, g2))
         assert la.subalgebra_closed([h1, h2]).closed
+
+
+def test_rref_inconsistent_system_has_no_solution():
+    assert la.solve_exact([[1, 1], [2, 2]], [1, 3]) is None
+
+
+def test_rref_free_columns_come_back_zero():
+    # x0 + x2 = 2 and x1 = 3; column 2 is free, the third row redundant
+    rows = [[0, 2, 0], [1, 0, 1], [2, 0, 2]]
+    assert la.solve_exact(rows, [6, 2, 4]) == [2, 3, 0]
+
+
+def test_rref_nullspace_vectors_annihilate_rows():
+    rows = [[1, 2, 3, 4], [2, 4, 7, 9],
+            [Fraction(1, 2), 1, 2, Fraction(5, 2)]]
+    basis = la.nullspace_exact(rows)
+    assert len(basis) == 2
+    for v in basis:
+        assert all(sum(r[j] * v[j] for j in range(4)) == 0 for r in rows)
+
+
+def test_rref_float_rank_ignores_noise_below_cutoff():
+    rng = random.Random(3)
+    u = [1.0, 2.0, -1.0, 0.5, 3.0]
+    w = [0.0, 1.0, 4.0, -2.0, 1.0]
+    rows = [u, w, [p + 2 * q for p, q in zip(u, w)]]
+    noisy = [[v + rng.uniform(-1e-12, 1e-12) for v in r] for r in rows]
+    top = max(abs(v) for r in noisy for v in r)
+    assert len(la.rref([r[:] for r in noisy], 5, RANK_CUTOFF * top)) == 2
+    # without the cutoff the noise is counted as a third pivot
+    assert len(la.rref([r[:] for r in noisy], 5)) == 3
 
 
 def test_normalizer_central_element():

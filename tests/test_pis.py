@@ -5,17 +5,21 @@ derived by hand with pencil and paper before the implementation existed;
 the reduction test requires exact symbolic agreement with them.
 """
 
+import random
+
 import pytest
 
+from walkerkit import catalog
 from walkerkit.expr import (
-    NONZERO, ZERO_SYMBOLIC, is_zero, is_zero_symbolic, parse, render, sub,
-    substitute,
+    NONZERO, ZERO_SYMBOLIC, EvalGuard, eval_expr, free_atoms, is_zero,
+    is_zero_symbolic, parse, render, sample_point, sub, substitute,
 )
 from walkerkit.jets import system2
+from walkerkit.liealg import rref
 from walkerkit.pis import (
-    InvariantSet, PISAnsatz, SolutionTriple, ansatz_substitute,
-    characteristic_matrix, defect, invariant_check, invariant_rank,
-    reducibility_scan, verify_reduced_solutions,
+    RANK_CUTOFF, InvariantSet, PISAnsatz, SolutionTriple, _formal,
+    ansatz_substitute, characteristic_matrix, defect, invariant_check,
+    invariant_rank, reducibility_scan, verify_reduced_solutions,
 )
 
 E1 = (1, 0, 0, 0, 0, 0, 0)
@@ -194,3 +198,35 @@ def test_reducibility_mixed_direction():
 def test_defect_rejects_one_generator_misuse():
     with pytest.raises(Exception):
         reducibility_scan([E1], FULL_TRIPLES[0])
+
+
+def _catalog_rank_matrices():
+    """Every invariant Jacobian and characteristic matrix in the catalog."""
+    for entry in catalog.builtin():
+        if entry.invariants:
+            members = entry.invariant_set().members
+            for names in (("x", "t", "a", "b", "c"), ("a", "b", "c")):
+                yield [[_formal(m, n) for n in names] for m in members]
+        gens = list(entry.coeff_vectors())
+        for triple in entry.triples():
+            yield characteristic_matrix(gens, triple)
+
+
+def test_elimination_rank_matches_svd_rank_on_catalog():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(0)
+    checked = 0
+    for rows in _catalog_rank_matrices():
+        atoms = set().union(*(free_atoms(e) for row in rows for e in row))
+        for _ in range(10):
+            point = sample_point(atoms, rng)
+            try:
+                m = [[eval_expr(e, point) for e in row] for row in rows]
+            except EvalGuard:
+                continue
+            sv = np.linalg.svd(np.array(m), compute_uv=False)
+            svd_rank = int(np.sum(sv > RANK_CUTOFF * sv[0]))
+            top = max(abs(v) for row in m for v in row)
+            assert len(rref(m, len(m[0]), RANK_CUTOFF * top)) == svd_rank
+            checked += 1
+    assert checked >= 250
