@@ -19,8 +19,11 @@ from .pis import InvariantSet, PISAnsatz, SolutionTriple
 
 SCHEMA = "walker-catalog/1"
 
-_ENTRY_KEYS = {"id", "subalgebra", "invariants", "ansatz", "reduced",
-               "solutions", "provenance"}
+# Entry fields holding a list of expression texts or a name -> text map.
+_TEXT_LISTS = ("invariants", "reduced", "consistency", "inequations")
+_TEXT_MAPS = ("ansatz", "profile")
+_ENTRY_KEYS = {"id", "subalgebra", "solutions", "provenance",
+               *_TEXT_LISTS, *_TEXT_MAPS}
 _SUBALGEBRA_KEYS = {"generators", "params"}
 _SOLUTION_KEYS = {"a", "b", "c", "params"}
 
@@ -57,6 +60,9 @@ class CatalogEntry:
     invariants: tuple = ()
     ansatz: tuple = ()        # ordered (name, text) pairs
     reduced: tuple = ()
+    profile: tuple = ()       # (name, text) pairs solving ``reduced``
+    consistency: tuple = ()   # conditions the profile must also satisfy
+    inequations: tuple = ()   # expressions the profile must keep nonzero
     solutions: tuple = ()
     provenance: str = ""
 
@@ -104,6 +110,8 @@ class CatalogEntry:
         out = list(self.generators) + list(self.invariants)
         out += [text for _, text in self.ansatz]
         out += list(self.reduced)
+        out += [text for _, text in self.profile]
+        out += list(self.consistency) + list(self.inequations)
         for s in self.solutions:
             out += [s.a, s.b, s.c]
         return tuple(out)
@@ -129,14 +137,10 @@ def _params_of(*texts: str) -> tuple:
                  for n in _PARAM_ORDER if n in found)
 
 
-def _entry(eid, gens, invariants=(), ansatz=(), reduced=(), solutions=(),
-           provenance="", extra_param_texts=()) -> CatalogEntry:
+def _entry(eid, gens, extra_param_texts=(), **fields) -> CatalogEntry:
     texts = tuple(gens) + tuple(extra_param_texts)
-    return CatalogEntry(
-        id=eid, generators=tuple(gens), params=_params_of(*texts),
-        invariants=tuple(invariants), ansatz=tuple(ansatz),
-        reduced=tuple(reduced), solutions=tuple(solutions),
-        provenance=provenance)
+    return CatalogEntry(id=eid, generators=tuple(gens),
+                        params=_params_of(*texts), **fields)
 
 
 # --- shipped data ------------------------------------------------------------
@@ -353,7 +357,10 @@ def builtin() -> tuple:
         entries.append(_entry(
             f"eq25.family{i}", ("X1", "X7"),
             invariants=RATIO_INVARIANTS, ansatz=RATIO_ANSATZ,
-            reduced=RATIO_REDUCED, solutions=(sol,),
+            reduced=RATIO_REDUCED,
+            profile=tuple(sorted(RATIO_PROFILE_FAMILIES[i - 1].items())),
+            consistency=RATIO_CONSISTENCY, inequations=RATIO_INEQUATIONS,
+            solutions=(sol,),
             provenance=f"equation (25), family {i}; reduction pipeline"
                        " of equations (16)-(24)",
             extra_param_texts=sol.params))
@@ -396,12 +403,12 @@ def _to_dict(e: CatalogEntry) -> dict:
                        "params": list(e.params)},
         "provenance": e.provenance,
     }
-    if e.invariants:
-        d["invariants"] = list(e.invariants)
-    if e.ansatz:
-        d["ansatz"] = {k: v for k, v in e.ansatz}
-    if e.reduced:
-        d["reduced"] = list(e.reduced)
+    for key in _TEXT_LISTS:
+        if getattr(e, key):
+            d[key] = list(getattr(e, key))
+    for key in _TEXT_MAPS:
+        if getattr(e, key):
+            d[key] = dict(getattr(e, key))
     if e.solutions:
         d["solutions"] = [{"a": s.a, "b": s.b, "c": s.c,
                            "params": list(s.params)} for s in e.solutions]
@@ -450,13 +457,13 @@ def _from_dict(d: dict, text: str, where: str) -> CatalogEntry:
                 raise SchemaError(f"missing field {key!r} in {swhere}")
         solutions.append(Solution(s["a"], s["b"], s["c"],
                                   tuple(s.get("params", []))))
-    ansatz = tuple(sorted(d.get("ansatz", {}).items()))
+    texts = {key: tuple(d.get(key, [])) for key in _TEXT_LISTS}
+    texts |= {key: tuple(sorted(d.get(key, {}).items()))
+              for key in _TEXT_MAPS}
     entry = CatalogEntry(
         id=d["id"], generators=tuple(sub["generators"]),
         params=tuple(sub.get("params", [])),
-        invariants=tuple(d.get("invariants", [])), ansatz=ansatz,
-        reduced=tuple(d.get("reduced", [])),
-        solutions=tuple(solutions), provenance=d["provenance"])
+        solutions=tuple(solutions), provenance=d["provenance"], **texts)
     for t in entry.generators:
         parse_generator(t)
     for t in entry.all_expr_texts()[len(entry.generators):]:

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import catalog
 from .expr import (
-    NONZERO, is_zero, is_zero_symbolic, num, parse, probe_zero, render,
-    sub, substitute,
+    NONZERO, ExprError, is_zero, is_zero_symbolic, num, parse, probe_zero,
+    render, sub, substitute,
 )
 from .geometry import (
     EINSTEIN_LABELS, build_metric, einstein_verdicts, equivalence_probe,
@@ -37,6 +37,7 @@ from .pis import (
 
 REPORT_SCHEMA = "walker-report/1"
 GENERIC_FLOOR = 1e-4
+_TOL_DEFAULTS = {"symmetries": 1e-8}
 
 
 @dataclass
@@ -156,20 +157,31 @@ def cmd_brackets(args, rep: Report, parser) -> None:
     rep.details["table"] = grid
 
 
+def _user_value(parser, convert, text):
+    """``convert(text)``; malformed command-line text is a usage error."""
+    try:
+        return convert(text)
+    except (ExprError, ValueError) as exc:
+        parser.error(str(exc))
+
+
+def _flow_parameter(text: str):
+    """An exact rational, or a float when the text is not one."""
+    try:
+        return num(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        return float(text)
+
+
 def cmd_adjoint(args, rep: Report, parser) -> None:
     if not 1 <= args.gen <= DIM:
         parser.error(f"--gen must be 1..{DIM}")
-    try:
-        s = num(Fraction(args.s))
-        exact = True
-    except ValueError:
-        s = float(args.s)
-        exact = False
+    s = _user_value(parser, _flow_parameter, args.s)
     mat = adjoint_matrix(args.gen, s)
-    if exact:
-        rows = [[render(e) for e in row] for row in mat]
-    else:
+    if isinstance(s, float):
         rows = [[repr(v) for v in row] for row in mat]
+    else:
+        rows = [[render(e) for e in row] for row in mat]
     rep.details["matrix"] = rows
     rep.details["generator"] = f"X{args.gen}"
     rep.details["s"] = args.s
@@ -178,7 +190,7 @@ def cmd_adjoint(args, rep: Report, parser) -> None:
 def cmd_subalgebra(args, rep: Report, parser) -> None:
     texts = [t.strip() for t in args.gens.replace(";", ",").split(",")
              if t.strip()]
-    vectors = [parse_generator(t) for t in texts]
+    vectors = [_user_value(parser, parse_generator, t) for t in texts]
     rep.details["generators"] = [render_generator(v) for v in vectors]
     if args.check_closed:
         closure = subalgebra_closed(vectors, seed=args.seed)
@@ -196,36 +208,42 @@ def cmd_subalgebra(args, rep: Report, parser) -> None:
                 "symbolic" if closure.symbolic else "")
 
 
-def cmd_symmetries(args, rep: Report, parser) -> None:
+def _symmetry_checks(ctx, rep: Report, tol: float) -> dict:
+    """One check per basis generator; returns the per-equation residuals."""
     sys2 = system2()
     residuals = {}
     for i in range(DIM):
         label = f"X{i + 1}"
-        srep = symmetry_check(BASIS[i], sys2, samples=args.samples,
-                              tol=args.tol, seed=args.seed, label=label)
+        srep = symmetry_check(BASIS[i], sys2, samples=ctx.samples,
+                              tol=tol, seed=ctx.seed, label=label)
         residuals[label] = [f"{c.max_residual:.3e}" for c in srep.cells]
         rep.add(f"symmetries.{label}", srep.passed,
-                f"max residual {srep.max_residual:.3e} over "
-                f"{len(srep.cells)} equations")
-    rep.details["per_equation_residuals"] = residuals
+                f"max residual {srep.max_residual:.3e}")
+    return residuals
 
 
-def _entry_or_die(parser, entry_id):
+def cmd_symmetries(args, rep: Report, parser) -> None:
+    rep.details["per_equation_residuals"] = _symmetry_checks(
+        args, rep, args.tol)
+
+
+def _entry_or_die(parser, entry_id, solutions=True):
+    """The catalog entry; a usage error if absent or lacking solutions."""
     entry = catalog.builtin_map().get(entry_id)
     if entry is None:
         parser.error(f"unknown catalog entry {entry_id!r}")
+    if solutions and not entry.solutions:
+        parser.error(f"entry {entry_id!r} carries no solutions")
     return entry
 
 
 def cmd_einstein(args, rep: Report, parser) -> None:
     if args.entry:
-        entry = _entry_or_die(parser, args.entry)
-        if not entry.solutions:
-            parser.error(f"entry {args.entry!r} carries no solutions")
-        triple = entry.triples()[0]
+        triple = _entry_or_die(parser, args.entry).triples()[0]
         a, b, c = triple.a, triple.b, triple.c
     elif args.a is not None and args.b is not None and args.c is not None:
-        a, b, c = parse(args.a), parse(args.b), parse(args.c)
+        a, b, c = (_user_value(parser, parse, t)
+                   for t in (args.a, args.b, args.c))
     else:
         parser.error("provide --entry ID or all of --a --b --c")
         return
@@ -279,12 +297,9 @@ def _check_reduction(entry, ctx, rep: Report) -> None:
 
 
 def _check_profile_family(entry, ctx, rep: Report) -> None:
-    idx = int(entry.id.rsplit("family", 1)[1])
-    bindings = {k: parse(v)
-                for k, v in catalog.RATIO_PROFILE_FAMILIES[idx - 1].items()}
+    bindings = {k: entry.parse_expr(v) for k, v in entry.profile}
     shipped = entry.reduced_exprs()
-    consistency = tuple(entry.parse_expr(s)
-                        for s in catalog.RATIO_CONSISTENCY)
+    consistency = tuple(entry.parse_expr(s) for s in entry.consistency)
     notes = []
     ok = True
     symbolic = 0
@@ -295,7 +310,7 @@ def _check_profile_family(entry, ctx, rep: Report) -> None:
         if not good:
             ok = False
             notes.append(f"residual {k}: {note}")
-    for q in catalog.RATIO_INEQUATIONS:
+    for q in entry.inequations:
         res = is_zero(substitute(entry.parse_expr(q), bindings),
                       samples=ctx.samples, tol=ctx.tol, seed=ctx.seed)
         if res.verdict != NONZERO:
@@ -307,10 +322,16 @@ def _check_profile_family(entry, ctx, rep: Report) -> None:
     rep.add(f"{entry.id}.profile", ok, witness)
 
 
+def _per_solution(entry, check: str):
+    """(check id, triple) per solution, ids numbered when there are several."""
+    many = len(entry.solutions) > 1
+    for n, triple in enumerate(entry.triples(), start=1):
+        yield f"{entry.id}.{check}{n if many else ''}", triple
+
+
 def _check_solutions(entry, ctx, rep: Report) -> None:
     sys2 = system2()
-    for n, triple in enumerate(entry.triples(), start=1):
-        suffix = f".solution{n}" if len(entry.solutions) > 1 else ".solution"
+    for cid, triple in _per_solution(entry, "solution"):
         ok = True
         symbolic = 0
         notes = []
@@ -323,23 +344,20 @@ def _check_solutions(entry, ctx, rep: Report) -> None:
                 notes.append(f"equation {k}: {note}")
         witness = (f"6 residuals zero ({symbolic} exact)" if ok
                    else "; ".join(notes))
-        rep.add(f"{entry.id}{suffix}", ok, witness)
+        rep.add(cid, ok, witness)
 
 
 def _check_defect(entry, ctx, rep: Report, expect=None) -> None:
     gens = list(entry.coeff_vectors())
-    for n, triple in enumerate(entry.triples(), start=1):
-        suffix = f".defect{n}" if len(entry.solutions) > 1 else ".defect"
+    for cid, triple in _per_solution(entry, "defect"):
         d = defect(gens, triple, seed=ctx.seed)
         ok = d == expect if expect is not None else True
-        rep.add(f"{entry.id}{suffix}", ok, f"delta={d}")
+        rep.add(cid, ok, f"delta={d}")
 
 
 def _check_reducibility(entry, ctx, rep: Report) -> None:
     gens = list(entry.coeff_vectors())
-    for n, triple in enumerate(entry.triples(), start=1):
-        suffix = (f".reducibility{n}" if len(entry.solutions) > 1
-                  else ".reducibility")
+    for cid, triple in _per_solution(entry, "reducibility"):
         scan = reducibility_scan(gens, triple, seed=ctx.seed)
         if scan.directions:
             dirs = ", ".join(f"({d['alpha']}:{d['beta']})"
@@ -350,7 +368,7 @@ def _check_reducibility(entry, ctx, rep: Report) -> None:
                        " claim")
         else:
             witness = "no invariant direction in the pencil"
-        rep.add(f"{entry.id}{suffix}", True, witness)
+        rep.add(cid, True, witness)
 
 
 def _check_einstein_entry(entry, ctx, rep: Report) -> None:
@@ -370,12 +388,15 @@ def _verify_entry(entry, ctx, rep: Report) -> None:
         _check_invariants(entry, ctx, rep)
     if entry.reduced:
         _check_reduction(entry, ctx, rep)
-    if entry.id.startswith("eq25."):
+    if entry.profile:
         _check_profile_family(entry, ctx, rep)
     if entry.solutions:
         _check_solutions(entry, ctx, rep)
-    if entry.id.startswith("eq25."):
-        _check_defect(entry, ctx, rep, expect=1)
+    if entry.reduced:
+        # a reduced entry is a partially invariant solution: its defect
+        # is the number of coordinates the ansatz leaves arbitrary
+        _check_defect(entry, ctx, rep,
+                      expect=len(entry.pis_ansatz().arbitrary))
         _check_reducibility(entry, ctx, rep)
     if entry.id == "eq27":
         _check_einstein_entry(entry, ctx, rep)
@@ -404,14 +425,36 @@ def _verify_suite(ctx, rep: Report) -> None:
     rep.add("algebra.replays", all(r.ok for r in replays),
             f"{len(replays)} normalization cases")
 
-    sys2 = system2()
-    for i in range(DIM):
-        label = f"X{i + 1}"
-        srep = symmetry_check(BASIS[i], sys2, samples=ctx.samples,
-                              tol=1e-8, seed=ctx.seed, label=label)
-        rep.add(f"symmetries.{label}", srep.passed,
-                f"max residual {srep.max_residual:.3e}")
+    _symmetry_checks(ctx, rep, _TOL_DEFAULTS["symmetries"])
+    _equivalence_checks(ctx, rep)
 
+
+def cmd_verify(args, rep: Report, parser) -> None:
+    if args.all:
+        _verify_suite(args, rep)
+        for entry in catalog.builtin():
+            _verify_entry(entry, args, rep)
+    else:
+        entry = _entry_or_die(parser, args.entry, solutions=False)
+        _verify_entry(entry, args, rep)
+
+
+def cmd_defect_cmd(args, rep: Report, parser) -> None:
+    entry = _entry_or_die(parser, args.entry)
+    if len(entry.generators) < 2:
+        parser.error(f"entry {args.entry!r} is not a two-generator span")
+    _check_defect(entry, args, rep)
+
+
+def cmd_reducibility(args, rep: Report, parser) -> None:
+    entry = _entry_or_die(parser, args.entry)
+    if len(entry.generators) != 2:
+        parser.error(f"entry {args.entry!r} is not a two-generator span")
+    _check_reducibility(entry, args, rep)
+
+
+def _equivalence_checks(ctx, rep: Report):
+    """The three Einstein/PDE correspondence checks; returns the probe."""
     probe = equivalence_probe(samples=ctx.samples, tol=ctx.tol,
                               seed=ctx.seed)
     rep.add("equivalence.on_shell", probe.on_shell_max < ctx.tol,
@@ -424,47 +467,11 @@ def _verify_suite(ctx, rep: Report) -> None:
     rep.add("equivalence.correspondence", corr_ok,
             "; ".join(f"{k} moves {len(v)} components"
                       for k, v in probe.correspondence.items()))
-
-
-def cmd_verify(args, rep: Report, parser) -> None:
-    if args.all:
-        _verify_suite(args, rep)
-        for entry in catalog.builtin():
-            _verify_entry(entry, args, rep)
-    else:
-        entry = _entry_or_die(parser, args.entry)
-        _verify_entry(entry, args, rep)
-
-
-def cmd_defect_cmd(args, rep: Report, parser) -> None:
-    entry = _entry_or_die(parser, args.entry)
-    if not entry.solutions:
-        parser.error(f"entry {args.entry!r} carries no solutions")
-    if len(entry.generators) < 2:
-        parser.error(f"entry {args.entry!r} is not a two-generator span")
-    _check_defect(entry, args, rep)
-
-
-def cmd_reducibility(args, rep: Report, parser) -> None:
-    entry = _entry_or_die(parser, args.entry)
-    if not entry.solutions:
-        parser.error(f"entry {args.entry!r} carries no solutions")
-    if len(entry.generators) != 2:
-        parser.error(f"entry {args.entry!r} is not a two-generator span")
-    _check_reducibility(entry, args, rep)
+    return probe
 
 
 def cmd_equivalence_probe(args, rep: Report, parser) -> None:
-    probe = equivalence_probe(samples=args.samples, tol=args.tol,
-                              seed=args.seed)
-    rep.add("equivalence.on_shell", probe.on_shell_max < args.tol,
-            f"max scaled component {probe.on_shell_max:.3e}")
-    rep.add("equivalence.generic", probe.generic_min > GENERIC_FLOOR,
-            f"min generic violation {probe.generic_min:.3e}")
-    corr_ok = (all(probe.correspondence.values())
-               and all(v > GENERIC_FLOOR
-                       for v in probe.single_violation_max.values()))
-    rep.add("equivalence.correspondence", corr_ok)
+    probe = _equivalence_checks(args, rep)
     rep.details["correspondence"] = {
         k: list(v) for k, v in probe.correspondence.items()}
 
@@ -473,8 +480,6 @@ def cmd_emit_metric(args, rep: Report, parser) -> int:
     """Prints the metric itself, so it returns the exit code and the
     report is not printed."""
     entry = _entry_or_die(parser, args.entry)
-    if not entry.solutions:
-        parser.error(f"entry {args.entry!r} carries no solutions")
     triple = entry.triples()[0]
     if args.format == "latex":
         print(metric_latex(triple.a, triple.b, triple.c))
@@ -554,9 +559,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry", required=True)
     p.add_argument("--format", choices=("latex", "json"), default="latex")
     return parser
-
-
-_TOL_DEFAULTS = {"symmetries": 1e-8}
 
 
 def main(argv=None) -> int:

@@ -342,11 +342,11 @@ def _nth_root(n: int, k: int):
     """Exact integer k-th root of n >= 0, or None."""
     if n == 0:
         return 0
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    return None
+    # integer Newton iteration from above stops at the floor of the root
+    r = 1 << -(-n.bit_length() // k)
+    while (nxt := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = nxt
+    return r if r ** k == n else None
 
 
 def _exact_pow(v: Fraction, e: Fraction):

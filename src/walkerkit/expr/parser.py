@@ -37,6 +37,11 @@ DEFAULT_FUNCS = {
 
 _CALLS = {"sqrt": sqrt, "ln": ln, "exp": exp_, "atan": atan}
 
+# Deepest nesting of parentheses, calls, unary minus and right-nested
+# powers accepted. The parser and the tree walkers recurse once per
+# level, so the bound keeps them under the interpreter's recursion limit.
+MAX_DEPTH = 200
+
 
 class ParseError(ExprError):
     def __init__(self, message: str, offset: int, text: str):
@@ -107,6 +112,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.functions = functions
         self.params = params
 
@@ -133,9 +139,14 @@ class _Parser:
         return e
 
     def expression(self, bp: int) -> Expr:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
+                             self.peek().pos, self.text)
         left = self.prefix()
         while _LBP.get(self.peek().kind, -1) > bp:
             left = self.infix(left)
+        self.depth -= 1
         return left
 
     def prefix(self) -> Expr:

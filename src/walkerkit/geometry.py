@@ -37,9 +37,6 @@ EINSTEIN_LABELS = tuple(
 class Metric4:
     rows: tuple  # 4x4 nested tuples of Expr
 
-    def entry(self, i: int, j: int) -> Expr:
-        return self.rows[i][j]
-
     def is_symmetric(self) -> bool:
         return all(self.rows[i][j] == self.rows[j][i]
                    for i in range(N) for j in range(N))

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expr import (
     ALL_DEPS, EvalGuard, Expr, ExprError, PLANE_DEPS, atom_name,
-    coord, diff, add, eval_expr, eval_scaled, free_atoms, funcsym, mul,
+    coord, diff, add, eval_expr, eval_scaled, funcsym, mul,
     neg, parse, partial, INDEX_COORD,
 )
 from .liealg import VectorField
@@ -39,16 +40,13 @@ class PDESystem:
     deps: tuple
     designated: tuple  # ((atom name, residual index), ...) in solve order
 
-    @property
-    def funcs(self) -> dict:
-        return {f: self.deps for f in FIBER}
-
-    def atom_names(self) -> list:
-        names = set()
-        for r in self.residuals:
-            for a in free_atoms(r):
-                names.add(atom_name(a))
-        return sorted(names)
+    @cached_property
+    def pivots(self) -> tuple:
+        """(atom name, residual index, d residual / d atom) in solve
+        order; each residual is linear in its designated atom."""
+        return tuple((name, k, partial(self.residuals[k],
+                                       _parse_atom(name, self.deps)))
+                     for name, k in self.designated)
 
     def jet_names(self) -> list:
         """Every coordinate of the full 2-jet space over these deps."""
@@ -129,10 +127,8 @@ def on_shell_sample(seed: int, sys: PDESystem | None = None,
     for _ in range(MAX_TRIES):
         values = {n: rng.uniform(0.5, 2.0) for n in frees}
         ok = True
-        for name, k in sys.designated:
-            atom = _parse_atom(name, sys.deps)
+        for name, k, coeff_e in sys.pivots:
             r = sys.residuals[k]
-            coeff_e = partial(r, atom)
             values[name] = 0.0
             try:
                 coeff = eval_expr(coeff_e, values)

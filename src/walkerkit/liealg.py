@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from itertools import takewhile
 
 from .expr import (
     Expr, ExprError, NONZERO, Num, Param, ZERO, ONE, ZERO_NUMERIC,
@@ -355,8 +357,9 @@ def subalgebra_closed(gens: list, seed: int = 0) -> ClosureReport:
 
 def _closure_case(g1, g2, assignment, seed) -> ClosureCase:
     w = sc().bracket_coeffs(g1, g2)
-    if all(is_zero(e, seed=seed) for e in w):
-        verdicts = [is_zero(e, seed=seed).verdict for e in w]
+    zeros = list(takewhile(bool, (is_zero(e, seed=seed) for e in w)))
+    if len(zeros) == DIM:
+        verdicts = [z.verdict for z in zeros]
         return ClosureCase(assignment, True, "0", "0", verdicts,
                            "bracket vanishes")
     pivot = None
@@ -408,9 +411,7 @@ def adjoint_matrix(i: int, s) -> list:
     if not 1 <= i <= DIM:
         raise ExprError(f"generator index out of range: {i}")
     if isinstance(s, float):
-        sp = param("s")
-        sym = adjoint_matrix(i, sp)
-        return [[eval_expr(e, {"s": s}) for e in row] for row in sym]
+        return [[eval_expr(e, {"s": s}) for e in row] for row in _flow(i)]
     s = s if isinstance(s, Expr) else num(s)
     m = sc().ad_matrix(i)
     if _is_diagonal(m):
@@ -435,6 +436,12 @@ def adjoint_matrix(i: int, s) -> list:
     else:
         raise ExprError(f"ad_X{i} neither diagonal nor nilpotent")
     return out
+
+
+@cache
+def _flow(i: int) -> tuple:
+    """Ad(exp(s*X_i)) with a symbolic s, built once per generator."""
+    return tuple(map(tuple, adjoint_matrix(i, param("s"))))
 
 
 def apply_matrix(mat: list, coeffs: tuple) -> tuple:
@@ -645,7 +652,7 @@ def proof_case_replays(seed: int = 0) -> list:
             steps.append(step)
         # absorb any X1 component into the span of the fixed generator
         y = tuple([ZERO] + list(y[1:]))
-        if case_id in ("g", "j"):
+        if sign_split:
             resid = add(y[4], neg(param("eps")))
             steps.append(ReplayStep(6, "sign normalization", 5,
                                     is_zero(resid, seed=seed).verdict))

@@ -142,6 +142,16 @@ def test_bad_derivative_index_cited(tmp_path):
         load(path)
 
 
+def test_bad_profile_text_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    doc = {"schema": SCHEMA, "entries": [{
+        "id": "x", "subalgebra": {"generators": ["X1"], "params": []},
+        "profile": {"f": "c3*t +"}, "provenance": "p"}]}
+    path.write_text(json.dumps(doc, indent=2))
+    with pytest.raises(ParseError):
+        load(path)
+
+
 def test_missing_required_field(tmp_path):
     path = tmp_path / "bad.json"
     doc = {"schema": SCHEMA, "entries": [{

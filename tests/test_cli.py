@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +8,8 @@ import sys
 import pytest
 
 import walkerkit
-from walkerkit.cli import main
+from walkerkit import catalog
+from walkerkit.cli import Report, _verify_entry, main
 
 
 def run(capsys, *argv):
@@ -167,22 +170,47 @@ def test_seed_changes_witnesses(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--entry", "no.such.entry"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["einstein"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["adjoint", "--gen", "0", "--s", "1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["defect", "--entry", "thm31.1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for argv in (
+        ["verify", "--entry", "no.such.entry"],
+        ["einstein"],
+        ["adjoint", "--gen", "0", "--s", "1"],
+        ["defect", "--entry", "thm31.1"],
+        # malformed expressions and values on the command line
+        ["einstein", "--a", "x+", "--b", "0", "--c", "0"],
+        ["einstein", "--a", "(" * 3000 + "x" + ")" * 3000, "--b", "0",
+         "--c", "0"],
+        ["subalgebra", "--gens", "X1*X2"],
+        ["adjoint", "--gen", "1", "--s", "abc"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        capsys.readouterr()
+
+
+def test_subcommands_share_the_suite_checks(capsys):
+    # verify --all and the two subcommands run one implementation of the
+    # symmetry and equivalence checks, so verdicts and witnesses agree
+    _, suite = run_json(capsys, "verify", "--all", "--seed", "42")
+    by_id = {c["id"]: c for c in suite["checks"]}
+    for command in ("symmetries", "equivalence-probe"):
+        _, doc = run_json(capsys, command, "--seed", "42")
+        for check in doc["checks"]:
+            assert by_id[check["id"]] == check
+
+
+def test_entry_data_not_id_selects_checks():
+    def suffixes(entry):
+        rep = Report("verify", 42, 100, 1e-9)
+        ctx = argparse.Namespace(seed=42, samples=100, tol=1e-9,
+                                 mode="auto")
+        _verify_entry(entry, ctx, rep)
+        return sorted(c.id[len(entry.id):] for c in rep.checks)
+
+    family = catalog.builtin_map()["eq25.family2"]
+    expected = suffixes(family)
+    assert {".profile", ".defect", ".reducibility"} <= set(expected)
+    assert suffixes(dataclasses.replace(family, id="copy")) == expected
 
 
 def test_defect_runs_without_numpy():

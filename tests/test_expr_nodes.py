@@ -60,6 +60,12 @@ def test_numeric_folding():
     assert isinstance(pow_(num(2), Fraction(1, 2)), Pow)
 
 
+def test_exact_roots_of_large_integers():
+    # beyond float range, and beyond float precision
+    assert pow_(num(10**400), Fraction(1, 2)) == num(10**200)
+    assert pow_(pow_(num(10**40 + 1), 3), Fraction(1, 3)) == num(10**40 + 1)
+
+
 def test_sum_content_extraction():
     e = pow_(add(mul(2, x), mul(4, t)), 2)
     assert e == mul(4, pow_(add(x, mul(2, t)), 2))

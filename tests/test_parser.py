@@ -10,6 +10,7 @@ from walkerkit.expr import (
     ParseError, add, atan, coord, exp_, free_atoms, funcsym, ln, mul, num,
     param, parse, parse_fraction, pow_, render,
 )
+from walkerkit.expr.parser import MAX_DEPTH
 
 LEAVES = [
     lambda: coord("x"),
@@ -128,6 +129,26 @@ def test_bad_dependency_rejected():
 def test_division_by_zero_rejected():
     with pytest.raises(ParseError):
         parse("x/(t - t)")
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "x" + ")" * 3000,
+    "-" * 3000 + "x",
+    "ln(" * 400 + "x" + ")" * 400,
+    "2^" * 3000 + "1",
+])
+def test_deep_nesting_rejected_with_offset(text):
+    with pytest.raises(ParseError, match="nesting deeper") as err:
+        parse(text)
+    assert 0 < err.value.offset < len(text)
+
+
+def test_nesting_up_to_the_bound_parses():
+    depth = MAX_DEPTH - 1
+    assert parse("(" * depth + "x" + ")" * depth) == coord("x")
+    assert parse("-" * depth + "x") == mul(-1, coord("x"))
+    nested = parse("ln(" * depth + "x" + ")" * depth)
+    assert render(nested).count("ln(") == depth
 
 
 def test_extra_params_and_custom_functions():
