@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -18,8 +19,8 @@ from fractions import Fraction
 
 from . import catalog
 from .expr import (
-    NONZERO, ExprError, is_zero, is_zero_symbolic, num, parse, probe_zero,
-    render, sub, substitute,
+    NONZERO, ExprError, is_zero, is_zero_symbolic, parse, probe_zero, render,
+    sub, substitute,
 )
 from .geometry import (
     EINSTEIN_LABELS, build_metric, einstein_verdicts, equivalence_probe,
@@ -28,7 +29,7 @@ from .geometry import (
 from .jets import symmetry_check, system2
 from .liealg import (
     BASIS, DIM, NotClosed, adjoint_matrix, parse_generator,
-    proof_case_replays, render_generator, sc, subalgebra_closed,
+    proof_case_replays, render_generator, sc, subalgebra_closed, unit,
 )
 from .pis import (
     ansatz_substitute, defect, invariant_check, invariant_rank,
@@ -146,43 +147,24 @@ def cmd_brackets(args, rep: Report, parser) -> None:
                           "49 ordered pairs")
     if table is None:
         return
-    grid = []
-    for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            coeffs = tuple(num(q) for q in table.c[i][j])
-            text = render_generator(coeffs)
-            row.append(text if text else "0")
-        grid.append(row)
-    rep.details["table"] = grid
+    rep.details["table"] = [
+        [render_generator(table.bracket_coeffs(unit(i), unit(j)))
+         for j in range(DIM)] for i in range(DIM)]
 
 
 def _user_value(parser, convert, text):
     """``convert(text)``; malformed command-line text is a usage error."""
     try:
         return convert(text)
-    except (ExprError, ValueError) as exc:
+    except (ExprError, ValueError, ZeroDivisionError) as exc:
         parser.error(str(exc))
-
-
-def _flow_parameter(text: str):
-    """An exact rational, or a float when the text is not one."""
-    try:
-        return num(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        return float(text)
 
 
 def cmd_adjoint(args, rep: Report, parser) -> None:
     if not 1 <= args.gen <= DIM:
         parser.error(f"--gen must be 1..{DIM}")
-    s = _user_value(parser, _flow_parameter, args.s)
-    mat = adjoint_matrix(args.gen, s)
-    if isinstance(s, float):
-        rows = [[repr(v) for v in row] for row in mat]
-    else:
-        rows = [[render(e) for e in row] for row in mat]
-    rep.details["matrix"] = rows
+    mat = adjoint_matrix(args.gen, _user_value(parser, Fraction, args.s))
+    rep.details["matrix"] = [[render(e) for e in row] for row in mat]
     rep.details["generator"] = f"X{args.gen}"
     rep.details["s"] = args.s
 
@@ -191,6 +173,8 @@ def cmd_subalgebra(args, rep: Report, parser) -> None:
     texts = [t.strip() for t in args.gens.replace(";", ",").split(",")
              if t.strip()]
     vectors = [_user_value(parser, parse_generator, t) for t in texts]
+    if args.check_closed and not 1 <= len(vectors) <= 2:
+        parser.error("--check-closed expects 1 or 2 generators")
     rep.details["generators"] = [render_generator(v) for v in vectors]
     if args.check_closed:
         closure = subalgebra_closed(vectors, seed=args.seed)
@@ -495,11 +479,24 @@ def cmd_emit_metric(args, rep: Report, parser) -> int:
 
 # --- argument plumbing -------------------------------------------------------
 
+def _positive(convert):
+    """An argparse type: ``convert(text)``, which must be finite and > 0,
+    so no check can pass on zero samples or a NaN tolerance."""
+    def check(text):
+        value = convert(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and positive, got {text!r}")
+        return value
+    check.__name__ = convert.__name__  # argparse's 'invalid int value'
+    return check
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--samples", type=int, default=100)
+    common.add_argument("--tol", type=_positive(float), default=None)
+    common.add_argument("--samples", type=_positive(int), default=100)
     common.add_argument("--report", choices=("json", "text"),
                         default="text")
 
@@ -517,7 +514,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", type=int, required=True, metavar="I",
                    help="generator index 1..7")
     p.add_argument("--s", required=True, metavar="V",
-                   help="flow parameter, rational or float")
+                   help="flow parameter, an exact rational such as"
+                        " 1/2, 0.25 or 1e-3")
 
     p = subs.add_parser("subalgebra", parents=[common])
     p.set_defaults(run=cmd_subalgebra)

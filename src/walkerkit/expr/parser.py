@@ -42,6 +42,11 @@ _CALLS = {"sqrt": sqrt, "ln": ln, "exp": exp_, "atan": atan}
 # level, so the bound keeps them under the interpreter's recursion limit.
 MAX_DEPTH = 200
 
+# Largest literal power ``Num ^ Num`` folded to an exact rational, in
+# bits of its numerator or denominator (floor(log2) of the base times the
+# exponent); a tower such as 2^2^2^2^2^2 would otherwise exhaust memory.
+MAX_POWER_BITS = 4096
+
 
 class ParseError(ExprError):
     def __init__(self, message: str, offset: int, text: str):
@@ -182,6 +187,12 @@ class _Parser:
             if not isinstance(right, Num):
                 raise ParseError("exponent must fold to an exact rational",
                                  tok.pos, self.text)
+            if isinstance(left, Num):
+                size = max(abs(left.value.numerator), left.value.denominator)
+                if (size.bit_length() - 1) * abs(right.value) > MAX_POWER_BITS:
+                    raise ParseError(f"literal power larger than "
+                                     f"{MAX_POWER_BITS} bits",
+                                     tok.pos, self.text)
             try:
                 return pow_(left, right.value)
             except ExprError as exc:

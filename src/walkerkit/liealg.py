@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import takewhile
+from itertools import combinations, takewhile
 
 from .expr import (
     Expr, ExprError, NONZERO, Num, Param, ZERO, ONE, ZERO_NUMERIC,
@@ -186,45 +186,39 @@ def decompose(v: VectorField) -> list:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """c[j][k][i] = C^i_{jk} with [X_j, X_k] = sum_i C^i_{jk} X_i."""
+    """The nonzero structure constants, indices 0-based: nonzero[(j, k)]
+    = {i: C} says [X_{j+1}, X_{k+1}] has the nonzero integer coefficient
+    C on X_{i+1}. Pairs that commute have no key."""
 
-    c: tuple
+    nonzero: dict
 
     def bracket_coeffs(self, u: tuple, v: tuple) -> tuple:
         """Bracket of two coefficient vectors (entries Expr or Fraction)."""
         out = [ZERO] * DIM
-        for j in range(DIM):
-            if _is_zero_entry(u[j]):
+        for (j, k), row in self.nonzero.items():
+            if _is_zero_entry(u[j]) or _is_zero_entry(v[k]):
                 continue
-            for k in range(DIM):
-                if _is_zero_entry(v[k]):
-                    continue
-                for i in range(DIM):
-                    cf = self.c[j][k][i]
-                    if cf:
-                        out[i] = add(out[i], mul(num(cf), u[j], v[k]))
+            for i, cf in row.items():
+                out[i] = add(out[i], mul(num(cf), u[j], v[k]))
         return tuple(out)
 
     def ad_matrix(self, i: int) -> list:
-        """Matrix of ad_{X_i} acting on coefficient vectors (Fractions)."""
-        return [[self.c[i - 1][j][k] for j in range(DIM)] for k in range(DIM)]
+        """Matrix of ad_{X_i} acting on coefficient vectors (integers)."""
+        return [[self.nonzero.get((i - 1, k), {}).get(n, 0)
+                 for k in range(DIM)] for n in range(DIM)]
 
     def antisymmetric(self) -> bool:
-        return all(self.c[j][k][i] == -self.c[k][j][i]
-                   for i in range(DIM) for j in range(DIM) for k in range(DIM))
+        return all(self.nonzero.get((k, j)) == {i: -cf for i, cf in r.items()}
+                   for (j, k), r in self.nonzero.items())
 
     def jacobi_holds(self) -> bool:
-        for i in range(DIM):
-            for j in range(DIM):
-                for k in range(DIM):
-                    for l in range(DIM):
-                        s = sum(self.c[j][k][m] * self.c[i][m][l]
-                                + self.c[k][i][m] * self.c[j][m][l]
-                                + self.c[i][j][m] * self.c[k][m][l]
-                                for m in range(DIM))
-                        if s != 0:
-                            return False
-        return True
+        """[[X_i,X_j],X_k] + cyclic = 0 over the 35 triples i < j < k; with
+        an antisymmetric table these cover every triple."""
+        br = self.bracket_coeffs
+        return all(add(*cyclic) == ZERO
+                   for x, y, z in combinations(map(unit, range(DIM)), 3)
+                   for cyclic in zip(br(br(x, y), z), br(br(y, z), x),
+                                     br(br(z, x), y)))
 
 
 def _is_zero_entry(e) -> bool:
@@ -232,23 +226,21 @@ def _is_zero_entry(e) -> bool:
 
 
 def structure_constants() -> StructureConstants:
-    table = []
+    nonzero = {}
     for j in range(DIM):
-        row = []
         for k in range(DIM):
-            row.append(tuple(decompose(bracket(BASIS[j], BASIS[k]))))
-        table.append(tuple(row))
-    return StructureConstants(tuple(table))
+            coords = decompose(bracket(BASIS[j], BASIS[k]))
+            if any(v.denominator != 1 for v in coords):
+                raise ExprError(f"[X{j + 1},X{k + 1}] is not integral")
+            row = {i: int(v) for i, v in enumerate(coords) if v}
+            if row:
+                nonzero[(j, k)] = row
+    return StructureConstants(nonzero)
 
 
-_SC = None
-
-
+@cache
 def sc() -> StructureConstants:
-    global _SC
-    if _SC is None:
-        _SC = structure_constants()
-    return _SC
+    return structure_constants()
 
 
 # --- coefficient vectors ----------------------------------------------------
@@ -269,6 +261,11 @@ def parse_generator(text: str) -> tuple:
     if not is_zero_symbolic(add(e, neg(rebuilt))):
         raise ExprError(f"{text!r} has terms outside the generator span")
     return tuple(coeffs)
+
+
+def unit(i: int) -> tuple:
+    """Coefficient vector of the basis generator with 0-based index i."""
+    return tuple(ONE if k == i else ZERO for k in range(DIM))
 
 
 def render_generator(coeffs: tuple) -> str:
@@ -551,9 +548,9 @@ def normalizer_solve(x: tuple) -> NormalizerSpace:
         xs.append(e.value)
     if all(v == 0 for v in xs):
         raise ExprError("normalizer_solve needs a nonzero element")
-    table = sc()
-    m = [[sum(xs[i] * table.c[i][j][k] for i in range(DIM))
-          for j in range(DIM)] for k in range(DIM)]
+    ads = [sc().ad_matrix(i) for i in range(1, DIM + 1)]
+    m = [[sum(x * ad[k][j] for x, ad in zip(xs, ads)) for j in range(DIM)]
+         for k in range(DIM)]
     mus = _rational_roots(_char_poly(m))
     space = NormalizerSpace(tuple(xs), m, mus, [])
     for mu in mus:
@@ -631,7 +628,7 @@ _REPLAY_TABLE = [
 def proof_case_replays(seed: int = 0) -> list:
     """Replay the normalization steps of the two-dimensional
     classification against the fixed generator X1."""
-    x1 = tuple(ONE if k == 0 else ZERO for k in range(DIM))
+    x1 = unit(0)
     out = []
     for (case_id, subs_text, sign_split, steps_text,
          expect_closed, notes) in _REPLAY_TABLE:

@@ -181,6 +181,19 @@ def test_usage_errors_exit_two(capsys):
          "--c", "0"],
         ["subalgebra", "--gens", "X1*X2"],
         ["adjoint", "--gen", "1", "--s", "abc"],
+        # the flow parameter is exact only
+        ["adjoint", "--gen", "1", "--s", "inf"],
+        ["adjoint", "--gen", "1", "--s", "nan"],
+        ["adjoint", "--gen", "1", "--s", "1/0"],
+        # no check may pass on zero samples or a non-finite tolerance
+        ["symmetries", "--samples", "0"],
+        ["einstein", "--entry", "eq27", "--samples", "0"],
+        ["verify", "--entry", "eq27", "--samples", "0"],
+        ["symmetries", "--tol", "nan"],
+        ["symmetries", "--tol", "inf"],
+        ["symmetries", "--tol", "0"],
+        # closure is checked for one or two generators only
+        ["subalgebra", "--gens", "X1;X2;X3", "--check-closed"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

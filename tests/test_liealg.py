@@ -75,9 +75,24 @@ def test_structure_constants_jacobi():
 
 
 def test_structure_constant_single_entry():
-    table = la.sc()
-    assert table.c[0][3][1] == 1
-    assert sum(abs(table.c[0][3][i]) for i in range(7)) == 1
+    # [X1, X4] = X2 and nothing else, 0-based in the sparse table
+    assert la.sc().nonzero[(0, 3)] == {1: 1}
+
+
+def _with_entries(changes):
+    """The algebra's table with the given (j, k) rows replaced."""
+    return la.StructureConstants({**la.sc().nonzero, **changes})
+
+
+def test_doubled_bracket_breaks_jacobi_not_antisymmetry():
+    # [X3, X4] = X4 doubled in both orders
+    table = _with_entries({(2, 3): {3: 2}, (3, 2): {3: -2}})
+    assert table.antisymmetric()
+    assert not table.jacobi_holds()
+
+
+def test_one_sided_change_breaks_antisymmetry():
+    assert not _with_entries({(2, 3): {3: 2}}).antisymmetric()
 
 
 def test_bracket_coeffs_agrees_with_field_bracket():

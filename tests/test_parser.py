@@ -10,7 +10,7 @@ from walkerkit.expr import (
     ParseError, add, atan, coord, exp_, free_atoms, funcsym, ln, mul, num,
     param, parse, parse_fraction, pow_, render,
 )
-from walkerkit.expr.parser import MAX_DEPTH
+from walkerkit.expr.parser import MAX_DEPTH, MAX_POWER_BITS
 
 LEAVES = [
     lambda: coord("x"),
@@ -149,6 +149,24 @@ def test_nesting_up_to_the_bound_parses():
     assert parse("-" * depth + "x") == mul(-1, coord("x"))
     nested = parse("ln(" * depth + "x" + ")" * depth)
     assert render(nested).count("ln(") == depth
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("2^2^2^2^2^2", 3),
+    ("2^(10^6)", 1),
+    (f"x + (1/2)^{MAX_POWER_BITS + 1}", 9),
+])
+def test_literal_power_bound_rejected_with_offset(text, offset):
+    with pytest.raises(ParseError, match="literal power") as err:
+        parse(text)
+    assert err.value.offset == offset
+    assert text[offset] == "^"
+
+
+def test_literal_power_up_to_the_bound_parses():
+    assert parse(f"2^{MAX_POWER_BITS}") == num(2 ** MAX_POWER_BITS)
+    assert parse("2^2^2^2") == num(65536)
+    assert parse("(-1)^(10^9)") == num(1)
 
 
 def test_extra_params_and_custom_functions():
