@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from . import catalog
 from .expr import (
-    NONZERO, ExprError, is_zero, is_zero_symbolic, parse, probe_zero, render,
-    sub, substitute,
+    NONZERO, EvalError, ExprError, is_zero, is_zero_symbolic, parse,
+    probe_zero, render, sub, substitute,
 )
 from .geometry import (
     EINSTEIN_LABELS, build_metric, einstein_verdicts, equivalence_probe,
@@ -152,18 +152,22 @@ def cmd_brackets(args, rep: Report, parser) -> None:
          for j in range(DIM)] for i in range(DIM)]
 
 
-def _user_value(parser, convert, text):
-    """``convert(text)``; malformed command-line text is a usage error."""
+def _user_value(parser, flag: str, convert, text):
+    """``convert(text)``; malformed command-line text is a usage error
+    that names the flag."""
     try:
         return convert(text)
-    except (ExprError, ValueError, ZeroDivisionError) as exc:
-        parser.error(str(exc))
+    except ZeroDivisionError:
+        parser.error(f"argument {flag}: division by zero in {text!r}")
+    except (ExprError, ValueError) as exc:
+        parser.error(f"argument {flag}: {exc}")
 
 
 def cmd_adjoint(args, rep: Report, parser) -> None:
     if not 1 <= args.gen <= DIM:
         parser.error(f"--gen must be 1..{DIM}")
-    mat = adjoint_matrix(args.gen, _user_value(parser, Fraction, args.s))
+    s = _user_value(parser, "--s", Fraction, args.s)
+    mat = adjoint_matrix(args.gen, s)
     rep.details["matrix"] = [[render(e) for e in row] for row in mat]
     rep.details["generator"] = f"X{args.gen}"
     rep.details["s"] = args.s
@@ -172,7 +176,8 @@ def cmd_adjoint(args, rep: Report, parser) -> None:
 def cmd_subalgebra(args, rep: Report, parser) -> None:
     texts = [t.strip() for t in args.gens.replace(";", ",").split(",")
              if t.strip()]
-    vectors = [_user_value(parser, parse_generator, t) for t in texts]
+    vectors = [_user_value(parser, "--gens", parse_generator, t)
+               for t in texts]
     if args.check_closed and not 1 <= len(vectors) <= 2:
         parser.error("--check-closed expects 1 or 2 generators")
     rep.details["generators"] = [render_generator(v) for v in vectors]
@@ -226,20 +231,24 @@ def cmd_einstein(args, rep: Report, parser) -> None:
         triple = _entry_or_die(parser, args.entry).triples()[0]
         a, b, c = triple.a, triple.b, triple.c
     elif args.a is not None and args.b is not None and args.c is not None:
-        a, b, c = (_user_value(parser, parse, t)
-                   for t in (args.a, args.b, args.c))
+        a, b, c = (_user_value(parser, flag, parse, t)
+                   for flag, t in (("--a", args.a), ("--b", args.b),
+                                   ("--c", args.c)))
     else:
         parser.error("provide --entry ID or all of --a --b --c")
         return
-    verdicts = einstein_verdicts(a, b, c, samples=args.samples,
-                                 tol=args.tol, seed=args.seed)
+    try:
+        verdicts = einstein_verdicts(a, b, c, samples=args.samples,
+                                     tol=args.tol, seed=args.seed)
+        bundle = ricci(build_metric(a, b, c))
+        ricci_zero = all(
+            is_zero(bundle.ricci[i][j], samples=min(args.samples, 16),
+                    tol=args.tol, seed=args.seed)
+            for i in range(4) for j in range(i, 4))
+    except EvalError as exc:
+        parser.error(f"cannot evaluate the metric: {exc}")
     for label, res in zip(EINSTEIN_LABELS, verdicts):
         rep.add(f"einstein.{label}", bool(res), res.describe())
-    bundle = ricci(build_metric(a, b, c))
-    ricci_zero = all(
-        is_zero(bundle.ricci[i][j], samples=min(args.samples, 16),
-                tol=args.tol, seed=args.seed)
-        for i in range(4) for j in range(i, 4))
     rep.details["ricci_zero"] = "yes" if ricci_zero else "no"
     rep.details["einstein"] = (
         "yes" if all(bool(r) for r in verdicts) else "no")

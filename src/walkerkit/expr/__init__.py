@@ -11,7 +11,7 @@ from .nodes import (
 )
 from .numeric import (
     NONZERO, ZERO_NUMERIC, ZERO_SYMBOLIC, EvalError, EvalGuard, ZeroResult,
-    eval_expr, eval_scaled, is_zero, probe_zero, sample_point,
+    compile_expr, eval_expr, eval_scaled, is_zero, probe_zero, sample_point,
 )
 from .parser import DEFAULT_FUNCS, PARAM_NAMES, ParseError, parse, parse_fraction
 
@@ -23,8 +23,8 @@ __all__ = [
     "exp_", "free_atoms", "funcsym", "ln", "mul", "neg", "num", "param",
     "partial", "pow_", "render", "sqrt", "sub", "substitute", "to_expr",
     "NONZERO", "ZERO_NUMERIC", "ZERO_SYMBOLIC", "EvalError", "EvalGuard",
-    "ZeroResult", "eval_expr", "eval_scaled", "is_zero", "probe_zero",
-    "sample_point",
+    "ZeroResult", "compile_expr", "eval_expr", "eval_scaled", "is_zero",
+    "probe_zero", "sample_point",
     "DEFAULT_FUNCS", "PARAM_NAMES", "ParseError", "parse", "parse_fraction",
     "clear_denominators", "expand_monomials", "is_zero_symbolic",
 ]

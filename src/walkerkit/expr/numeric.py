@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .expand import is_zero_symbolic
 from .nodes import (
@@ -36,11 +37,21 @@ class EvalError(ExprError):
     """Evaluation impossible (missing value, guards exhausted)."""
 
 
+def _float(q) -> float:
+    """float(q) for a rational constant; EvalError beyond float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        bits = q.numerator.bit_length() - q.denominator.bit_length()
+        raise EvalError(f"constant of about 2^{bits} is beyond float "
+                        "range") from None
+
+
 def eval_expr(e: Expr, point: dict) -> float:
     """Evaluate at ``point`` (atom name -> float). Raises EvalGuard near
     singularities and outside real-root domains."""
     if isinstance(e, Num):
-        return float(e.value)
+        return _float(e.value)
     if isinstance(e, (Coord, Param, Func)):
         name = atom_name(e)
         try:
@@ -50,7 +61,7 @@ def eval_expr(e: Expr, point: dict) -> float:
     if isinstance(e, Sum):
         return sum(eval_expr(t, point) for t in e.terms)
     if isinstance(e, Prod):
-        v = float(e.coeff)
+        v = _float(e.coeff)
         for f in e.factors:
             v *= eval_expr(f, point)
         return v
@@ -66,7 +77,7 @@ def eval_expr(e: Expr, point: dict) -> float:
                 r = -((-base) ** (1.0 / exp.denominator))
                 return r ** exp.numerator
             raise EvalGuard("even root of a negative value")
-        return base ** float(exp)
+        return base ** _float(exp)
     if isinstance(e, Ln):
         arg = eval_expr(e.arg, point)
         if arg < DENOM_GUARD:
@@ -110,6 +121,112 @@ def eval_scaled(e: Expr, point: dict) -> tuple:
     return eval_expr(e, point), 1.0
 
 
+# (function name, guard test on its argument, guard message) per kernel
+_KERNELS = {
+    Ln: ("log", f"< {DENOM_GUARD!r}", "log argument not positive"),
+    ExpF: ("exp", f"> {EXP_GUARD!r}", "exponential overflow"),
+    Atan: ("atan", None, None),
+}
+_COMPILED_GLOBALS = {"G": EvalGuard, "E": EvalError, "log": math.log,
+                     "exp": math.exp, "atan": math.atan}
+
+
+class _Emitter:
+    """Straight-line Python for one expression. Each distinct node gets
+    one local, assigned where the tree walk first reaches it, so a shared
+    subtree is evaluated once, guards fire on the node where eval_expr's
+    would, and every operation is the one eval_expr performs."""
+
+    def __init__(self):
+        self.lines = []
+        self.operands = {}   # Expr -> local name or float literal
+
+    def operand(self, e: Expr) -> str:
+        text = self.operands.get(e)
+        if text is None:
+            text = self.operands[e] = self._emit(e)
+        return text
+
+    def guard(self, test: str, message: str) -> None:
+        self.lines.append(f"if {test}: raise G({message!r})")
+
+    def local(self, rhs: str) -> str:
+        name = f"v{len(self.lines)}"
+        self.lines.append(f"{name} = {rhs}")
+        return name
+
+    def _emit(self, e: Expr) -> str:
+        if isinstance(e, Num):
+            return f"({_float(e.value)!r})"
+        if isinstance(e, (Coord, Param, Func)):
+            return self.local(f"p[{atom_name(e)!r}]")
+        if isinstance(e, Sum):
+            return self.local(f"sum(({', '.join(self.terms(e))}))")
+        if isinstance(e, Prod):
+            return self.local(" * ".join(
+                [f"({_float(e.coeff)!r})"]
+                + [self.operand(f) for f in e.factors]))
+        if isinstance(e, Pow):
+            return self._pow(self.operand(e.base), e.exp)
+        kernel = _KERNELS.get(type(e))
+        if kernel is None:
+            raise ExprError(f"cannot evaluate {e!r}")
+        fn, test, message = kernel
+        arg = self.operand(e.arg)
+        if test is not None:
+            self.guard(f"{arg} {test}", message)
+        return self.local(f"{fn}({arg})")
+
+    def terms(self, e: Sum) -> list:
+        return [self.operand(t) for t in e.terms]
+
+    def _pow(self, base: str, exp) -> str:
+        if exp < 0:
+            self.guard(f"abs({base}) < {DENOM_GUARD!r}",
+                       "denominator too small")
+        if exp.denominator == 1:
+            return self.local(f"{base} ** ({exp.numerator})")
+        positive = f"{base} ** ({_float(exp)!r})"
+        if exp.denominator % 2 == 0:
+            self.guard(f"{base} < 0", "even root of a negative value")
+            return self.local(positive)
+        odd_root = f"(-((-{base}) ** (1.0 / {exp.denominator})))"
+        return self.local(f"{odd_root} ** ({exp.numerator}) "
+                          f"if {base} < 0 else {positive}")
+
+
+def compile_expr(e: Expr):
+    """``f(point) -> (value, scale)`` with the results of
+    ``eval_scaled(e, point)``, bit for bit, and the same exceptions.
+
+    The body is generated once as straight-line Python; use it where one
+    expression is evaluated at many points. Atom names enter the source
+    only as string literals. A constant beyond float range raises
+    EvalError here, at compile time.
+    """
+    if isinstance(e, Num):  # most adjoint and Jacobian entries
+        result = _float(e.value), 1.0
+        return lambda point: result
+    em = _Emitter()
+    if isinstance(e, Sum):
+        terms = em.terms(e)
+        absolute = ", ".join(f"abs({t})" for t in terms)
+        result = f"sum(({', '.join(terms)})), max(1.0, max({absolute}))"
+    else:
+        result = f"{em.operand(e)}, 1.0"
+    body = "".join(f"        {line}\n" for line in em.lines)
+    source = ("def compiled(p):\n"
+              "    try:\n"
+              f"{body}"
+              "        pass\n"
+              "    except KeyError as exc:\n"
+              "        raise E(f'no value for {exc.args[0]!r}') from None\n"
+              f"    return {result}\n")
+    namespace = dict(_COMPILED_GLOBALS)
+    exec(compile(source, "<compile_expr>", "exec"), namespace)
+    return namespace["compiled"]
+
+
 @dataclass
 class ZeroResult:
     verdict: str
@@ -131,18 +248,25 @@ class ZeroResult:
 
 def probe_zero(e: Expr, samples: int = 64, tol: float = 1e-9,
                seed: int = 0, overrides: dict | None = None) -> ZeroResult:
-    """Numeric-only zero test; scaled residual per sample."""
+    """Numeric-only zero test; scaled residual per sample.
+
+    The first sample is evaluated by the tree walk; ``e`` is compiled only
+    when the probe goes on to a second sample, since most nonzero
+    expressions are settled by the first."""
     atoms = free_atoms(e)
     rng = random.Random(seed)
     worst = 0.0
     done = 0
-    for _ in range(samples):
+    evaluate = partial(eval_scaled, e)
+    for n in range(samples):
+        if n == 1:
+            evaluate = compile_expr(e)
         point = None
         value = None
         for _ in range(MAX_RESAMPLES):
             cand = sample_point(atoms, rng, overrides)
             try:
-                value, scale = eval_scaled(e, cand)
+                value, scale = evaluate(cand)
             except EvalGuard:
                 continue
             point = cand
@@ -165,7 +289,7 @@ def is_zero(e: Expr, samples: int = 64, tol: float = 1e-9,
     if isinstance(e, Num):
         if e.value == 0:
             return ZeroResult(ZERO_SYMBOLIC)
-        return ZeroResult(NONZERO, max_residual=abs(float(e.value)),
+        return ZeroResult(NONZERO, max_residual=abs(_float(e.value)),
                           witness={})
     if is_zero_symbolic(e):
         return ZeroResult(ZERO_SYMBOLIC)

@@ -42,9 +42,13 @@ _CALLS = {"sqrt": sqrt, "ln": ln, "exp": exp_, "atan": atan}
 # level, so the bound keeps them under the interpreter's recursion limit.
 MAX_DEPTH = 200
 
-# Largest literal power ``Num ^ Num`` folded to an exact rational, in
-# bits of its numerator or denominator (floor(log2) of the base times the
-# exponent); a tower such as 2^2^2^2^2^2 would otherwise exhaust memory.
+# Size bound on exact integers, in bits (floor(log2)): of an integer
+# literal, and of a literal power ``Num ^ Num`` folded to an exact
+# rational (floor(log2) of the base times the exponent), since a tower
+# such as 2^2^2^2^2^2 would otherwise exhaust memory. The exponent of any
+# other power, and the root degree of every power, are bounded by the
+# same number; past it a float evaluation overflows and an exact root
+# stalls.
 MAX_POWER_BITS = 4096
 
 
@@ -79,7 +83,14 @@ def _tokenize(text: str):
             if j < n and text[j] == ".":
                 raise ParseError("decimal literals are not supported, "
                                  "write an exact fraction", i, text)
-            out.append(_Token("num", int(text[i:j]), i))
+            digits = text[i:j].lstrip("0") or "0"
+            # more than 3 bits a digit: the length test keeps int() off
+            # strings beyond the interpreter's digit limit
+            if (len(digits) > MAX_POWER_BITS // 3
+                    or int(digits).bit_length() - 1 > MAX_POWER_BITS):
+                raise ParseError(f"integer literal larger than "
+                                 f"{MAX_POWER_BITS} bits", i, text)
+            out.append(_Token("num", int(digits), i))
             i = j
             continue
         if ch.isalpha():
@@ -187,17 +198,26 @@ class _Parser:
             if not isinstance(right, Num):
                 raise ParseError("exponent must fold to an exact rational",
                                  tok.pos, self.text)
-            if isinstance(left, Num):
-                size = max(abs(left.value.numerator), left.value.denominator)
-                if (size.bit_length() - 1) * abs(right.value) > MAX_POWER_BITS:
-                    raise ParseError(f"literal power larger than "
-                                     f"{MAX_POWER_BITS} bits",
-                                     tok.pos, self.text)
+            self.check_power(left, right.value, tok.pos)
             try:
                 return pow_(left, right.value)
             except ExprError as exc:
                 raise ParseError(str(exc), tok.pos, self.text) from None
         raise ParseError(f"unexpected operator {tok.kind!r}", tok.pos, self.text)
+
+    def check_power(self, base: Expr, exp: Fraction, pos: int) -> None:
+        """Reject ``base ^ exp`` beyond MAX_POWER_BITS (see there)."""
+        if exp.denominator > MAX_POWER_BITS:
+            raise ParseError(f"root of degree above {MAX_POWER_BITS}",
+                             pos, self.text)
+        if isinstance(base, Num):
+            size = max(abs(base.value.numerator), base.value.denominator)
+            if (size.bit_length() - 1) * abs(exp) > MAX_POWER_BITS:
+                raise ParseError(f"literal power larger than "
+                                 f"{MAX_POWER_BITS} bits", pos, self.text)
+        elif abs(exp.numerator) > MAX_POWER_BITS:
+            raise ParseError(f"exponent above {MAX_POWER_BITS} in absolute "
+                             "value", pos, self.text)
 
     def name(self, tok: _Token) -> Expr:
         name, idx = tok.value

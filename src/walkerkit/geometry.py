@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    ALL_DEPS, Expr, INDEX_COORD, ZERO, ONE, add, diff, eval_scaled,
+    ALL_DEPS, Expr, INDEX_COORD, ZERO, ONE, add, compile_expr, diff,
     funcsym, is_zero, mul, neg, num, render,
 )
 from . import jets
@@ -179,9 +179,10 @@ class EquivalenceReport:
 
 
 def _eval_components(comps, values) -> list:
+    """Scaled values of compiled components at one jet."""
     out = []
-    for e in comps:
-        value, scale = eval_scaled(e, values)
+    for f in comps:
+        value, scale = f(values)
         out.append(value / scale)
     return out
 
@@ -193,7 +194,8 @@ def equivalence_probe(samples: int = 100, tol: float = 1e-9,
     component, generic jets do not, and single-residual violations map
     to the components that respond."""
     a, b, c = abstract_functions()
-    comps = einstein_residual(build_metric(a, b, c))
+    comps = [compile_expr(e)
+             for e in einstein_residual(build_metric(a, b, c))]
     sys = jets.system_a7()
     rng = random.Random(seed)
 
@@ -209,9 +211,8 @@ def equivalence_probe(samples: int = 100, tol: float = 1e-9,
             failure = {"jet": p.values, "components": vals}
 
     generic_min = float("inf")
-    names = sys.jet_names()
     for _ in range(samples):
-        values = {n: rng.uniform(0.5, 2.0) for n in names}
+        values = {n: rng.uniform(0.5, 2.0) for n in sys.jet_coords}
         worst = max(abs(v) for v in _eval_components(comps, values))
         generic_min = min(generic_min, worst)
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .expr import (
     ALL_DEPS, EvalGuard, Expr, ExprError, PLANE_DEPS, atom_name,
-    coord, diff, add, eval_expr, eval_scaled, funcsym, mul,
+    compile_expr, coord, diff, add, eval_expr, funcsym, mul,
     neg, parse, partial, INDEX_COORD,
 )
 from .liealg import VectorField
@@ -41,15 +41,22 @@ class PDESystem:
     designated: tuple  # ((atom name, residual index), ...) in solve order
 
     @cached_property
+    def compiled_residuals(self) -> tuple:
+        """compile_expr of each residual, built at first use."""
+        return tuple(compile_expr(r) for r in self.residuals)
+
+    @cached_property
     def pivots(self) -> tuple:
-        """(atom name, residual index, d residual / d atom) in solve
-        order; each residual is linear in its designated atom."""
-        return tuple((name, k, partial(self.residuals[k],
-                                       _parse_atom(name, self.deps)))
+        """(atom name, residual index, compiled d residual / d atom) in
+        solve order; each residual is linear in its designated atom."""
+        return tuple((name, k, compile_expr(partial(
+                          self.residuals[k], _parse_atom(name, self.deps))))
                      for name, k in self.designated)
 
-    def jet_names(self) -> list:
-        """Every coordinate of the full 2-jet space over these deps."""
+    @cached_property
+    def jet_coords(self) -> tuple:
+        """Every coordinate of the full 2-jet space over these deps,
+        sorted."""
         names = [INDEX_COORD[i] for i in self.deps]
         for f in FIBER:
             names.append(f)
@@ -57,7 +64,14 @@ class PDESystem:
                          for i in self.deps)
             names.extend(atom_name(funcsym(f, (i, j), self.deps))
                          for i in self.deps for j in self.deps if i <= j)
-        return sorted(names)
+        return tuple(sorted(names))
+
+    @cached_property
+    def free_coords(self) -> tuple:
+        """The jet coordinates an on-shell draw samples: all but the
+        designated ones."""
+        solved = {n for n, _ in self.designated}
+        return tuple(n for n in self.jet_coords if n not in solved)
 
 
 _SYS2_TEXT = (
@@ -76,6 +90,7 @@ _SYS4_EXTRA = {
 }
 
 
+@cache
 def system2() -> PDESystem:
     funcs = {f: PLANE_DEPS for f in FIBER}
     residuals = tuple(parse(s, functions=funcs) for s in _SYS2_TEXT)
@@ -84,6 +99,7 @@ def system2() -> PDESystem:
     return PDESystem("plane", residuals, PLANE_DEPS, designated)
 
 
+@cache
 def system_a7() -> PDESystem:
     funcs = {f: ALL_DEPS for f in FIBER}
     residuals = tuple(
@@ -121,18 +137,14 @@ def on_shell_sample(seed: int, sys: PDESystem | None = None,
     sys = sys or system2()
     rng = rng or random.Random(seed)
     targets = targets or {}
-    names = sys.jet_names()
-    solved = [n for n, _ in sys.designated]
-    frees = [n for n in names if n not in solved]
     for _ in range(MAX_TRIES):
-        values = {n: rng.uniform(0.5, 2.0) for n in frees}
+        values = {n: rng.uniform(0.5, 2.0) for n in sys.free_coords}
         ok = True
-        for name, k, coeff_e in sys.pivots:
-            r = sys.residuals[k]
+        for name, k, coeff_f in sys.pivots:
             values[name] = 0.0
             try:
-                coeff = eval_expr(coeff_e, values)
-                base = eval_expr(r, values)
+                coeff = coeff_f(values)[0]
+                base = sys.compiled_residuals[k](values)[0]
             except EvalGuard:
                 ok = False
                 break
@@ -142,7 +154,7 @@ def on_shell_sample(seed: int, sys: PDESystem | None = None,
             values[name] = (targets.get(k, 0.0) - base) / coeff
         if not ok:
             continue
-        scaled = [eval_scaled(r, values) for r in sys.residuals]
+        scaled = [f(values) for f in sys.compiled_residuals]
         if all(abs(res - targets.get(k, 0.0)) / scale <= RESIDUAL_TOL
                for k, (res, scale) in enumerate(scaled)):
             return JetPoint(values)
@@ -150,10 +162,19 @@ def on_shell_sample(seed: int, sys: PDESystem | None = None,
 
 
 def on_shell_points(n: int, seed: int,
-                    sys: PDESystem | None = None) -> list:
-    sys = sys or system2()
+                    sys: PDESystem | None = None) -> tuple:
+    """``n`` on-shell jets drawn in turn from ``random.Random(seed)``.
+
+    Each (n, seed, system) set is drawn once and shared, so the checks of
+    several generators at one seed evaluate at the same jets without
+    redrawing them."""
+    return _drawn(n, seed, sys or system2())
+
+
+@cache
+def _drawn(n: int, seed: int, sys: PDESystem) -> tuple:
     rng = random.Random(seed)
-    return [on_shell_sample(0, sys, rng) for _ in range(n)]
+    return tuple(on_shell_sample(0, sys, rng) for _ in range(n))
 
 
 # --- prolongation -----------------------------------------------------------
@@ -244,11 +265,11 @@ def symmetry_check(v: VectorField, sys: PDESystem | None = None,
     pro = prolong2(v, sys.deps)
     cells = []
     for k, r in enumerate(sys.residuals):
-        action = prolonged_action(pro, r, sys.deps)
+        action = compile_expr(prolonged_action(pro, r, sys.deps))
         worst = 0.0
         witness = None
         for p in points:
-            value, scale = eval_scaled(action, p.values)
+            value, scale = action(p.values)
             val = abs(value) / scale
             if val > worst:
                 worst = val

@@ -23,7 +23,7 @@ from itertools import combinations, takewhile
 
 from .expr import (
     Expr, ExprError, NONZERO, Num, Param, ZERO, ONE, ZERO_NUMERIC,
-    ZERO_SYMBOLIC, add, coord, div, eval_expr, exp_, free_atoms, funcsym,
+    ZERO_SYMBOLIC, add, compile_expr, coord, div, exp_, free_atoms, funcsym,
     is_zero, mul, neg, num, param, parse, partial, pow_, render, substitute,
 )
 
@@ -408,7 +408,8 @@ def adjoint_matrix(i: int, s) -> list:
     if not 1 <= i <= DIM:
         raise ExprError(f"generator index out of range: {i}")
     if isinstance(s, float):
-        return [[eval_expr(e, {"s": s}) for e in row] for row in _flow(i)]
+        point = {"s": s}
+        return [[f(point)[0] for f in row] for row in _compiled_flow(i)]
     s = s if isinstance(s, Expr) else num(s)
     m = sc().ad_matrix(i)
     if _is_diagonal(m):
@@ -439,6 +440,11 @@ def adjoint_matrix(i: int, s) -> list:
 def _flow(i: int) -> tuple:
     """Ad(exp(s*X_i)) with a symbolic s, built once per generator."""
     return tuple(map(tuple, adjoint_matrix(i, param("s"))))
+
+
+@cache
+def _compiled_flow(i: int) -> tuple:
+    return tuple(tuple(compile_expr(e) for e in row) for row in _flow(i))
 
 
 def apply_matrix(mat: list, coeffs: tuple) -> tuple:

@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass, field
 
 from .expr import (
-    Expr, ExprError, EvalGuard, NONZERO, add, coord, diff, div,
-    eval_expr, free_atoms, is_zero, mul, neg, render, sample_point,
+    Expr, ExprError, EvalGuard, NONZERO, add, compile_expr, coord, diff,
+    div, free_atoms, is_zero, mul, neg, render, sample_point,
     substitute,
 )
 from .liealg import coeffs_to_field, rref
@@ -93,6 +93,7 @@ def _numeric_rank(rows, samples: int, cutoff: float, seed: int,
         for e in row:
             atoms |= free_atoms(e)
     ncol = len(rows[0]) if rows else 0
+    compiled = [[compile_expr(e) for e in row] for row in rows]
     rng = random.Random(seed)
     ranks = []
     tries = 0
@@ -100,7 +101,7 @@ def _numeric_rank(rows, samples: int, cutoff: float, seed: int,
         tries += 1
         point = sample_point(atoms, rng)
         try:
-            m = [[eval_expr(e, point) for e in row] for row in rows]
+            m = [[f(point)[0] for f in row] for row in compiled]
         except EvalGuard:
             continue
         top = max((abs(v) for row in m for v in row), default=0.0)

@@ -170,35 +170,49 @@ def test_seed_changes_witnesses(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    for argv in (
-        ["verify", "--entry", "no.such.entry"],
-        ["einstein"],
-        ["adjoint", "--gen", "0", "--s", "1"],
-        ["defect", "--entry", "thm31.1"],
+    # (argv, a fragment of the one-line message); a bad flag value names
+    # its flag
+    for argv, says in (
+        (["verify", "--entry", "no.such.entry"], "no.such.entry"),
+        (["einstein"], "--entry ID"),
+        (["adjoint", "--gen", "0", "--s", "1"], "--gen must be"),
+        (["defect", "--entry", "thm31.1"], "thm31.1"),
         # malformed expressions and values on the command line
-        ["einstein", "--a", "x+", "--b", "0", "--c", "0"],
-        ["einstein", "--a", "(" * 3000 + "x" + ")" * 3000, "--b", "0",
-         "--c", "0"],
-        ["subalgebra", "--gens", "X1*X2"],
-        ["adjoint", "--gen", "1", "--s", "abc"],
+        (["einstein", "--a", "x+", "--b", "0", "--c", "0"], "argument --a:"),
+        (["einstein", "--a", "(" * 3000 + "x" + ")" * 3000, "--b", "0",
+          "--c", "0"], "argument --a: nesting deeper"),
+        (["einstein", "--a", "0", "--b", "1" * 5000, "--c", "0"],
+         "argument --b: integer literal larger"),
+        (["einstein", "--a", "x^(3^2000)", "--b", "0", "--c", "0"],
+         "argument --a: exponent above"),
+        # a constant beyond float range cannot be evaluated
+        (["einstein", "--a", "2^4000*x^3", "--b", "0", "--c", "0"],
+         "beyond float range"),
+        (["subalgebra", "--gens", "X1*X2"], "argument --gens:"),
+        (["adjoint", "--gen", "1", "--s", "abc"], "argument --s:"),
         # the flow parameter is exact only
-        ["adjoint", "--gen", "1", "--s", "inf"],
-        ["adjoint", "--gen", "1", "--s", "nan"],
-        ["adjoint", "--gen", "1", "--s", "1/0"],
+        (["adjoint", "--gen", "1", "--s", "inf"], "argument --s:"),
+        (["adjoint", "--gen", "1", "--s", "nan"], "argument --s:"),
+        (["adjoint", "--gen", "1", "--s", "1/0"],
+         "argument --s: division by zero in '1/0'"),
         # no check may pass on zero samples or a non-finite tolerance
-        ["symmetries", "--samples", "0"],
-        ["einstein", "--entry", "eq27", "--samples", "0"],
-        ["verify", "--entry", "eq27", "--samples", "0"],
-        ["symmetries", "--tol", "nan"],
-        ["symmetries", "--tol", "inf"],
-        ["symmetries", "--tol", "0"],
+        (["symmetries", "--samples", "0"], "argument --samples:"),
+        (["einstein", "--entry", "eq27", "--samples", "0"],
+         "argument --samples:"),
+        (["verify", "--entry", "eq27", "--samples", "0"],
+         "argument --samples:"),
+        (["symmetries", "--tol", "nan"], "argument --tol:"),
+        (["symmetries", "--tol", "inf"], "argument --tol:"),
+        (["symmetries", "--tol", "0"], "argument --tol:"),
         # closure is checked for one or two generators only
-        ["subalgebra", "--gens", "X1;X2;X3", "--check-closed"],
+        (["subalgebra", "--gens", "X1;X2;X3", "--check-closed"],
+         "--check-closed"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-        capsys.readouterr()
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "error: " in last and says in last, (argv, last)
 
 
 def test_subcommands_share_the_suite_checks(capsys):

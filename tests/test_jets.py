@@ -146,7 +146,7 @@ def test_on_shell_sample_residuals():
 
 def test_on_shell_zero_jet():
     sys = jets.system2()
-    values = {n: 0.0 for n in sys.jet_names()}
+    values = {n: 0.0 for n in sys.jet_coords}
     for n in ("a", "b", "c"):
         values[n] = 1.0
     for name, k in sys.designated:
@@ -168,7 +168,7 @@ def test_on_shell_points_distinct():
 
 def test_on_shell_full_system():
     sys = jets.system_a7()
-    assert len(sys.jet_names()) == 49
+    assert len(sys.jet_coords) == 49
     for seed in (0, 1):
         p = jets.on_shell_sample(seed, sys)
         assert max(abs(r) for r in p.residuals(sys)) < 1e-11
@@ -198,3 +198,37 @@ def test_negative_control_fails():
     assert rep.max_residual > 1e-3
     failing = [c for c in rep.cells if not c.passed]
     assert failing and failing[0].witness is not None
+
+
+def test_systems_are_built_once():
+    assert jets.system2() is jets.system2()
+    assert jets.system_a7() is jets.system_a7()
+
+
+def test_on_shell_points_equal_a_fresh_draw():
+    sys = jets.system2()
+    rng = random.Random(2024)
+    fresh = [jets.on_shell_sample(0, sys, rng) for _ in range(30)]
+    assert [p.values for p in jets.on_shell_points(30, 2024, sys)] == [
+        p.values for p in fresh]
+    # the default system is the same one, so the same set
+    assert jets.on_shell_points(30, 2024) is jets.on_shell_points(
+        30, 2024, sys)
+
+
+def test_symmetries_draw_each_jet_once(monkeypatch, capsys):
+    from walkerkit import cli
+    drawn = []
+    sample = jets.on_shell_sample
+
+    def counted(*args, **kwargs):
+        drawn.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(jets, "on_shell_sample", counted)
+    # a seed no other test draws at, so no set is cached yet
+    assert cli.main(["symmetries", "--samples", "20", "--seed",
+                     "730501"]) == 0
+    capsys.readouterr()
+    # seven generators share one draw of 20 jets, not 7 x 20
+    assert len(drawn) == 20

@@ -169,6 +169,30 @@ def test_literal_power_up_to_the_bound_parses():
     assert parse("(-1)^(10^9)") == num(1)
 
 
+@pytest.mark.parametrize("text, offset, says", [
+    ("1" * 5000, 0, "integer literal"),
+    ("x + " + "0" * 10 + "1" * 5000, 4, "integer literal"),
+    (str(2 ** (MAX_POWER_BITS + 1)), 0, "integer literal"),
+    ("x^(3^2000)", 1, "exponent above"),
+    (f"t*(x + 1)^(-{MAX_POWER_BITS + 1})", 9, "exponent above"),
+    ("4^(1/(10^400))", 1, "root of degree"),
+    ("x^(1/(3^2000))", 1, "root of degree"),
+])
+def test_integer_and_exponent_bounds_rejected_with_offset(text, offset,
+                                                           says):
+    with pytest.raises(ParseError, match=says) as err:
+        parse(text)
+    assert err.value.offset == offset
+
+
+def test_integer_and_exponent_bounds_inclusive():
+    assert parse(str(2 ** MAX_POWER_BITS)) == num(2 ** MAX_POWER_BITS)
+    assert parse("0" * 5000 + "7") == num(7)
+    assert parse(f"x^{MAX_POWER_BITS}") == pow_(coord("x"), MAX_POWER_BITS)
+    assert parse(f"x^(-1/{MAX_POWER_BITS})") == pow_(
+        coord("x"), Fraction(-1, MAX_POWER_BITS))
+
+
 def test_extra_params_and_custom_functions():
     e = parse("X1*lam + a_3",
               functions={"a": (1, 2, 3, 4)},
