@@ -20,11 +20,11 @@ from fractions import Fraction
 from . import catalog
 from .expr import (
     NONZERO, EvalError, ExprError, is_zero, is_zero_symbolic, parse,
-    probe_zero, render, sub, substitute,
+    probe_zero, render, sub, substitute, substitute_all,
 )
 from .geometry import (
-    EINSTEIN_LABELS, build_metric, einstein_verdicts, equivalence_probe,
-    metric_latex, metric_matrix_strings, ricci,
+    EINSTEIN_LABELS, abstract_curvature, einstein_verdicts,
+    equivalence_probe, metric_latex, metric_matrix_strings, on_metric,
 )
 from .jets import symmetry_check, system2
 from .liealg import (
@@ -240,11 +240,11 @@ def cmd_einstein(args, rep: Report, parser) -> None:
     try:
         verdicts = einstein_verdicts(a, b, c, samples=args.samples,
                                      tol=args.tol, seed=args.seed)
-        bundle = ricci(build_metric(a, b, c))
+        abstract_ricci, _ = abstract_curvature()
         ricci_zero = all(
-            is_zero(bundle.ricci[i][j], samples=min(args.samples, 16),
-                    tol=args.tol, seed=args.seed)
-            for i in range(4) for j in range(i, 4))
+            is_zero(r, samples=min(args.samples, 16), tol=args.tol,
+                    seed=args.seed)
+            for r in on_metric(abstract_ricci, a, b, c))
     except EvalError as exc:
         parser.error(f"cannot evaluate the metric: {exc}")
     for label, res in zip(EINSTEIN_LABELS, verdicts):
@@ -328,8 +328,9 @@ def _check_solutions(entry, ctx, rep: Report) -> None:
         ok = True
         symbolic = 0
         notes = []
-        for k, res in enumerate(sys2.residuals, start=1):
-            good, note = _zero_note(substitute(res, triple.bindings()), ctx)
+        on_solution = substitute_all(sys2.residuals, triple.bindings())
+        for k, res in enumerate(on_solution, start=1):
+            good, note = _zero_note(res, ctx)
             if note == "zero_symbolic":
                 symbolic += 1
             if not good:

@@ -7,7 +7,7 @@ from .nodes import (
     SIGN_PARAMS, TERNARY_PARAMS, Atan, Coord, ExpF, Expr, ExprError, Func,
     Ln, Num, Param, Pow, Prod, Sum, ZERO, ONE, add, atan, atom_name, coord,
     diff, div, exp_, free_atoms, funcsym, ln, mul, neg, num, param, partial,
-    pow_, render, sqrt, sub, substitute, to_expr,
+    pow_, render, sqrt, sub, substitute, substitute_all, to_expr,
 )
 from .numeric import (
     NONZERO, ZERO_NUMERIC, ZERO_SYMBOLIC, EvalError, EvalGuard, ZeroResult,
@@ -21,7 +21,8 @@ __all__ = [
     "ExprError", "Func", "Ln", "Num", "Param", "Pow", "Prod", "Sum",
     "ZERO", "ONE", "add", "atan", "atom_name", "coord", "diff", "div",
     "exp_", "free_atoms", "funcsym", "ln", "mul", "neg", "num", "param",
-    "partial", "pow_", "render", "sqrt", "sub", "substitute", "to_expr",
+    "partial", "pow_", "render", "sqrt", "sub", "substitute",
+    "substitute_all", "to_expr",
     "NONZERO", "ZERO_NUMERIC", "ZERO_SYMBOLIC", "EvalError", "EvalGuard",
     "ZeroResult", "compile_expr", "eval_expr", "eval_scaled", "is_zero",
     "probe_zero", "sample_point",

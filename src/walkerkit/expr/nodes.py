@@ -542,38 +542,51 @@ def substitute(e: Expr, bindings: dict) -> Expr:
     b_2 to a_2*f + a*f_2 automatically. Differentiating a binding along a
     coordinate it does not involve yields zero rather than an error.
     """
+    return substitute_all((e,), bindings)[0]
+
+
+def substitute_all(exprs, bindings: dict) -> tuple:
+    """``substitute`` of each expression under one set of bindings.
+
+    The expressions share one derivative memo, so each distinct
+    derivative of a binding (a_1, a_11, ...) is differentiated once for
+    the whole batch.
+    """
     fmap, pmap = _norm_bindings(bindings)
-    return _subst(e, fmap, pmap)
+    memo: dict = {}
 
-
-def _subst(e: Expr, fmap: dict, pmap: dict) -> Expr:
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Coord):
-        return e
-    if isinstance(e, Param):
-        return pmap.get(e.name, e)
-    if isinstance(e, Func):
-        hit = fmap.get(e.name)
+    def bound(name: str, idx: tuple) -> Expr:
+        # derivative of a binding along idx, built on its memoized prefix
+        key = (name, idx)
+        hit = memo.get(key)
         if hit is None:
+            hit = memo[key] = (diff(bound(name, idx[:-1]),
+                                    INDEX_COORD[idx[-1]])
+                               if idx else fmap[name])
+        return hit
+
+    def walk(e: Expr) -> Expr:
+        if isinstance(e, (Num, Coord)):
             return e
-        out = hit
-        for i in e.idx:
-            out = diff(out, INDEX_COORD[i])
-        return out
-    if isinstance(e, Sum):
-        return add(*[_subst(t, fmap, pmap) for t in e.terms])
-    if isinstance(e, Prod):
-        return mul(Num(e.coeff), *[_subst(f, fmap, pmap) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(_subst(e.base, fmap, pmap), e.exp)
-    if isinstance(e, Ln):
-        return ln(_subst(e.arg, fmap, pmap))
-    if isinstance(e, ExpF):
-        return exp_(_subst(e.arg, fmap, pmap))
-    if isinstance(e, Atan):
-        return atan(_subst(e.arg, fmap, pmap))
-    raise ExprError(f"cannot substitute into {e!r}")
+        if isinstance(e, Param):
+            return pmap.get(e.name, e)
+        if isinstance(e, Func):
+            return bound(e.name, e.idx) if e.name in fmap else e
+        if isinstance(e, Sum):
+            return add(*[walk(t) for t in e.terms])
+        if isinstance(e, Prod):
+            return mul(Num(e.coeff), *[walk(f) for f in e.factors])
+        if isinstance(e, Pow):
+            return pow_(walk(e.base), e.exp)
+        if isinstance(e, Ln):
+            return ln(walk(e.arg))
+        if isinstance(e, ExpF):
+            return exp_(walk(e.arg))
+        if isinstance(e, Atan):
+            return atan(walk(e.arg))
+        raise ExprError(f"cannot substitute into {e!r}")
+
+    return tuple(walk(e) for e in exprs)
 
 
 def free_atoms(e: Expr) -> set:

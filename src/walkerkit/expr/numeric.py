@@ -23,6 +23,8 @@ from .nodes import (
 DENOM_GUARD = 1e-6
 EXP_GUARD = 300.0
 MAX_RESAMPLES = 50
+# float ``**`` raises OverflowError where every other operation gives inf
+POWER_OVERFLOW = "power overflow"
 
 ZERO_SYMBOLIC = "zero_symbolic"
 ZERO_NUMERIC = "zero_numeric"
@@ -70,14 +72,17 @@ def eval_expr(e: Expr, point: dict) -> float:
         exp = e.exp
         if exp < 0 and abs(base) < DENOM_GUARD:
             raise EvalGuard("denominator too small")
-        if exp.denominator == 1:
-            return base ** exp.numerator
-        if base < 0:
-            if exp.denominator % 2 == 1:
-                r = -((-base) ** (1.0 / exp.denominator))
-                return r ** exp.numerator
-            raise EvalGuard("even root of a negative value")
-        return base ** _float(exp)
+        try:
+            if exp.denominator == 1:
+                return base ** exp.numerator
+            if base < 0:
+                if exp.denominator % 2 == 1:
+                    r = -((-base) ** (1.0 / exp.denominator))
+                    return r ** exp.numerator
+                raise EvalGuard("even root of a negative value")
+            return base ** _float(exp)
+        except OverflowError:
+            raise EvalGuard(POWER_OVERFLOW) from None
     if isinstance(e, Ln):
         arg = eval_expr(e.arg, point)
         if arg < DENOM_GUARD:
@@ -201,8 +206,9 @@ def compile_expr(e: Expr):
 
     The body is generated once as straight-line Python; use it where one
     expression is evaluated at many points. Atom names enter the source
-    only as string literals. A constant beyond float range raises
-    EvalError here, at compile time.
+    only as string literals. Only ``**`` can raise OverflowError in the
+    body, so one handler around it gives eval_expr's power guard. A
+    constant beyond float range raises EvalError here, at compile time.
     """
     if isinstance(e, Num):  # most adjoint and Jacobian entries
         result = _float(e.value), 1.0
@@ -221,6 +227,8 @@ def compile_expr(e: Expr):
               "        pass\n"
               "    except KeyError as exc:\n"
               "        raise E(f'no value for {exc.args[0]!r}') from None\n"
+              "    except OverflowError:\n"
+              f"        raise G({POWER_OVERFLOW!r}) from None\n"
               f"    return {result}\n")
     namespace = dict(_COMPILED_GLOBALS)
     exec(compile(source, "<compile_expr>", "exec"), namespace)
@@ -248,7 +256,9 @@ class ZeroResult:
 
 def probe_zero(e: Expr, samples: int = 64, tol: float = 1e-9,
                seed: int = 0, overrides: dict | None = None) -> ZeroResult:
-    """Numeric-only zero test; scaled residual per sample.
+    """Numeric-only zero test; scaled residual per sample. A sample that
+    hits a guard or gives a non-finite value is drawn again, up to
+    MAX_RESAMPLES times.
 
     The first sample is evaluated by the tree walk; ``e`` is compiled only
     when the probe goes on to a second sample, since most nonzero
@@ -268,6 +278,10 @@ def probe_zero(e: Expr, samples: int = 64, tol: float = 1e-9,
             try:
                 value, scale = evaluate(cand)
             except EvalGuard:
+                continue
+            # inf - inf is NaN, and NaN > tol is False: a sample without a
+            # finite value or scale decides nothing
+            if not (math.isfinite(value) and math.isfinite(scale)):
                 continue
             point = cand
             break

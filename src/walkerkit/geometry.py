@@ -19,10 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .expr import (
     ALL_DEPS, Expr, INDEX_COORD, ZERO, ONE, add, compile_expr, diff,
-    funcsym, is_zero, mul, neg, num, render,
+    funcsym, is_zero, mul, neg, num, render, substitute_all,
 )
 from . import jets
 
@@ -146,21 +147,46 @@ def ricci(g: Metric4) -> CurvatureBundle:
 def einstein_residual(g: Metric4) -> tuple:
     """E_ij = R_ij - (tau/4) g_ij, the ten upper-triangle components,
     ordered as EINSTEIN_LABELS."""
-    bundle = ricci(g)
+    return _trace_adjusted(g, ricci(g))
+
+
+def _trace_adjusted(g: Metric4, bundle: CurvatureBundle) -> tuple:
     quarter = num(Fraction(1, 4))
-    out = []
-    for i in range(N):
-        for j in range(i, N):
-            out.append(add(bundle.ricci[i][j],
-                           neg(mul(quarter, bundle.tau, g.rows[i][j]))))
-    return tuple(out)
+    return tuple(add(bundle.ricci[i][j],
+                     neg(mul(quarter, bundle.tau, g.rows[i][j])))
+                 for i in range(N) for j in range(i, N))
+
+
+@cache
+def abstract_curvature() -> tuple:
+    """(Ricci, Einstein) components of the metric on the abstract a, b,
+    c: ten upper-triangle expressions each, ordered as EINSTEIN_LABELS,
+    built once per process.
+
+    Every concrete metric's components are these with its coefficients
+    substituted (``on_metric``): substitution closes under derivatives,
+    so the atom a_13 becomes the xy-derivative of the given a, and Ricci
+    is never rebuilt on a concrete metric.
+    """
+    g = build_metric(*abstract_functions())
+    bundle = ricci(g)
+    return (tuple(bundle.ricci[i][j] for i in range(N) for j in range(i, N)),
+            _trace_adjusted(g, bundle))
+
+
+def on_metric(exprs, a, b, c) -> tuple:
+    """Abstract curvature expressions on the metric with coefficients
+    a, b, c; one substitution, so the expressions share each derivative
+    of a, b and c."""
+    return substitute_all(exprs, {"a": a, "b": b, "c": c})
 
 
 def einstein_verdicts(a, b, c, samples: int = 64, tol: float = 1e-9,
                       seed: int = 0) -> list:
     """Zero verdicts for the ten components of the metric built on the
     given coefficient expressions."""
-    comps = einstein_residual(build_metric(a, b, c))
+    _, einstein = abstract_curvature()
+    comps = on_metric(einstein, a, b, c)
     return [is_zero(e, samples=samples, tol=tol, seed=seed) for e in comps]
 
 
@@ -193,9 +219,8 @@ def equivalence_probe(samples: int = 100, tol: float = 1e-9,
     abstract metric: residual-satisfying 2-jets annihilate every E
     component, generic jets do not, and single-residual violations map
     to the components that respond."""
-    a, b, c = abstract_functions()
-    comps = [compile_expr(e)
-             for e in einstein_residual(build_metric(a, b, c))]
+    _, einstein = abstract_curvature()
+    comps = [compile_expr(e) for e in einstein]
     sys = jets.system_a7()
     rng = random.Random(seed)
 

@@ -13,6 +13,7 @@ relative to the size of its own terms.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -259,7 +260,8 @@ def symmetry_check(v: VectorField, sys: PDESystem | None = None,
                    seed: int = 42, label: str = "") -> SymmetryReport:
     """Evaluate the prolonged action of v on every residual at seeded
     on-shell jets; each cell passes when the worst scaled residual stays
-    under tol."""
+    under tol. A non-finite residual counts as infinite: the cell fails
+    with the first such jet as the witness."""
     sys = sys or system2()
     points = on_shell_points(samples, seed, sys)
     pro = prolong2(v, sys.deps)
@@ -271,9 +273,12 @@ def symmetry_check(v: VectorField, sys: PDESystem | None = None,
         for p in points:
             value, scale = action(p.values)
             val = abs(value) / scale
-            if val > worst:
-                worst = val
+            if not val <= worst:  # true for NaN, where val > worst is not
                 witness = p.values
+                if math.isnan(val):
+                    worst = math.inf
+                    break
+                worst = val
         ok = worst < tol
         cells.append(SymmetryCell(label, k, worst, ok,
                                   None if ok else witness))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .expr import (
     Expr, ExprError, EvalGuard, NONZERO, add, compile_expr, coord, diff,
     div, free_atoms, is_zero, mul, neg, render, sample_point,
-    substitute,
+    substitute, substitute_all,
 )
 from .liealg import coeffs_to_field, rref
 from .jets import PDESystem
@@ -149,7 +149,7 @@ def invariant_rank(inv: InvariantSet, samples: int = RANK_SAMPLES,
 # --- ansatz and reduced systems ----------------------------------------------
 
 def ansatz_substitute(ansatz: PISAnsatz, sys: PDESystem) -> tuple:
-    return tuple(substitute(r, ansatz.bindings) for r in sys.residuals)
+    return substitute_all(sys.residuals, ansatz.bindings)
 
 
 @dataclass

@@ -97,6 +97,17 @@ def test_einstein_negative(capsys):
     assert doc["summary"]["fail"] >= 1
 
 
+def test_einstein_overflowing_power(capsys):
+    # x^3998 overflows a float for x above about 1.19; those samples are
+    # drawn again, and the rest give a verdict with a finite witness
+    code, doc = run_json(capsys, "einstein", "--a", "x^4000", "--b", "0",
+                         "--c", "0")
+    assert code == 1
+    failed = {c["id"] for c in doc["checks"] if c["verdict"] == "fail"}
+    assert failed == {"einstein.xy", "einstein.tz", "einstein.yy"}
+    assert doc["details"] == {"einstein": "no", "ricci_zero": "no"}
+
+
 def test_verify_entry_family(capsys):
     code, doc = run_json(capsys, "verify", "--entry", "eq25.family1")
     assert code == 0
@@ -188,6 +199,9 @@ def test_usage_errors_exit_two(capsys):
         # a constant beyond float range cannot be evaluated
         (["einstein", "--a", "2^4000*x^3", "--b", "0", "--c", "0"],
          "beyond float range"),
+        # a power that overflows a float at every sample
+        (["einstein", "--a", "exp(x)^4000", "--b", "0", "--c", "0"],
+         "cannot evaluate the metric: could not find an admissible"),
         (["subalgebra", "--gens", "X1*X2"], "argument --gens:"),
         (["adjoint", "--gen", "1", "--s", "abc"], "argument --s:"),
         # the flow parameter is exact only

@@ -11,9 +11,10 @@ import random
 import pytest
 
 from walkerkit.expr import (
-    EvalGuard, add, coord, diff, eval_expr, free_atoms, funcsym, mul,
-    parse, partial, sample_point,
+    PLANE_DEPS, EvalGuard, add, coord, diff, eval_expr, free_atoms, funcsym,
+    mul, num, parse, partial, sample_point, substitute, substitute_all,
 )
+from walkerkit.expr import nodes
 
 CLOSED_FORMS = [
     "4*(t + c1)/(c2*x + c3)^2",
@@ -112,3 +113,34 @@ def test_quotient_shape():
 def test_third_order_indices():
     e = parse("a_12")
     assert diff(e, "t") == funcsym("a", (1, 2, 2), (1, 2))
+
+
+SUBSTITUTED = ("b_12 + b_1", "b_1*b_2 - c1*b", "b_122 - b_12",
+               "ln(b_2) + c1^2")
+A_F = mul(funcsym("a", (), PLANE_DEPS), funcsym("f", (), (2,)))
+
+
+def test_substitute_all_equals_substitute():
+    exprs = tuple(parse(t) for t in SUBSTITUTED)
+    bindings = {"b": A_F, "c1": num(3)}
+    assert substitute_all(exprs, bindings) == tuple(
+        substitute(e, bindings) for e in exprs)
+    assert substitute_all((), bindings) == ()
+
+
+def test_substitute_all_differentiates_each_derivative_once(monkeypatch):
+    exprs = tuple(parse(t) for t in SUBSTITUTED)
+    bindings = {"b": A_F}
+    calls = []
+    real = nodes.diff
+
+    def counting(e, v):
+        calls.append((e, v))
+        return real(e, v)
+
+    monkeypatch.setattr(nodes, "diff", counting)
+    substitute_all(exprs, bindings)
+    # b_1, b_12, b_122 and b_2 are each one step from a memoized prefix;
+    # substituting one expression at a time takes 10 steps
+    assert len(calls) == 4
+    assert len(set(calls)) == 4

@@ -12,9 +12,11 @@ from fractions import Fraction
 import pytest
 
 from walkerkit.expr import (
-    ALL_DEPS, NONZERO, ZERO, ZERO_SYMBOLIC, add, compile_expr, coord, diff,
-    eval_expr, funcsym, is_zero, is_zero_symbolic, mul, neg, num, parse,
+    ALL_DEPS, NONZERO, ZERO, ZERO_SYMBOLIC, Coord, Func, Num, Pow, Prod,
+    Sum, add, compile_expr, coord, diff, eval_expr, funcsym, is_zero,
+    is_zero_symbolic, mul, neg, num, parse, sub,
 )
+from walkerkit import catalog, cli
 from walkerkit import geometry as geo
 from walkerkit import jets
 
@@ -192,3 +194,109 @@ def test_metric_latex_and_matrix():
     mat = geo.metric_matrix_strings(a, ZERO, ZERO)
     assert mat[0][2] == "1"
     assert mat[2][2] == "c1"
+
+
+# --- the abstract components, built once and substituted ---------------------
+
+def _triples():
+    """Every catalog solution (eq26.family3 included) and an a + x^3
+    twin of the first, as (a, b, c) parameters."""
+    out = [pytest.param(t.a, t.b, t.c, id=f"{e.id}#{n}")
+           for e in catalog.builtin()
+           for n, t in enumerate(e.triples())]
+    a, b, c = out[0].values
+    x = coord("x")
+    out.append(pytest.param(add(a, mul(x, x, x)), b, c, id="twin"))
+    return out
+
+
+@pytest.mark.parametrize("a, b, c", _triples())
+def test_substituted_components_equal_direct_build(a, b, c):
+    ricci, einstein = geo.abstract_curvature()
+    direct = geo.ricci(geo.build_metric(a, b, c)).ricci
+    direct_ricci = [direct[i][j] for i in range(4) for j in range(i, 4)]
+    for name, d, s in zip(geo.EINSTEIN_LABELS, direct_ricci,
+                          geo.on_metric(ricci, a, b, c)):
+        assert is_zero_symbolic(sub(s, d)), f"R_{name}"
+    direct = geo.einstein_residual(geo.build_metric(a, b, c))
+    for name, d, s in zip(geo.EINSTEIN_LABELS, direct,
+                          geo.on_metric(einstein, a, b, c)):
+        assert is_zero_symbolic(sub(s, d)), f"E_{name}"
+
+
+def test_ricci_is_built_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    real = geo.ricci
+    monkeypatch.setattr(geo, "ricci", counting)
+    geo.abstract_curvature.cache_clear()
+    for a, b in (("0", "0"), ("x^2*t", "0"), ("t^3", "x*t")):
+        geo.einstein_verdicts(parse(a), parse(b), ZERO, samples=8)
+    assert cli.main(["einstein", "--a", "x*t", "--b", "0", "--c", "t",
+                     "--samples", "8", "--report", "json"]) in (0, 1)
+    capsys.readouterr()
+    assert len(calls) == 1
+    a, b, c = geo.abstract_functions()
+    assert calls[0] == geo.build_metric(a, b, c)
+
+
+def _to_sympy(sp, e, symbols, functions):
+    """The expression tree as a SymPy expression; a_13 becomes the
+    xy-derivative of a(x, t, y, z)."""
+    if isinstance(e, Num):
+        return sp.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, Coord):
+        return symbols[e.name]
+    if isinstance(e, Func):
+        f = functions[e.name]
+        return f.diff(*[symbols[geo.COORDS[i - 1]] for i in e.idx]) \
+            if e.idx else f
+    if isinstance(e, Sum):
+        return sp.Add(*[_to_sympy(sp, t, symbols, functions)
+                        for t in e.terms])
+    if isinstance(e, Prod):
+        return sp.Rational(e.coeff.numerator, e.coeff.denominator) * \
+            sp.Mul(*[_to_sympy(sp, f, symbols, functions)
+                     for f in e.factors])
+    if isinstance(e, Pow):
+        return _to_sympy(sp, e.base, symbols, functions) ** sp.Rational(
+            e.exp.numerator, e.exp.denominator)
+    raise TypeError(f"unexpected node {e!r}")
+
+
+def test_cached_components_match_sympy():
+    # independent oracle: SymPy's inverse, derivatives and algebra, with
+    # Ricci contracted from the Riemann tensor
+    sp = pytest.importorskip("sympy")
+    xs = sp.symbols("x t y z")
+    symbols = dict(zip(geo.COORDS, xs))
+    functions = {n: sp.Function(n)(*xs) for n in "abc"}
+    fa, fb, fc = (functions[n] for n in "abc")
+    g = sp.Matrix([[0, 0, 1, 0], [0, 0, 0, 1],
+                   [1, 0, fa, fc], [0, 1, fc, fb]])
+    inv = g.inv()
+    n = 4
+    gam = [[[sum(inv[k, m] * (sp.diff(g[j, m], xs[i])
+                              + sp.diff(g[i, m], xs[j])
+                              - sp.diff(g[i, j], xs[m]))
+                 for m in range(n)) / 2
+             for j in range(n)] for i in range(n)] for k in range(n)]
+
+    def riemann(r, s, m, q):
+        return (sp.diff(gam[r][q][s], xs[m]) - sp.diff(gam[r][m][s], xs[q])
+                + sum(gam[r][m][l] * gam[l][q][s]
+                      - gam[r][q][l] * gam[l][m][s] for l in range(n)))
+
+    ric = [[sum(riemann(r, s, r, q) for r in range(n)) for q in range(n)]
+           for s in range(n)]
+    tau = sum(inv[i, j] * ric[i][j] for i in range(n) for j in range(n))
+    expected = [ric[i][j] - tau * g[i, j] / 4
+                for i in range(n) for j in range(i, n)]
+    _, ours = geo.abstract_curvature()
+    for name, mine, theirs in zip(geo.EINSTEIN_LABELS, ours, expected):
+        assert sp.expand(_to_sympy(sp, mine, symbols, functions)
+                         - theirs) == 0, name

@@ -6,6 +6,7 @@ finite-difference transport of concrete polynomial jets along explicit
 one-parameter flows.
 """
 
+import math
 import random
 
 import pytest
@@ -198,6 +199,25 @@ def test_negative_control_fails():
     assert rep.max_residual > 1e-3
     failing = [c for c in rep.cells if not c.passed]
     assert failing and failing[0].witness is not None
+
+
+def test_non_finite_residual_fails_its_cell(monkeypatch):
+    # NaN > worst is False, so a NaN residual must not be skipped
+    sys = jets.system2()
+    points = jets.on_shell_points(12, 11, sys)
+    bad = points[5].values
+    compile_expr = jets.compile_expr
+
+    def nan_at_bad(e):
+        f = compile_expr(e)
+        return lambda p: (math.nan, 1.0) if p is bad else f(p)
+
+    monkeypatch.setattr(jets, "compile_expr", nan_at_bad)
+    rep = jets.symmetry_check(la.BASIS[0], sys, samples=12, seed=11)
+    assert not rep.passed
+    for cell in rep.cells:
+        assert not cell.passed and cell.witness is bad
+        assert cell.max_residual == math.inf
 
 
 def test_systems_are_built_once():

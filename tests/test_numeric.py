@@ -2,10 +2,11 @@
 
 ``compile_expr(e)`` must return what ``eval_scaled(e, point)`` returns,
 bit for bit (``-0.0`` and NaN included), and raise what it raises: the
-same class with the same message, at guard points, for a missing atom
-and for a constant beyond float range. Trees mix the normalizing
-builders with raw nodes, so repeated subtrees, literal bases and shapes
-the builders never produce are covered too.
+same class with the same message, at guard points (a float power that
+overflows among them), for a missing atom and for a constant beyond
+float range. Trees mix the normalizing builders with raw nodes, so
+repeated subtrees, literal bases and shapes the builders never produce
+are covered too.
 """
 
 import struct
@@ -28,6 +29,10 @@ ATOMS = {
 EXPONENTS = [Fraction(n, d) for n, d in
              ((-2, 1), (-1, 1), (2, 1), (3, 1), (1, 2), (-1, 2), (1, 3),
               (-2, 3), (3, 2), (5, 3), (-3, 4))]
+# float ** overflows on these for a base of modulus about 2 to 3 and up:
+# integer, even-root and odd-root (negative base) paths
+HUGE_EXPONENTS = [Fraction(n, d) for n, d in
+                  ((700, 1), (-700, 1), (1401, 2), (2101, 3))]
 
 
 def _built(fn, *args):
@@ -50,6 +55,8 @@ def _extend(children):
         st.tuples(children, children).map(lambda ab: Sum((ab[0], ab[1],
                                                           ab[0]))),
         st.tuples(children, st.sampled_from(EXPONENTS)).map(
+            lambda be: Pow(*be)),
+        st.tuples(children, st.sampled_from(HUGE_EXPONENTS)).map(
             lambda be: Pow(*be)),
         children.map(lambda e: _built(ln, e)),
         children.map(lambda e: _built(exp_, e)),
@@ -121,6 +128,11 @@ def test_signed_zero_and_nan_points(e, point):
     ("(x - 1)^(1/2)", {"x": 0.5}, "even root of a negative value"),
     ("ln(x - 1)", {"x": 0.5}, "log argument not positive"),
     ("exp(400*x)", {"x": 1.0}, "exponential overflow"),
+    # float ** raises OverflowError; both evaluators turn it into a guard
+    ("x^4000", {"x": 2.0}, "power overflow"),
+    ("x^(4001/2)", {"x": 2.0}, "power overflow"),
+    ("(x - 3)^(4001/3)", {"x": 1.0}, "power overflow"),
+    ("t + (x + 1)^(-4000)", {"x": -0.5, "t": 1.0}, "power overflow"),
 ])
 def test_guards_raise_alike(text, point, error):
     e = parse(text)

@@ -2,10 +2,12 @@
 and nonzero witnesses. The rational shapes mirror what the solution
 catalog feeds through the verifier."""
 
+import math
+
 import pytest
 
 from walkerkit.expr import (
-    NONZERO, ZERO_NUMERIC, ZERO_SYMBOLIC, clear_denominators,
+    NONZERO, ZERO_NUMERIC, ZERO_SYMBOLIC, EvalError, clear_denominators,
     expand_monomials, is_zero, is_zero_symbolic, parse,
 )
 
@@ -127,3 +129,21 @@ def test_probe_determinism():
     r2 = is_zero(parse("ln(x^2) - 2*ln(x)"), seed=7)
     assert r1.max_residual == r2.max_residual
     assert r1.samples == r2.samples
+
+
+def test_nan_residual_never_passes():
+    # each product overflows to inf at every sample, so each residual is
+    # inf - inf = NaN, and NaN > tol is False: no sample may decide
+    p = "(x + 2)^300*(y + 2)^300*(t + 2)^300*(z + 2)^300"
+    with pytest.raises(EvalError, match="admissible sample"):
+        is_zero(parse(f"{p}*y - {p}*t"))
+
+
+def test_overflowing_samples_are_drawn_again():
+    # the products overflow at about half the samples; the others decide
+    q = "(x + 2)^200*(t + 2)^200*(y + 2)^200"
+    res = is_zero(parse(f"{q}*y - {q}*t"))
+    assert res.verdict == NONZERO and math.isfinite(res.max_residual)
+    res = is_zero(parse(f"{q}*exp(x + t) - {q}*exp(x)*exp(t)"))
+    assert res.verdict == ZERO_NUMERIC and res.samples == 64
+    assert res.max_residual < 1e-9
