@@ -1,16 +1,25 @@
-"""Monomial expansion and denominator clearing for the symbolic zero test.
+"""Integer polynomial expansion and denominator clearing for the symbolic
+zero test.
 
-An expression is flattened into a list of monomials: a rational
-coefficient times a power product of multiplicative atoms. Atoms are the
-leaves (coordinates, parameters, function symbols), transcendental
+An expression is expanded into a polynomial over multiplicative atoms:
+the leaves (coordinates, parameters, function symbols), transcendental
 kernels taken opaquely, and sum bases that cannot be multiplied out
-(negative or fractional exponents, or degree past the expansion cap).
+(negative exponents, or degree past the expansion cap). An irrational
+power of a sum stays one opaque atom.
+
+The polynomial is a dict from monomial to int coefficient over one
+common int denominator. A monomial is a sorted tuple of (atom index,
+exponent) pairs. Atoms are numbered in a table built once per expansion,
+and exponents are ints in units of 1/D, where D is the lcm of every power
+denominator in the input, so x^(1/2)*x^(1/2) merges to x. No Fraction is
+built while expanding; ``Poly.monomials`` gives the canonical rational
+form, keyed by atom keys, for comparison across expansions.
 
 Sums raised to small positive integer powers are multiplied out. Sign
-symbols squaring to one have their exponents reduced mod 2. Sum bases are
-sign-normalized so that u and -u share one atom.
+symbols squaring to one have integer exponents reduced mod 2. Sum bases
+are sign-normalized so that u and -u share one atom.
 
-``clear_denominators`` repeatedly multiplies the monomial list by the
+``clear_denominators`` repeatedly multiplies the polynomial by the
 positive powers needed to cancel every sum-base denominator, re-expanding
 as it goes. Together with the merge this decides zero for the rational
 normal forms that actually occur here; what survives goes to the numeric
@@ -20,6 +29,7 @@ probe.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .nodes import (
     Atan, Coord, ExpF, Expr, ExprError, Func, Ln, Num, Param, Pow, Prod,
@@ -28,31 +38,6 @@ from .nodes import (
 
 POW_EXPAND_LIMIT = 8
 CLEAR_ROUNDS = 6
-
-
-class Monomial:
-    """coeff * prod(atom^exp). ``powers`` maps atom key -> (atom, exp)."""
-
-    __slots__ = ("coeff", "powers")
-
-    def __init__(self, coeff: Fraction, powers: dict):
-        self.coeff = coeff
-        self.powers = powers
-
-    def merge_key(self):
-        return tuple(sorted((k, (e.numerator, e.denominator))
-                            for k, (_, e) in self.powers.items()))
-
-    def times(self, other: "Monomial") -> "Monomial":
-        powers = dict(self.powers)
-        for k, (atom, e) in other.powers.items():
-            hit = powers.get(k)
-            if hit is None:
-                powers[k] = (atom, e)
-            else:
-                powers[k] = (atom, hit[1] + e)
-        powers = {k: v for k, v in powers.items() if v[1] != 0}
-        return Monomial(self.coeff * other.coeff, powers)
 
 
 def _sign_normalized(s: Sum):
@@ -64,140 +49,229 @@ def _sign_normalized(s: Sum):
     return 1, s
 
 
-def _atom(atom: Expr, e: Fraction) -> list:
-    return [Monomial(Fraction(1), {atom.key(): (atom, e)})]
+def _unit(e: Expr) -> int:
+    """lcm of the exponent denominators reachable through sums, products
+    and powers: every exponent of the expansion is an int in 1/unit."""
+    unit = 1
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Sum):
+            stack.extend(n.terms)
+        elif isinstance(n, Prod):
+            stack.extend(n.factors)
+        elif isinstance(n, Pow):
+            if n.exp.denominator != 1:
+                unit = lcm(unit, n.exp.denominator)
+            stack.append(n.base)
+    return unit
 
 
-def _mul_lists(a: list, b: list) -> list:
-    return _merge([x.times(y) for x in a for y in b])
+def _add(polys: list) -> tuple:
+    """Sum of (terms, den) polynomials, over the lcm of their dens."""
+    den = lcm(*[d for _, d in polys])
+    out: dict = {}
+    get = out.get
+    for terms, d in polys:
+        s = den // d
+        for k, c in terms.items():
+            out[k] = get(k, 0) + c * s
+    return {k: c for k, c in out.items() if c}, den
 
 
-def _pow_list(base: list, n: int) -> list:
-    out = [Monomial(Fraction(1), {})]
-    acc = base
-    k = n
-    while k:
-        if k & 1:
-            out = _mul_lists(out, acc)
-        k >>= 1
-        if k:
-            acc = _mul_lists(acc, acc)
-    return out
+class _Ring:
+    """The atom table of one expansion and the arithmetic over it."""
 
+    __slots__ = ("unit", "period", "atoms", "index", "signs", "sums")
 
-def _expand(e: Expr) -> list:
-    if isinstance(e, Num):
-        if e.value == 0:
-            return []
-        return [Monomial(e.value, {})]
-    if isinstance(e, (Coord, Param, Func, Ln, ExpF, Atan)):
-        return _atom(e, Fraction(1))
-    if isinstance(e, Sum):
-        out = []
-        for t in e.terms:
-            out.extend(_expand(t))
-        return _merge(out)
-    if isinstance(e, Prod):
-        out = [Monomial(e.coeff, {})]
-        for f in e.factors:
-            out = _mul_lists(out, _expand(f))
+    def __init__(self, e: Expr):
+        self.unit = _unit(e)
+        self.period = 2 * self.unit
+        self.atoms: list = []
+        self.index: dict = {}
+        self.signs: set = set()
+        self.sums: set = set()
+
+    def units(self, exp: Fraction) -> int:
+        q, r = divmod(exp.numerator * self.unit, exp.denominator)
+        if r:
+            raise ExprError(f"exponent {exp} outside the expansion unit")
+        return q
+
+    def atom(self, a: Expr, e: int) -> tuple:
+        """a^(e/unit) as a polynomial."""
+        i = self.index.get(a._key)
+        if i is None:
+            i = self.index[a._key] = len(self.atoms)
+            self.atoms.append(a)
+            if isinstance(a, Param) and a.name in SIGN_PARAMS:
+                self.signs.add(i)
+            elif isinstance(a, Sum):
+                self.sums.add(i)
+        if i in self.signs and not e % self.unit:
+            e %= self.period
+        return ({((i, e),): 1} if e else {(): 1}), 1
+
+    def mono_mul(self, ka: tuple, kb: tuple) -> tuple:
+        """Product of two monomials; a sign symbol's whole powers reduce
+        mod 2."""
+        d = dict(ka)
+        signs, unit = self.signs, self.unit
+        for i, e in kb:
+            if i in d:
+                e += d[i]
+                if i in signs and not e % unit:
+                    e %= self.period
+                if e:
+                    d[i] = e
+                else:
+                    del d[i]
+            else:
+                d[i] = e
+        return tuple(sorted(d.items()))
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        ta, da = a
+        tb, db = b
+        out: dict = {}
+        get = out.get
+        mono = self.mono_mul
+        for ka, ca in ta.items():
+            for kb, cb in tb.items():
+                k = mono(ka, kb) if ka and kb else ka or kb
+                out[k] = get(k, 0) + ca * cb
+        return {k: c for k, c in out.items() if c}, da * db
+
+    def pow(self, base: tuple, n: int) -> tuple:
+        out = ({(): 1}, 1)
+        acc = base
+        while n:
+            if n & 1:
+                out = self.mul(out, acc)
+            n >>= 1
+            if n:
+                acc = self.mul(acc, acc)
         return out
-    if isinstance(e, Pow):
-        return _expand_pow(e.base, e.exp)
-    raise ExprError(f"cannot expand {e!r}")
 
+    def expand(self, e: Expr) -> tuple:
+        if isinstance(e, Num):
+            v = e.value
+            return ({(): v.numerator}, v.denominator) if v else ({}, 1)
+        if isinstance(e, (Coord, Param, Func, Ln, ExpF, Atan)):
+            return self.atom(e, self.unit)
+        if isinstance(e, Sum):
+            return _add([self.expand(t) for t in e.terms])
+        if isinstance(e, Prod):
+            c = e.coeff
+            out = ({(): c.numerator}, c.denominator)
+            for f in e.factors:
+                out = self.mul(out, self.expand(f))
+            return out
+        if isinstance(e, Pow):
+            return self.expand_pow(e.base, e.exp)
+        raise ExprError(f"cannot expand {e!r}")
 
-def _expand_pow(base: Expr, exp: Fraction) -> list:
-    if isinstance(base, Sum):
+    def expand_pow(self, base: Expr, exp: Fraction) -> tuple:
+        if not isinstance(base, Sum):
+            # non-sum bases are leaves or kernels after normalization
+            return self.atom(base, self.units(exp))
         if exp.denominator != 1:
             # irrational power of a sum stays one opaque atom
-            return _atom(pow_(base, exp), Fraction(1))
+            return self.atom(pow_(base, exp), self.unit)
         sign, primitive = _sign_normalized(base)
         n = exp.numerator
-        adjust = Fraction(1) if (sign == 1 or n % 2 == 0) else Fraction(-1)
         if 0 < n <= POW_EXPAND_LIMIT:
-            out = _pow_list(_expand(primitive), n)
-            if adjust != 1:
-                out = [Monomial(-m.coeff, m.powers) for m in out]
-            return out
-        out = _atom(primitive, Fraction(n))
-        out[0].coeff *= adjust
-        return out
-    # non-sum bases are leaves or kernels after normalization
-    return [Monomial(Fraction(1), {base.key(): (base, exp)})]
-
-
-def _merge(monos: list) -> list:
-    buckets: dict = {}
-    for m in monos:
-        powers = {}
-        coeff = m.coeff
-        for k, (atom, e) in m.powers.items():
-            if isinstance(atom, Param) and atom.name in SIGN_PARAMS \
-                    and e.denominator == 1:
-                e = Fraction(e.numerator % 2)
-                if e == 0:
-                    continue
-            powers[k] = (atom, e)
-        mk = tuple(sorted((k, (e.numerator, e.denominator))
-                          for k, (_, e) in powers.items()))
-        hit = buckets.get(mk)
-        if hit is None:
-            buckets[mk] = Monomial(coeff, powers)
+            terms, den = self.pow(self.expand(primitive), n)
         else:
-            hit.coeff += coeff
-    return [m for m in buckets.values() if m.coeff != 0]
+            terms, den = self.atom(primitive, n * self.unit)
+        if sign == -1 and n % 2:
+            terms = {k: -c for k, c in terms.items()}
+        return terms, den
+
+    def denominators(self, terms: dict) -> dict:
+        """Sum atom index -> exponent (in units) needed to clear it. A sum
+        atom only ever carries whole powers."""
+        need: dict = {}
+        sums = self.sums
+        for k in terms:
+            for i, e in k:
+                if e < 0 and i in sums:
+                    need[i] = max(need.get(i, 0), -e)
+        return need
+
+    def lift(self, poly: tuple, i: int, m: int) -> tuple:
+        """poly times atom i^(m/unit), with that atom multiplied out."""
+        terms, den = poly
+        groups: dict = {}
+        for k, c in terms.items():
+            e, rest = 0, k
+            for j, (a, ae) in enumerate(k):
+                if a == i:
+                    e, rest = ae, k[:j] + k[j + 1:]
+                    break
+            groups.setdefault(e + m, {})[rest] = c
+        expansion = self.expand(self.atoms[i])
+        parts = []
+        for e, group in groups.items():
+            part = (group, 1)
+            if e:
+                part = self.mul(part, self.pow(expansion, e // self.unit))
+            parts.append(part)
+        terms, lifted = _add(parts)
+        return terms, den * lifted
 
 
-def expand_monomials(e: Expr) -> list:
-    return _merge(_expand(e))
+class Poly:
+    """sum(terms[k] * prod(atom_i^(e/unit) for i, e in k)) / den, over the
+    atom table ``ring``."""
+
+    __slots__ = ("ring", "terms", "den")
+
+    def __init__(self, ring: _Ring, terms: dict, den: int):
+        self.ring = ring
+        self.terms = terms
+        self.den = den
+
+    def monomials(self) -> dict:
+        """Canonical form: {((atom key, Fraction exponent), ...) sorted by
+        atom key: Fraction coefficient}."""
+        atoms, unit = self.ring.atoms, self.ring.unit
+        return {tuple(sorted((atoms[i]._key, Fraction(e, unit))
+                             for i, e in k)): Fraction(c, self.den)
+                for k, c in self.terms.items()}
 
 
-def _denominator_atoms(monos: list) -> dict:
-    """Sum atoms with negative integer exponents -> power needed."""
-    need: dict = {}
-    for m in monos:
-        for k, (atom, e) in m.powers.items():
-            if isinstance(atom, Sum) and e.denominator == 1 and e < 0:
-                need[k] = (atom, max(need.get(k, (atom, 0))[1], -e.numerator))
-    return need
+def expand_poly(e: Expr) -> Poly:
+    ring = _Ring(e)
+    terms, den = ring.expand(e)
+    return Poly(ring, terms, den)
 
 
-def clear_denominators(monos: list, rounds: int = CLEAR_ROUNDS):
+def expand_monomials(e: Expr) -> dict:
+    return expand_poly(e).monomials()
+
+
+def clear_denominators(p: Poly, rounds: int = CLEAR_ROUNDS):
     """Multiply through by sum denominators until none remain.
 
-    Returns (monomials, cleared) where ``cleared`` is False when
+    Returns (polynomial, cleared) where ``cleared`` is False when
     denominators survive the round cap; the result is then unusable for a
     symbolic zero verdict.
     """
+    ring, poly = p.ring, (p.terms, p.den)
     for _ in range(rounds):
-        need = _denominator_atoms(monos)
+        need = ring.denominators(poly[0])
         if not need:
-            return monos, True
-        for k, (atom, m) in need.items():
-            atom_expansion = _merge(_expand(atom))
-            lifted = []
-            for mono in monos:
-                e = mono.powers.get(k, (atom, Fraction(0)))[1]
-                new_e = e + m
-                powers = dict(mono.powers)
-                powers.pop(k, None)
-                base = [Monomial(mono.coeff, powers)]
-                if new_e != 0:
-                    if new_e.denominator == 1 and new_e > 0:
-                        base = _mul_lists(
-                            base, _pow_list(atom_expansion, new_e.numerator))
-                    else:
-                        base = _mul_lists(base, _atom(atom, new_e))
-                lifted.extend(base)
-            monos = _merge(lifted)
-    return monos, not _denominator_atoms(monos)
+            return Poly(ring, *poly), True
+        for i, m in need.items():
+            poly = ring.lift(poly, i, m)
+    return Poly(ring, *poly), not ring.denominators(poly[0])
 
 
 def is_zero_symbolic(e: Expr) -> bool:
     """True when expansion plus denominator clearing cancels every term."""
-    monos = expand_monomials(e)
-    if not monos:
+    p = expand_poly(e)
+    if not p.terms:
         return True
-    monos, cleared = clear_denominators(monos)
-    return cleared and not monos
+    p, cleared = clear_denominators(p)
+    return cleared and not p.terms

@@ -16,6 +16,7 @@ function symbols.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,12 +214,21 @@ def _eval_components(comps, values) -> list:
     return out
 
 
+def _largest(vals, non_finite: float) -> float:
+    """max |v|, or ``non_finite`` when a value is NaN or infinite: ``max``
+    keeps a leading NaN, and NaN compares False with every bound."""
+    if all(map(math.isfinite, vals)):
+        return max(map(abs, vals))
+    return non_finite
+
+
 def equivalence_probe(samples: int = 100, tol: float = 1e-9,
                       seed: int = 42) -> EquivalenceReport:
     """Check both directions of the Einstein/PDE correspondence on the
     abstract metric: residual-satisfying 2-jets annihilate every E
     component, generic jets do not, and single-residual violations map
-    to the components that respond."""
+    to the components that respond. A non-finite component fails an
+    on-shell jet and is no evidence at a generic or violating one."""
     _, einstein = abstract_curvature()
     comps = [compile_expr(e) for e in einstein]
     sys = jets.system_a7()
@@ -229,7 +239,7 @@ def equivalence_probe(samples: int = 100, tol: float = 1e-9,
     for _ in range(samples):
         p = jets.on_shell_sample(0, sys, rng)
         vals = _eval_components(comps, p.values)
-        worst = max(abs(v) for v in vals)
+        worst = _largest(vals, math.inf)
         if worst > on_shell_max:
             on_shell_max = worst
         if worst > tol and failure is None:
@@ -238,7 +248,7 @@ def equivalence_probe(samples: int = 100, tol: float = 1e-9,
     generic_min = float("inf")
     for _ in range(samples):
         values = {n: rng.uniform(0.5, 2.0) for n in sys.jet_coords}
-        worst = max(abs(v) for v in _eval_components(comps, values))
+        worst = _largest(_eval_components(comps, values), 0.0)
         generic_min = min(generic_min, worst)
 
     correspondence = {}
@@ -249,10 +259,9 @@ def equivalence_probe(samples: int = 100, tol: float = 1e-9,
         bumped = jets.on_shell_sample(7, sys, targets={k: 0.5})
         vals = _eval_components(comps, bumped.values)
         moved = [EINSTEIN_LABELS[m] for m in range(len(comps))
-                 if abs(vals[m] - base_vals[m]) > 1e-6]
+                 if _largest([vals[m] - base_vals[m]], 0.0) > 1e-6]
         correspondence[f"residual_{k + 1}"] = moved
-        single_violation_max[f"residual_{k + 1}"] = max(
-            abs(v) for v in vals)
+        single_violation_max[f"residual_{k + 1}"] = _largest(vals, 0.0)
 
     passed = (failure is None and generic_min > 1e-4
               and all(v > 1e-4 for v in single_violation_max.values())

@@ -160,15 +160,11 @@ def nullspace_exact(rows: list) -> list:
 # --- structure constants ----------------------------------------------------
 
 def _component_monomials(v: VectorField) -> dict:
-    """Flatten a field into {(component, atom-key tuple): Fraction}."""
+    """Flatten a field into {(component, monomial): Fraction}."""
     from .expr import expand_monomials
 
-    out = {}
-    for k, cf in enumerate(v.coeffs):
-        for mono in expand_monomials(cf):
-            out[(k, mono.merge_key())] = out.get(
-                (k, mono.merge_key()), Fraction(0)) + mono.coeff
-    return {key: v for key, v in out.items() if v != 0}
+    return {(k, mono): c for k, cf in enumerate(v.coeffs)
+            for mono, c in expand_monomials(cf).items()}
 
 
 def decompose(v: VectorField) -> list:

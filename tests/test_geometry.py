@@ -6,6 +6,7 @@ R^r_{s m n} = d_m G^r_{n s} - d_n G^r_{m s} + G^r_{m l}G^l_{n s}
 which shares only the Christoffel input with the production path.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ import pytest
 
 from walkerkit.expr import (
     ALL_DEPS, NONZERO, ZERO, ZERO_SYMBOLIC, Coord, Func, Num, Pow, Prod,
-    Sum, add, compile_expr, coord, diff, eval_expr, funcsym, is_zero,
-    is_zero_symbolic, mul, neg, num, parse, sub,
+    Sum, add, compile_expr, coord, diff, eval_expr, expand_monomials,
+    funcsym, is_zero, is_zero_symbolic, mul, neg, num, parse, sub,
 )
 from walkerkit import catalog, cli
 from walkerkit import geometry as geo
@@ -187,6 +188,43 @@ def test_equivalence_probe_report():
         assert moved, label
 
 
+@pytest.mark.parametrize("nan_call, phase", [
+    (0, "on_shell"), (5, "generic"), (11, "single_violation")])
+def test_equivalence_probe_non_finite_component_fails(
+        monkeypatch, nan_call, phase):
+    # with samples=5, E_xx is evaluated at 5 on-shell jets (calls 0-4), 5
+    # generic jets (5-9), the base jet (10) and one jet per violated
+    # residual (11-16); NaN at any one of them must not pass, and max()
+    # keeps a leading NaN that every bound then compares False with
+    real = geo.compile_expr
+    compiled, calls = [], []
+
+    def patched(e):
+        f = real(e)
+        compiled.append(e)
+        if len(compiled) > 1:
+            return f
+
+        def first_component(values):
+            calls.append(values)
+            value, scale = f(values)
+            return (math.nan if len(calls) - 1 == nan_call else value), scale
+        return first_component
+
+    monkeypatch.setattr(geo, "compile_expr", patched)
+    rep = geo.equivalence_probe(samples=5, tol=1e-9, seed=42)
+    assert not rep.passed, phase
+    if phase == "on_shell":
+        assert rep.on_shell_max == math.inf
+        assert rep.failure["jet"] is calls[nan_call]
+    elif phase == "generic":
+        assert rep.failure is None and rep.generic_min == 0.0
+    else:
+        assert rep.failure is None and rep.generic_min > 1e-4
+        assert rep.single_violation_max["residual_1"] == 0.0
+        assert "xx" not in rep.correspondence["residual_1"]
+
+
 def test_metric_latex_and_matrix():
     a = parse("c1", functions={})
     txt = geo.metric_latex(a, ZERO, ZERO)
@@ -222,6 +260,8 @@ def test_substituted_components_equal_direct_build(a, b, c):
     for name, d, s in zip(geo.EINSTEIN_LABELS, direct,
                           geo.on_metric(einstein, a, b, c)):
         assert is_zero_symbolic(sub(s, d)), f"E_{name}"
+        # the trees may differ; their expanded forms may not
+        assert expand_monomials(s) == expand_monomials(d), f"E_{name}"
 
 
 def test_ricci_is_built_once(monkeypatch, capsys):

@@ -3,13 +3,18 @@ and nonzero witnesses. The rational shapes mirror what the solution
 catalog feeds through the verifier."""
 
 import math
+from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from walkerkit.expr import (
-    NONZERO, ZERO_NUMERIC, ZERO_SYMBOLIC, EvalError, clear_denominators,
-    expand_monomials, is_zero, is_zero_symbolic, parse,
+    NONZERO, ZERO_NUMERIC, ZERO_SYMBOLIC, EvalError, Pow, Prod, Sum, add,
+    clear_denominators, expand_monomials, is_zero, is_zero_symbolic, mul,
+    num, parse, pow_, sub,
 )
+from walkerkit.expr.expand import CLEAR_ROUNDS, POW_EXPAND_LIMIT, expand_poly
 
 
 def verdict(text, **kw):
@@ -114,14 +119,74 @@ def test_expand_monomials_counts():
     monos = expand_monomials(parse("(x + t)^2"))
     assert len(monos) == 3
     monos = expand_monomials(parse("(x + t)^2 - x^2 - 2*x*t - t^2"))
-    assert monos == []
+    assert monos == {}
 
 
 def test_clear_denominators_flag():
-    monos = expand_monomials(parse("1/(x + t)"))
-    monos, cleared = clear_denominators(monos)
+    poly, cleared = clear_denominators(expand_poly(parse("1/(x + t)")))
     assert cleared
+    assert poly.monomials() == {(): 1}
     assert is_zero_symbolic(parse("x/(x + t) + t/(x + t) - 1"))
+
+
+def test_expanded_form_is_canonical():
+    assert (expand_monomials(parse("x*(1 + x)"))
+            == expand_monomials(parse("x + x^2")))
+    assert (expand_monomials(parse("-1/4*(a_11 + b_22) + 1/4*a_11"))
+            == expand_monomials(parse("-1/4*b_22")))
+    # exponents are read back from units of 1/6 and of 1 alike
+    assert (expand_monomials(parse("x^(1/2)*(x^(1/2) + t^(1/3))"
+                                   " - x^(1/2)*t^(1/3)"))
+            == expand_monomials(parse("x")))
+
+
+def _binomial(n):
+    """The expansion of (x + t)^n."""
+    return " + ".join(f"{comb(n, k)}*x^{n - k}*t^{k}" for k in range(n + 1))
+
+
+def _continued_fraction_difference(depth):
+    """1 + 1/(1 + 1/(... (x + 1))) minus its closed form
+    (F(d+1)*x + F(d+2))/(F(d)*x + F(d+1)); clearing takes ``depth``
+    rounds."""
+    text = "x + 1"
+    for _ in range(depth):
+        text = f"1 + 1/({text})"
+    f = [0, 1]
+    while len(f) < depth + 3:
+        f.append(f[-1] + f[-2])
+    return (f"{text} - ({f[depth + 1]}*x + {f[depth + 2]})"
+            f"/({f[depth]}*x + {f[depth + 1]})")
+
+
+@pytest.mark.parametrize("text, want", [
+    # sign symbols: integer exponents reduce mod 2, negative ones too
+    ("eps^3 - eps", ZERO_SYMBOLIC),
+    ("eps^(-1) - eps", ZERO_SYMBOLIC),
+    ("(eps^(1/2) + x)^2 - eps - 2*eps^(1/2)*x - x^2", ZERO_SYMBOLIC),
+    # exponents in units of 1/D merge to whole powers
+    ("x^(1/2)*x^(1/2) - x", ZERO_SYMBOLIC),
+    ("(x^(1/2) + t)^2 - x - 2*x^(1/2)*t - t^2", ZERO_SYMBOLIC),
+    ("(x + t)^(1/2)*(x + t)^(1/2) - x - t", ZERO_SYMBOLIC),
+    # an irrational power of a sum is one opaque atom, never re-expanded
+    ("((x + t)^(1/2) + 1)^2 - x - t - 2*(x + t)^(1/2) - 1", ZERO_NUMERIC),
+    # u and -u share one sum atom
+    ("1/(x + t) + 1/(-x - t)", ZERO_SYMBOLIC),
+    ("(x + t)^(-3) + (-x - t)^(-3)", ZERO_SYMBOLIC),
+    # sums are multiplied out up to POW_EXPAND_LIMIT; past it, one atom,
+    # until clearing its denominator multiplies it out
+    (f"(x + t)^{POW_EXPAND_LIMIT} - ({_binomial(POW_EXPAND_LIMIT)})",
+     ZERO_SYMBOLIC),
+    (f"(x + t)^{POW_EXPAND_LIMIT + 1}"
+     f" - ({_binomial(POW_EXPAND_LIMIT + 1)})", ZERO_NUMERIC),
+    (f"(x + t)^{POW_EXPAND_LIMIT + 1}"
+     f" - ({_binomial(POW_EXPAND_LIMIT + 2)})/(x + t)", ZERO_SYMBOLIC),
+    # CLEAR_ROUNDS nested fractions clear; one more survives the cap
+    (_continued_fraction_difference(CLEAR_ROUNDS), ZERO_SYMBOLIC),
+    (_continued_fraction_difference(CLEAR_ROUNDS + 1), ZERO_NUMERIC),
+])
+def test_zero_test_edge_cases(text, want):
+    assert verdict(text) == want
 
 
 def test_probe_determinism():
@@ -147,3 +212,67 @@ def test_overflowing_samples_are_drawn_again():
     res = is_zero(parse(f"{q}*exp(x + t) - {q}*exp(x)*exp(t)"))
     assert res.verdict == ZERO_NUMERIC and res.samples == 64
     assert res.max_residual < 1e-9
+
+
+# --- SymPy as an independent oracle for the expansion ------------------------
+
+ORACLE_ATOMS = ("x", "t", "a_1", "eps", "c1")
+
+
+def _oracle_extend(children):
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(lambda ts: ("+", ts)),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: ("*", fs)),
+        st.tuples(children, st.integers(1, 4)).map(lambda bn: ("^", *bn)),
+    )
+
+
+# polynomial trees: nested tuples over atom names and small rationals
+ORACLE_TREES = st.recursive(
+    st.one_of(st.sampled_from(ORACLE_ATOMS),
+              st.fractions(min_value=-5, max_value=5, max_denominator=4)),
+    _oracle_extend, max_leaves=8)
+
+
+def _fold(tree, leaf, plus, times, power):
+    if not isinstance(tree, tuple):
+        return leaf(tree)
+    if tree[0] == "^":
+        return power(_fold(tree[1], leaf, plus, times, power), tree[2])
+    parts = [_fold(c, leaf, plus, times, power) for c in tree[1]]
+    return plus(*parts) if tree[0] == "+" else times(*parts)
+
+
+def _expandable(e):
+    """No sum is raised past POW_EXPAND_LIMIT (that stays an atom)."""
+    if isinstance(e, Pow):
+        return ((not isinstance(e.base, Sum) or e.exp <= POW_EXPAND_LIMIT)
+                and _expandable(e.base))
+    if isinstance(e, Sum):
+        return all(map(_expandable, e.terms))
+    if isinstance(e, Prod):
+        return all(map(_expandable, e.factors))
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(ORACLE_TREES)
+def test_expansion_matches_sympy(tree):
+    sp = pytest.importorskip("sympy")
+    e = _fold(tree, lambda v: parse(v) if isinstance(v, str) else num(v),
+              add, mul, pow_)
+    assume(_expandable(e))
+    gens = [sp.Symbol(n) for n in ORACLE_ATOMS]
+    s = _fold(tree, lambda v: sp.Symbol(v) if isinstance(v, str)
+              else sp.Rational(v.numerator, v.denominator),
+              sp.Add, sp.Mul, sp.Pow)
+    keys = [parse(n).key() for n in ORACLE_ATOMS]
+    want = {}
+    for exps, c in sp.Poly(s, *gens).as_dict().items():
+        exps = list(exps)
+        exps[ORACLE_ATOMS.index("eps")] %= 2
+        mono = tuple(sorted((k, n) for k, n in zip(keys, exps) if n))
+        want[mono] = want.get(mono, 0) + Fraction(int(c.p), int(c.q))
+    assert expand_monomials(e) == {m: c for m, c in want.items() if c}
+    expanded = parse(str(sp.expand(s)).replace("**", "^"))
+    assert is_zero_symbolic(sub(e, expanded))
