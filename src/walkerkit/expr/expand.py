@@ -21,7 +21,8 @@ are sign-normalized so that u and -u share one atom.
 
 ``clear_denominators`` repeatedly multiplies the polynomial by the
 positive powers needed to cancel every sum-base denominator, re-expanding
-as it goes. Together with the merge this decides zero for the rational
+as it goes, and gives up rather than multiply a sum out past twice the
+expansion cap. Together with the merge this decides zero for the rational
 normal forms that actually occur here; what survives goes to the numeric
 probe.
 """
@@ -38,15 +39,6 @@ from .nodes import (
 
 POW_EXPAND_LIMIT = 8
 CLEAR_ROUNDS = 6
-
-
-def _sign_normalized(s: Sum):
-    """Return (sign, sum) with the leading term coefficient positive."""
-    cf, _ = _coeff_factors(s.terms[0])
-    if cf < 0:
-        flipped = add(*[mul(-1, t) for t in s.terms])
-        return -1, flipped
-    return 1, s
 
 
 def _unit(e: Expr) -> int:
@@ -82,7 +74,8 @@ def _add(polys: list) -> tuple:
 class _Ring:
     """The atom table of one expansion and the arithmetic over it."""
 
-    __slots__ = ("unit", "period", "atoms", "index", "signs", "sums")
+    __slots__ = ("unit", "period", "atoms", "index", "signs", "sums",
+                 "flips")
 
     def __init__(self, e: Expr):
         self.unit = _unit(e)
@@ -91,6 +84,7 @@ class _Ring:
         self.index: dict = {}
         self.signs: set = set()
         self.sums: set = set()
+        self.flips: dict = {}
 
     def units(self, exp: Fraction) -> int:
         q, r = divmod(exp.numerator * self.unit, exp.denominator)
@@ -178,13 +172,19 @@ class _Ring:
         if exp.denominator != 1:
             # irrational power of a sum stays one opaque atom
             return self.atom(pow_(base, exp), self.unit)
-        sign, primitive = _sign_normalized(base)
         n = exp.numerator
         if 0 < n <= POW_EXPAND_LIMIT:
-            terms, den = self.pow(self.expand(primitive), n)
-        else:
-            terms, den = self.atom(primitive, n * self.unit)
-        if sign == -1 and n % 2:
+            return self.pow(self.expand(base), n)
+        # a sum atom is sign-normalized, so u and -u share one atom
+        flip = _coeff_factors(base.terms[0])[0] < 0
+        if flip:
+            hit = self.flips.get(base._key)
+            if hit is None:
+                hit = self.flips[base._key] = add(
+                    *[mul(-1, t) for t in base.terms])
+            base = hit
+        terms, den = self.atom(base, n * self.unit)
+        if flip and n % 2:
             terms = {k: -c for k, c in terms.items()}
         return terms, den
 
@@ -199,8 +199,9 @@ class _Ring:
                     need[i] = max(need.get(i, 0), -e)
         return need
 
-    def lift(self, poly: tuple, i: int, m: int) -> tuple:
-        """poly times atom i^(m/unit), with that atom multiplied out."""
+    def lift(self, poly: tuple, i: int, m: int):
+        """poly times atom i^(m/unit), with that atom multiplied out; None
+        when that would raise it past twice the expansion cap."""
         terms, den = poly
         groups: dict = {}
         for k, c in terms.items():
@@ -210,6 +211,8 @@ class _Ring:
                     e, rest = ae, k[:j] + k[j + 1:]
                     break
             groups.setdefault(e + m, {})[rest] = c
+        if max(groups, default=0) > 2 * POW_EXPAND_LIMIT * self.unit:
+            return None
         expansion = self.expand(self.atoms[i])
         parts = []
         for e, group in groups.items():
@@ -255,8 +258,9 @@ def clear_denominators(p: Poly, rounds: int = CLEAR_ROUNDS):
     """Multiply through by sum denominators until none remain.
 
     Returns (polynomial, cleared) where ``cleared`` is False when
-    denominators survive the round cap; the result is then unusable for a
-    symbolic zero verdict.
+    denominators survive the round cap, or when clearing would multiply a
+    sum out past twice ``POW_EXPAND_LIMIT``; the result is then unusable
+    for a symbolic zero verdict.
     """
     ring, poly = p.ring, (p.terms, p.den)
     for _ in range(rounds):
@@ -264,7 +268,10 @@ def clear_denominators(p: Poly, rounds: int = CLEAR_ROUNDS):
         if not need:
             return Poly(ring, *poly), True
         for i, m in need.items():
-            poly = ring.lift(poly, i, m)
+            lifted = ring.lift(poly, i, m)
+            if lifted is None:
+                return Poly(ring, *poly), False
+            poly = lifted
     return Poly(ring, *poly), not ring.denominators(poly[0])
 
 

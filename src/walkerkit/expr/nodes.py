@@ -255,86 +255,114 @@ def _remake_term(coeff: Fraction, factors: tuple) -> Expr:
 
 
 def add(*terms) -> Expr:
-    flat = []
-    for term in terms:
-        term = to_expr(term)
-        if isinstance(term, Sum):
-            flat.extend(term.terms)
-        else:
-            flat.append(term)
+    # Like terms share a bucket keyed by their factor keys (a product
+    # holds that tuple in its _key). A term alone in its bucket is already
+    # normal and is kept as it is; only merged buckets are remade.
     buckets: dict = {}
-    for term in flat:
-        cf, factors = _coeff_factors(term)
-        k = tuple(f._key for f in factors)
-        hit = buckets.get(k)
-        if hit is None:
-            buckets[k] = [cf, factors]
-        else:
-            hit[0] += cf
+    for term in terms:
+        parts = term.terms if type(term) is Sum else (to_expr(term),)
+        for t in parts:
+            tt = type(t)
+            if tt is Prod:
+                k, cf = t._key[2], t.coeff
+            elif tt is Num:
+                k, cf = (), t.value
+            else:
+                k, cf = (t._key,), 1
+            hit = buckets.get(k)
+            if hit is None:
+                buckets[k] = [cf, t, False]
+            else:
+                hit[0] += cf
+                hit[2] = True
     out = []
-    for cf, factors in buckets.values():
-        if cf == 0:
+    for cf, t, merged in buckets.values():
+        if not cf:
             continue
-        out.append(_remake_term(cf, factors))
+        if merged:
+            t = _remake_term(_frac(cf), _coeff_factors(t)[1])
+        out.append(t)
     if not out:
         return ZERO
-    out.sort(key=lambda e: e._key)
     if len(out) == 1:
         return out[0]
+    out.sort(key=_sort_key)
     return Sum(tuple(out))
 
 
+def _sort_key(e: Expr):
+    return e._key
+
+
 def mul(*factors) -> Expr:
-    coeff = Fraction(1)
-    pending = [to_expr(f) for f in factors]
+    # The coefficient is an int numerator and denominator until the end.
+    # A base met once keeps its own factor node: a Pow is only ever built
+    # by ``pow_``, so pow_(p.base, p.exp) is p, and any other factor is
+    # its own first power.
+    cn = cd = 1
+    pending = list(factors)
     powers: dict = {}
-    order: list = []
-
-    def put(base: Expr, e: Fraction):
-        k = base._key
-        hit = powers.get(k)
-        if hit is None:
-            powers[k] = [base, e]
-            order.append(k)
-        else:
-            hit[1] += e
-
     while pending:
         f = pending.pop()
-        if isinstance(f, Num):
-            coeff *= f.value
-        elif isinstance(f, Prod):
-            coeff *= f.coeff
+        tf = type(f)
+        if tf is Num:
+            v = f.value
+            cn *= v.numerator
+            cd *= v.denominator
+            continue
+        if tf is Prod:
+            v = f.coeff
+            cn *= v.numerator
+            cd *= v.denominator
             pending.extend(f.factors)
-        elif isinstance(f, Pow):
-            put(f.base, f.exp)
+            continue
+        if tf is Pow:
+            k, base, e = f._key[1], f.base, f.exp
+        elif isinstance(f, Expr):
+            k, base, e = f._key, f, 1
+        elif tf is Fraction or tf is int:
+            cn *= f.numerator
+            cd *= f.denominator
+            continue
         else:
-            put(f, Fraction(1))
-    if coeff == 0:
+            pending.append(to_expr(f))
+            continue
+        hit = powers.get(k)
+        if hit is None:
+            powers[k] = [base, e, f]
+        else:
+            hit[1] += e
+            hit[2] = None
+    if cn == 0:
         return ZERO
 
     out = []
     redo = []
-    for k in order:
-        base, e = powers[k]
+    for base, e, node in powers.values():
+        if node is not None:
+            out.append(node)
+            continue
         if e == 0:
             continue
         p = pow_(base, e)
-        if isinstance(p, Num):
-            coeff *= p.value
-        elif isinstance(p, Prod):
+        tp = type(p)
+        if tp is Num:
+            cn *= p.value.numerator
+            cd *= p.value.denominator
+        elif tp is Prod:
             redo.append(p)
         else:
             out.append(p)
+    coeff = Fraction(cn, cd)
     if redo:
-        return mul(Num(coeff), *out, *redo)
-    if coeff == 0:
+        return mul(coeff, *out, *redo)
+    if not cn:
         return ZERO
     if not out:
         return Num(coeff)
-    out.sort(key=lambda e: e._key)
-    if coeff == 1 and len(out) == 1:
+    if cn == cd and len(out) == 1:
         return out[0]
+    out.sort(key=_sort_key)
     return Prod(coeff, tuple(out))
 
 
@@ -382,19 +410,20 @@ def sum_content(s: Sum) -> Fraction:
 
 
 def scale_sum(s: Sum, factor: Fraction) -> Expr:
-    return add(*[mul(Num(factor), t) for t in s.terms])
+    return add(*[mul(factor, t) for t in s.terms])
 
 
 def pow_(base, e) -> Expr:
     e = _frac(e)
     base = to_expr(base)
     if e == 0:
-        if isinstance(base, Num) and base.value == 0:
+        if type(base) is Num and base.value == 0:
             raise ExprError("0^0 is undefined")
         return ONE
     if e == 1:
         return base
-    if isinstance(base, Num):
+    tb = type(base)
+    if tb is Num:
         if base.value == 0:
             if e < 0:
                 raise ExprError("division by exact zero")
@@ -405,19 +434,18 @@ def pow_(base, e) -> Expr:
         if base.value < 0 and e.denominator % 2 == 0:
             raise ExprError(f"even root of negative rational {base.value}")
         return Pow(base, e)
-    if isinstance(base, Pow):
+    if tb is Pow:
         return pow_(base.base, base.exp * e)
-    if isinstance(base, Prod):
+    if tb is Prod:
         parts = [pow_(f, e) for f in base.factors]
         if base.coeff != 1:
             parts.append(pow_(Num(base.coeff), e))
         return mul(*parts)
-    if isinstance(base, Sum):
+    if tb is Sum:
         content = sum_content(base)
         if content != 1:
             primitive = scale_sum(base, 1 / content)
             return mul(pow_(Num(content), e), pow_(primitive, e))
-        return Pow(base, e)
     return Pow(base, e)
 
 
@@ -495,13 +523,16 @@ def _derive(e: Expr, leaf) -> Expr:
             dk = _derive(fk, leaf)
             if isinstance(dk, Num) and dk.value == 0:
                 continue
-            terms.append(mul(Num(e.coeff), dk, *fl[:k], *fl[k + 1:]))
+            terms.append(mul(e.coeff, dk, *fl[:k], *fl[k + 1:]))
         return add(*terms)
     if isinstance(e, Pow):
         db = _derive(e.base, leaf)
         if isinstance(db, Num) and db.value == 0:
             return ZERO
-        return mul(Num(e.exp), pow_(e.base, e.exp - 1), db)
+        # the base is already normal (a sum base primitive), so it is
+        # raised to exp - 1 without normalizing it again
+        n = e.exp - 1
+        return mul(e.exp, e.base if n == 1 else Pow(e.base, n), db)
     if isinstance(e, Ln):
         return mul(_derive(e.arg, leaf), pow_(e.arg, -1))
     if isinstance(e, ExpF):
@@ -575,7 +606,7 @@ def substitute_all(exprs, bindings: dict) -> tuple:
         if isinstance(e, Sum):
             return add(*[walk(t) for t in e.terms])
         if isinstance(e, Prod):
-            return mul(Num(e.coeff), *[walk(f) for f in e.factors])
+            return mul(e.coeff, *[walk(f) for f in e.factors])
         if isinstance(e, Pow):
             return pow_(walk(e.base), e.exp)
         if isinstance(e, Ln):

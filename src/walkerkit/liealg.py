@@ -167,11 +167,18 @@ def _component_monomials(v: VectorField) -> dict:
             for mono, c in expand_monomials(cf).items()}
 
 
+@cache
+def _basis_columns() -> tuple:
+    """The flattened basis fields, and the union of their keys."""
+    cols = tuple(_component_monomials(b) for b in BASIS)
+    return cols, frozenset().union(*cols)
+
+
 def decompose(v: VectorField) -> list:
     """Coordinates of v in the basis, exact. Raises NotClosed."""
-    cols = [_component_monomials(b) for b in BASIS]
+    cols, basis_keys = _basis_columns()
     target = _component_monomials(v)
-    keys = sorted(set(target) | set().union(*[set(c) for c in cols]))
+    keys = sorted(basis_keys.union(target))
     rows = [[c.get(key, Fraction(0)) for c in cols] for key in keys]
     rhs = [target.get(key, Fraction(0)) for key in keys]
     sol = solve_exact(rows, rhs)

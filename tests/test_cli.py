@@ -276,3 +276,22 @@ def test_expected_failure_is_honest(capsys):
     assert len(failed) == 1
     assert failed[0]["id"] == "eq26.family3.solution"
     assert "nonzero" in failed[0]["witness"]
+
+
+# The byte oracle: the full JSON report of verify --all at seed 42. Python
+# 3.12 and later sum floats with compensation and print other last
+# digits in a few witnesses, so only 3.10 and 3.11 are pinned.
+VERIFY_ALL_SEED42_SHA256 = (
+    "945bfb01ba3ed36f66b16e8ec861c03a7abdbbd0c933fbe98798b2de32daf649")
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
+                    reason="the oracle bytes are pinned for Python 3.10/3.11")
+def test_verify_all_byte_oracle(capsys):
+    import hashlib
+
+    code, out = run(capsys, "verify", "--all", "--seed", "42",
+                    "--report", "json")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        VERIFY_ALL_SEED42_SHA256

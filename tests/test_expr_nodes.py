@@ -3,11 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_nodes as reference
 from walkerkit.expr import (
-    ExprError, Func, Num, Pow, Prod, Sum, add, coord, div, funcsym, mul,
-    neg, num, param, parse, pow_, render, sqrt, sub, substitute,
+    Expr, ExprError, Func, Num, Pow, Prod, Sum, add, coord, diff, div,
+    funcsym, mul, neg, num, param, parse, partial, pow_, render, sqrt, sub,
+    substitute,
 )
+from walkerkit.expr import nodes
 
 x = coord("x")
 t = coord("t")
@@ -130,3 +134,111 @@ def test_prod_never_nested():
     assert isinstance(e, Prod)
     assert all(not isinstance(f, Prod) for f in e.factors)
     assert e.coeff == 6
+
+
+# --- the constructors against a reference that rebuilds every subterm ------
+
+def _extend(children):
+    exps = st.sampled_from([Fraction(n, d) for n, d in (
+        (-3, 1), (-2, 1), (-1, 1), (-1, 2), (1, 2), (3, 2), (2, 1), (3, 1),
+        (0, 1), (1, 3))])
+    coeffs = st.sampled_from([Fraction(2), Fraction(-3), Fraction(1, 2),
+                              Fraction(-2, 3)])
+    return st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(lambda ts: ("+", ts)),
+        st.lists(children, min_size=1, max_size=3).map(lambda fs: ("*", fs)),
+        st.tuples(children, exps).map(lambda be: ("^", *be)),
+        # a sum with content: k*u + k, as in (2x + 2)^-1
+        st.tuples(children, coeffs).map(lambda uk: ("k", *uk)),
+    )
+
+
+# leaves: coordinates, a sign parameter, a jet, zero and other rationals
+TREES = st.recursive(
+    st.sampled_from(["x", "t", "eps", "a_1", 0, 1, -1, 2, Fraction(1, 2),
+                     Fraction(-3, 4)]),
+    _extend, max_leaves=10)
+
+
+def _build(tree, ops):
+    """The tree built with ``ops`` = (add, mul, pow_), or the type of the
+    error it raised."""
+    plus, times, power = ops
+
+    def go(n):
+        if isinstance(n, str):
+            return parse(n)
+        if not isinstance(n, tuple):
+            return num(n)
+        if n[0] == "^":
+            return power(go(n[1]), n[2])
+        if n[0] == "k":
+            return plus(times(n[2], go(n[1])), n[2])
+        parts = [go(c) for c in n[1]]
+        return plus(*parts) if n[0] == "+" else times(*parts)
+
+    try:
+        return go(tree)
+    except ExprError as exc:
+        return type(exc)
+
+
+def _pows(e):
+    if isinstance(e, Pow):
+        yield e
+        yield from _pows(e.base)
+    elif isinstance(e, Sum):
+        for s in e.terms:
+            yield from _pows(s)
+    elif isinstance(e, Prod):
+        for f in e.factors:
+            yield from _pows(f)
+
+
+def _rebuilt(e):
+    """``e`` rebuilt bottom-up by the reference constructors. A tree in
+    normal form is a fixed point."""
+    if isinstance(e, Sum):
+        return reference.add(*map(_rebuilt, e.terms))
+    if isinstance(e, Prod):
+        return reference.mul(e.coeff, *map(_rebuilt, e.factors))
+    if isinstance(e, Pow):
+        return reference.pow_(_rebuilt(e.base), e.exp)
+    return e
+
+
+@settings(max_examples=400, deadline=None)
+@given(TREES)
+def test_constructors_match_reference(tree):
+    got = _build(tree, (add, mul, pow_))
+    want = _build(tree, (reference.add, reference.mul, reference.pow_))
+    if not isinstance(want, Expr):
+        assert got is want
+        return
+    assert got.key() == want.key()
+    # derivatives are built in normal form too
+    for d in (diff(got, "x"), partial(got, parse("a_1"))):
+        assert _rebuilt(d).key() == d.key()
+    # what reusing a Pow node rests on: re-raising it, or lowering its
+    # exponent by one as the derivative does, builds nothing new
+    for p in _pows(got):
+        assert reference.pow_(p.base, p.exp).key() == p.key()
+        n = p.exp - 1
+        lowered = p.base if n == 1 else Pow(p.base, n)
+        assert reference.pow_(p.base, n).key() == lowered.key()
+
+
+def test_mul_keeps_a_normal_power(monkeypatch):
+    p = pow_(add(x, t, 1), -2)
+    calls = []
+    real = nodes.sum_content
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(nodes, "sum_content", counting)
+    e = mul(p, x)
+    assert calls == []
+    assert e.factors[0] is p or e.factors[1] is p
+    assert e.key() == reference.mul(p, x).key()

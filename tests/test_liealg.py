@@ -66,6 +66,22 @@ def test_bracket_spot_values():
     assert x4 == [0, 0, 0, 1, 0, 0, 0]
 
 
+def test_basis_is_flattened_once(monkeypatch):
+    calls = []
+    real = la._component_monomials
+
+    def counting(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(la, "_component_monomials", counting)
+    la._basis_columns.cache_clear()
+    table = la.structure_constants()
+    # the seven basis fields once, then one target per bracket pair
+    assert len(calls) == 7 + 49
+    assert table.nonzero == la.sc().nonzero
+
+
 def test_structure_constants_antisymmetry():
     assert la.sc().antisymmetric()
 

@@ -3,6 +3,7 @@ and nonzero witnesses. The rational shapes mirror what the solution
 catalog feeds through the verifier."""
 
 import math
+import time
 from fractions import Fraction
 from math import comb
 
@@ -173,6 +174,7 @@ def _continued_fraction_difference(depth):
     # u and -u share one sum atom
     ("1/(x + t) + 1/(-x - t)", ZERO_SYMBOLIC),
     ("(x + t)^(-3) + (-x - t)^(-3)", ZERO_SYMBOLIC),
+    ("(x + t)^(-2) - (-x - t)^(-2)", ZERO_SYMBOLIC),
     # sums are multiplied out up to POW_EXPAND_LIMIT; past it, one atom,
     # until clearing its denominator multiplies it out
     (f"(x + t)^{POW_EXPAND_LIMIT} - ({_binomial(POW_EXPAND_LIMIT)})",
@@ -181,12 +183,27 @@ def _continued_fraction_difference(depth):
      f" - ({_binomial(POW_EXPAND_LIMIT + 1)})", ZERO_NUMERIC),
     (f"(x + t)^{POW_EXPAND_LIMIT + 1}"
      f" - ({_binomial(POW_EXPAND_LIMIT + 2)})/(x + t)", ZERO_SYMBOLIC),
+    # clearing multiplies a sum out to twice the cap, and no further
+    (f"(x + t)^{2 * POW_EXPAND_LIMIT - 1}"
+     f" - ({_binomial(2 * POW_EXPAND_LIMIT)})/(x + t)", ZERO_SYMBOLIC),
+    (f"(x + t)^{2 * POW_EXPAND_LIMIT}"
+     f" - ({_binomial(2 * POW_EXPAND_LIMIT + 1)})/(x + t)", ZERO_NUMERIC),
     # CLEAR_ROUNDS nested fractions clear; one more survives the cap
     (_continued_fraction_difference(CLEAR_ROUNDS), ZERO_SYMBOLIC),
     (_continued_fraction_difference(CLEAR_ROUNDS + 1), ZERO_NUMERIC),
 ])
 def test_zero_test_edge_cases(text, want):
     assert verdict(text) == want
+
+
+def test_clearing_gives_up_past_twice_the_cap():
+    # clearing 1/u would multiply u^200 out to u^201: it gives up, and
+    # the numeric probe decides at once
+    e = parse("(x + t + y)^200 + 1/(x + t + y)")
+    start = time.perf_counter()
+    assert not clear_denominators(expand_poly(e))[1]
+    assert is_zero(e).verdict == NONZERO
+    assert time.perf_counter() - start < 2.0
 
 
 def test_probe_determinism():
