@@ -243,6 +243,13 @@ class Poly:
                              for i, e in k)): Fraction(c, self.den)
                 for k, c in self.terms.items()}
 
+    def to_expr(self) -> Expr:
+        """The polynomial as a normal-form tree: a sum of monomials."""
+        atoms, unit = self.ring.atoms, self.ring.unit
+        return add(*[mul(Fraction(c, self.den),
+                         *[pow_(atoms[i], Fraction(e, unit)) for i, e in k])
+                     for k, c in self.terms.items()])
+
 
 def expand_poly(e: Expr) -> Poly:
     ring = _Ring(e)

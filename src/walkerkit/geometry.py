@@ -26,6 +26,7 @@ from .expr import (
     ALL_DEPS, Expr, INDEX_COORD, ZERO, ONE, add, compile_expr, diff,
     funcsym, is_zero, mul, neg, num, render, substitute_all,
 )
+from .expr.expand import expand_poly
 from . import jets
 
 N = 4
@@ -168,11 +169,21 @@ def abstract_curvature() -> tuple:
     substituted (``on_metric``): substitution closes under derivatives,
     so the atom a_13 becomes the xy-derivative of the given a, and Ricci
     is never rebuilt on a concrete metric.
+
+    Each component is stored collected, as the expanded polynomial in
+    the jets of a, b and c (E_xy is -1/4*b_22 + 1/4*a_11), so a
+    substitution walks flat monomials and like terms cancel as they are
+    added.
     """
     g = build_metric(*abstract_functions())
     bundle = ricci(g)
-    return (tuple(bundle.ricci[i][j] for i in range(N) for j in range(i, N)),
-            _trace_adjusted(g, bundle))
+    ric = [bundle.ricci[i][j] for i in range(N) for j in range(i, N)]
+    return (tuple(_collected(e) for e in ric),
+            tuple(_collected(e) for e in _trace_adjusted(g, bundle)))
+
+
+def _collected(e: Expr) -> Expr:
+    return expand_poly(e).to_expr()
 
 
 def on_metric(exprs, a, b, c) -> tuple:

@@ -15,7 +15,7 @@ import pytest
 from walkerkit.expr import (
     ALL_DEPS, NONZERO, ZERO, ZERO_SYMBOLIC, Coord, Func, Num, Pow, Prod,
     Sum, add, compile_expr, coord, diff, eval_expr, expand_monomials,
-    funcsym, is_zero, is_zero_symbolic, mul, neg, num, parse, sub,
+    funcsym, is_zero, is_zero_symbolic, mul, neg, num, parse, render, sub,
 )
 from walkerkit import catalog, cli
 from walkerkit import geometry as geo
@@ -262,6 +262,25 @@ def test_substituted_components_equal_direct_build(a, b, c):
         assert is_zero_symbolic(sub(s, d)), f"E_{name}"
         # the trees may differ; their expanded forms may not
         assert expand_monomials(s) == expand_monomials(d), f"E_{name}"
+
+
+def test_cached_components_are_collected():
+    # the cache holds each component as its expanded polynomial in the
+    # jets: the same monomials as the direct build, one term per monomial
+    ricci, einstein = geo.abstract_curvature()
+    g = geo.build_metric(*geo.abstract_functions())
+    direct = geo.ricci(g).ricci
+    direct_ricci = [direct[i][j] for i in range(4) for j in range(i, 4)]
+    for name, d, c in zip(geo.EINSTEIN_LABELS, direct_ricci, ricci):
+        assert expand_monomials(c) == expand_monomials(d), f"R_{name}"
+    for name, d, c in zip(geo.EINSTEIN_LABELS, geo.einstein_residual(g),
+                          einstein):
+        monos = expand_monomials(d)
+        assert expand_monomials(c) == monos, f"E_{name}"
+        terms = c.terms if isinstance(c, Sum) else () if c == ZERO else (c,)
+        assert len(terms) == len(monos), f"E_{name}"
+    assert render(einstein[geo.EINSTEIN_LABELS.index("xy")]) == \
+        "-1/4*b_22 + 1/4*a_11"
 
 
 def test_ricci_is_built_once(monkeypatch, capsys):

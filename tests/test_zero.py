@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from walkerkit.expr import (
     NONZERO, ZERO_NUMERIC, ZERO_SYMBOLIC, EvalError, Pow, Prod, Sum, add,
     clear_denominators, expand_monomials, is_zero, is_zero_symbolic, mul,
-    num, parse, pow_, sub,
+    num, parse, pow_, render, sub,
 )
 from walkerkit.expr.expand import CLEAR_ROUNDS, POW_EXPAND_LIMIT, expand_poly
 
@@ -139,6 +139,14 @@ def test_expanded_form_is_canonical():
     assert (expand_monomials(parse("x^(1/2)*(x^(1/2) + t^(1/3))"
                                    " - x^(1/2)*t^(1/3)"))
             == expand_monomials(parse("x")))
+
+
+def test_collected_tree():
+    # to_expr writes the expansion back as a sum of monomials
+    e = parse("(x^(1/2) + t^(1/3))^2*(1 + eps)/3 - eps^3/2")
+    collected = expand_poly(e).to_expr()
+    assert expand_monomials(collected) == expand_monomials(e)
+    assert render(expand_poly(parse("x*(1 + x)")).to_expr()) == "x + x^2"
 
 
 def _binomial(n):
@@ -291,5 +299,7 @@ def test_expansion_matches_sympy(tree):
         mono = tuple(sorted((k, n) for k, n in zip(keys, exps) if n))
         want[mono] = want.get(mono, 0) + Fraction(int(c.p), int(c.q))
     assert expand_monomials(e) == {m: c for m, c in want.items() if c}
+    # the collected tree expands to the same polynomial
+    assert expand_monomials(expand_poly(e).to_expr()) == expand_monomials(e)
     expanded = parse(str(sp.expand(s)).replace("**", "^"))
     assert is_zero_symbolic(sub(e, expanded))
