@@ -124,18 +124,32 @@ def rref(m: list, ncol: int, eps=0) -> list:
     return pivots
 
 
+def solve_many(rows: list, rhs_rows: list) -> list:
+    """Solve A X = B over Fractions with one elimination of [A | B]; B is
+    given by rows, one column per right-hand side. Returns one solution
+    per column, None for a column that is inconsistent; each requires a
+    unique solution on the pivoted columns (free columns get 0)."""
+    m = [list(map(Fraction, r)) + list(map(Fraction, b))
+         for r, b in zip(rows, rhs_rows)]
+    ncol = len(rows[0])
+    pivots = rref(m, ncol)
+    rest = m[len(pivots):]
+    out = []
+    for j in range(ncol, len(m[0])):
+        if any(row[j] != 0 for row in rest):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * ncol
+        for r, col in enumerate(pivots):
+            x[col] = m[r][j]
+        out.append(x)
+    return out
+
+
 def solve_exact(rows: list, rhs: list):
     """Solve A x = b over Fractions. Returns x or None if inconsistent;
     requires unique solution on the pivoted columns (free columns get 0)."""
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    ncol = len(m[0]) - 1
-    pivots = rref(m, ncol)
-    if any(row[ncol] != 0 for row in m[len(pivots):]):
-        return None
-    x = [Fraction(0)] * ncol
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncol]
-    return x
+    return solve_many(rows, [[v] for v in rhs])[0]
 
 
 def nullspace_exact(rows: list) -> list:
@@ -174,17 +188,24 @@ def _basis_columns() -> tuple:
     return cols, frozenset().union(*cols)
 
 
+def decompose_all(fields) -> list:
+    """Coordinates of each field in the basis, exact, from one elimination
+    over the union of their monomial keys. Raises NotClosed when any field
+    leaves the span."""
+    cols, basis_keys = _basis_columns()
+    targets = [_component_monomials(v) for v in fields]
+    keys = sorted(basis_keys.union(*targets))
+    rows = [[c.get(key, 0) for c in cols] for key in keys]
+    rhs_rows = [[t.get(key, 0) for t in targets] for key in keys]
+    sols = solve_many(rows, rhs_rows)
+    if None in sols:
+        raise NotClosed("field does not decompose in the basis")
+    return sols
+
+
 def decompose(v: VectorField) -> list:
     """Coordinates of v in the basis, exact. Raises NotClosed."""
-    cols, basis_keys = _basis_columns()
-    target = _component_monomials(v)
-    keys = sorted(basis_keys.union(target))
-    rows = [[c.get(key, Fraction(0)) for c in cols] for key in keys]
-    rhs = [target.get(key, Fraction(0)) for key in keys]
-    sol = solve_exact(rows, rhs)
-    if sol is None:
-        raise NotClosed("field does not decompose in the basis")
-    return sol
+    return decompose_all([v])[0]
 
 
 @dataclass(frozen=True)
@@ -229,15 +250,17 @@ def _is_zero_entry(e) -> bool:
 
 
 def structure_constants() -> StructureConstants:
+    """Decompose all 49 basis brackets, each computed on its own, in one
+    elimination."""
+    pairs = [(j, k) for j in range(DIM) for k in range(DIM)]
+    coords = decompose_all([bracket(BASIS[j], BASIS[k]) for j, k in pairs])
     nonzero = {}
-    for j in range(DIM):
-        for k in range(DIM):
-            coords = decompose(bracket(BASIS[j], BASIS[k]))
-            if any(v.denominator != 1 for v in coords):
-                raise ExprError(f"[X{j + 1},X{k + 1}] is not integral")
-            row = {i: int(v) for i, v in enumerate(coords) if v}
-            if row:
-                nonzero[(j, k)] = row
+    for (j, k), cs in zip(pairs, coords):
+        if any(v.denominator != 1 for v in cs):
+            raise ExprError(f"[X{j + 1},X{k + 1}] is not integral")
+        row = {i: int(v) for i, v in enumerate(cs) if v}
+        if row:
+            nonzero[(j, k)] = row
     return StructureConstants(nonzero)
 
 
@@ -389,7 +412,8 @@ def _closure_case(g1, g2, assignment, seed) -> ClosureCase:
 
 # --- adjoint matrices -------------------------------------------------------
 
-def _mat_mul_frac(a: list, b: list) -> list:
+def _mat_mul(a: list, b: list) -> list:
+    """Product of 7x7 matrices of ints or Fractions."""
     return [[sum(a[i][k] * b[k][j] for k in range(DIM)) for j in range(DIM)]
             for i in range(DIM)]
 
@@ -422,9 +446,9 @@ def adjoint_matrix(i: int, s) -> list:
             out[k][k] = ONE if d == 0 else exp_(mul(num(ADJOINT_SIGN * d), s))
         return out
     out = [[ONE if a == b else ZERO for b in range(DIM)] for a in range(DIM)]
-    power = [[Fraction(int(a == b)) for b in range(DIM)] for a in range(DIM)]
+    power = [[int(a == b) for b in range(DIM)] for a in range(DIM)]
     for n in range(1, DIM + 1):
-        power = _mat_mul_frac(power, m)
+        power = _mat_mul(power, m)
         if _is_zero_mat(power):
             break
         coeff = Fraction(ADJOINT_SIGN ** n, math.factorial(n))
@@ -469,7 +493,7 @@ def _char_poly(m: list) -> list:
     coeffs = [Fraction(1)]
     mk = [row[:] for row in ident]
     for k in range(1, n + 1):
-        prod = _mat_mul_frac(m, mk)
+        prod = _mat_mul(m, mk)
         ck = -Fraction(sum(prod[i][i] for i in range(n)), k)
         coeffs.append(ck)
         mk = [[prod[i][j] + (ck if i == j else 0) for j in range(n)]

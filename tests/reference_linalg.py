@@ -1,0 +1,40 @@
+"""Reference exact solver: Gauss-Jordan elimination of one augmented
+system [A | b] over Fractions, as ``liealg.solve_exact`` was before every
+right-hand side of a table shared one elimination.
+"""
+
+from fractions import Fraction
+
+
+def rref(m, ncol):
+    nrow = len(m)
+    pivots = []
+    for col in range(ncol):
+        r = len(pivots)
+        if r == nrow:
+            break
+        piv = max(range(r, nrow), key=lambda i: abs(m[i][col]))
+        if m[piv][col] == 0:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(nrow):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots
+
+
+def solve_exact(rows, rhs):
+    """x with A x = b, free columns 0; None if inconsistent."""
+    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
+    ncol = len(m[0]) - 1
+    pivots = rref(m, ncol)
+    if any(row[ncol] != 0 for row in m[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncol
+    for r, col in enumerate(pivots):
+        x[col] = m[r][ncol]
+    return x

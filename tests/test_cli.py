@@ -295,3 +295,29 @@ def test_verify_all_byte_oracle(capsys):
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == \
         VERIFY_ALL_SEED42_SHA256
+
+
+BRACKETS_SHA256 = (
+    "f3c771258f01b740623c8fd0d29d95b3ed54e178143300289378194acaddaec9")
+ADJOINT_THIRD_SHA256 = {
+    1: "3aa5c7277086f3ba846de7db836a167f79126a093fc1e6a06aecacb09a0dcfa0",
+    2: "cdaf414fac3dbe5def92f6042896d1533c48cf020152045e9a8844936b0c4b36",
+    3: "c4102b3b725f42b059337671b0f5fdb1ce05bdb3e3e2d0f41476511953b27af2",
+    4: "8cc6fbedb7615aa7c9e26e161fb649d0cb561f197eaa155e623b1cd3cd4cd4b4",
+    5: "3b59b07074f0f7bcd090619537293d8da1fb61babf8230e25a73b3a0b3b231f8",
+    6: "5ac40fb085f085fa29197d650a920b9c1327d4b725a3601b9d3d4d9ef8496439",
+    7: "6bf926fff809c77f972db72709814200ddb656d269f140d54e40dd4224093762",
+}
+
+
+def test_exact_algebra_reports_are_byte_stable(capsys):
+    import hashlib
+
+    def digest(*argv):
+        code, out = run(capsys, *argv, "--report", "json")
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    assert digest("brackets") == BRACKETS_SHA256
+    for i, want in ADJOINT_THIRD_SHA256.items():
+        assert digest("adjoint", "--gen", str(i), "--s", "1/3") == want, i

@@ -9,7 +9,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_linalg as reference
 from walkerkit.expr import (
     ExprError, ZERO, ZERO_NUMERIC, ZERO_SYMBOLIC, add, eval_expr,
     is_zero, is_zero_symbolic, mul, neg, num, param, parse, partial,
@@ -290,6 +292,73 @@ def test_rref_nullspace_vectors_annihilate_rows():
     assert len(basis) == 2
     for v in basis:
         assert all(sum(r[j] * v[j] for j in range(4)) == 0 for r in rows)
+
+
+def test_solve_many_marks_each_inconsistent_column():
+    # rank 1: the first right-hand side leaves the column space
+    assert la.solve_many([[1, 1], [2, 2]], [[1, 2], [3, 4]]) == \
+        [None, [2, 0]]
+
+
+_ENTRY = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _matrix(draw, nrow, ncol):
+    return [[draw(_ENTRY) for _ in range(ncol)] for _ in range(nrow)]
+
+
+@st.composite
+def linear_systems(draw):
+    """A = L R of at most the drawn rank, and right-hand sides that are
+    either A x (consistent) or drawn freely (often inconsistent when A is
+    rank-deficient)."""
+    nrow, ncol = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rank = draw(st.integers(0, min(nrow, ncol)))
+    left, right = _matrix(draw, nrow, rank), _matrix(draw, rank, ncol)
+    rows = [[sum((lv * right[t][j] for t, lv in enumerate(lr)), Fraction(0))
+             for j in range(ncol)] for lr in left]
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            x = [draw(_ENTRY) for _ in range(ncol)]
+            cols.append([sum(a * v for a, v in zip(r, x)) for r in rows])
+        else:
+            cols.append([draw(_ENTRY) for _ in range(nrow)])
+    return rows, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_solve_many_matches_column_by_column_reference(system):
+    rows, cols = system
+    rhs_rows = [list(r) for r in zip(*cols)]
+    assert la.solve_many(rows, rhs_rows) == \
+        [reference.solve_exact(rows, col) for col in cols]
+    assert la.solve_exact(rows, cols[0]) == \
+        reference.solve_exact(rows, cols[0])
+
+
+def test_decompose_all_raises_when_one_field_leaves_the_span():
+    b = la.BASIS
+    valid = [la.bracket(b[0], b[2]), la.bracket(b[3], b[4])]
+    x_dx = la.VectorField((la.BASE_ATOMS[0],) + (ZERO,) * 4)
+    assert la.decompose_all(valid) == [la.decompose(v) for v in valid]
+    with pytest.raises(la.NotClosed):
+        la.decompose_all([valid[0], x_dx, valid[1]])
+
+
+def test_structure_constants_eliminate_once(monkeypatch):
+    calls = []
+    real = la.rref
+
+    def counting(m, ncol, eps=0):
+        calls.append(ncol)
+        return real(m, ncol, eps)
+
+    monkeypatch.setattr(la, "rref", counting)
+    table = la.structure_constants()
+    assert calls == [la.DIM]
+    assert table.nonzero == la.sc().nonzero
 
 
 def test_rref_float_rank_ignores_noise_below_cutoff():
