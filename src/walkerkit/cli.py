@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import catalog
 from .expr import (
-    NONZERO, EvalError, ExprError, is_zero, is_zero_symbolic, parse,
+    NONZERO, ZERO_SYMBOLIC, EvalError, ExprError, is_zero, is_zero_symbolic, parse,
     probe_zero, render, sub, substitute, substitute_all,
 )
 from .geometry import (
@@ -113,15 +113,16 @@ class Report:
 
 
 def _zero_note(e, ctx) -> tuple:
-    """(ok, note) under the requested mode."""
+    """(ok, exact, note) under the requested mode; ``exact`` says that
+    exact cancellation decided the verdict."""
     if ctx.mode == "symbolic":
         ok = is_zero_symbolic(e)
-        return ok, ("zero_symbolic" if ok else "no symbolic cancellation")
+        return ok, ok, ("zero_symbolic" if ok else "no symbolic cancellation")
     if ctx.mode == "numeric":
         res = probe_zero(e, samples=ctx.samples, tol=ctx.tol, seed=ctx.seed)
     else:
         res = is_zero(e, samples=ctx.samples, tol=ctx.tol, seed=ctx.seed)
-    return bool(res), res.describe()
+    return bool(res), res.verdict == ZERO_SYMBOLIC, res.describe()
 
 
 # --- subcommands -------------------------------------------------------------
@@ -238,13 +239,15 @@ def cmd_einstein(args, rep: Report, parser) -> None:
         parser.error("provide --entry ID or all of --a --b --c")
         return
     try:
-        verdicts = einstein_verdicts(a, b, c, samples=args.samples,
-                                     tol=args.tol, seed=args.seed)
-        abstract_ricci, _ = abstract_curvature()
+        # one substitution over the Ricci and Einstein components together
+        ricci, einstein = abstract_curvature()
+        comps = on_metric(ricci + einstein, a, b, c)
+        verdicts = [is_zero(e, samples=args.samples, tol=args.tol,
+                            seed=args.seed) for e in comps[len(ricci):]]
         ricci_zero = all(
             is_zero(r, samples=min(args.samples, 16), tol=args.tol,
                     seed=args.seed)
-            for r in on_metric(abstract_ricci, a, b, c))
+            for r in comps[:len(ricci)])
     except EvalError as exc:
         parser.error(f"cannot evaluate the metric: {exc}")
     for label, res in zip(EINSTEIN_LABELS, verdicts):
@@ -297,9 +300,8 @@ def _check_profile_family(entry, ctx, rep: Report) -> None:
     ok = True
     symbolic = 0
     for k, r in enumerate(tuple(shipped) + consistency, start=1):
-        good, note = _zero_note(substitute(r, bindings), ctx)
-        if note == "zero_symbolic" or "exact" in note:
-            symbolic += 1
+        good, exact, note = _zero_note(substitute(r, bindings), ctx)
+        symbolic += exact
         if not good:
             ok = False
             notes.append(f"residual {k}: {note}")
@@ -330,9 +332,8 @@ def _check_solutions(entry, ctx, rep: Report) -> None:
         notes = []
         on_solution = substitute_all(sys2.residuals, triple.bindings())
         for k, res in enumerate(on_solution, start=1):
-            good, note = _zero_note(res, ctx)
-            if note == "zero_symbolic":
-                symbolic += 1
+            good, exact, note = _zero_note(res, ctx)
+            symbolic += exact
             if not good:
                 ok = False
                 notes.append(f"equation {k}: {note}")

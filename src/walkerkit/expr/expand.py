@@ -16,8 +16,11 @@ built while expanding; ``Poly.monomials`` gives the canonical rational
 form, keyed by atom keys, for comparison across expansions.
 
 Sums raised to small positive integer powers are multiplied out. Sign
-symbols squaring to one have integer exponents reduced mod 2. Sum bases
-are sign-normalized so that u and -u share one atom.
+symbols squaring to one have integer exponents reduced mod 2. A constant
+root (a rational base such as the 3 of sqrt(3)) keeps its exponent in
+[0, 1): its whole powers move into the coefficient, so sqrt(3)*sqrt(3)
+merges to 3. Sum bases are sign-normalized so that u and -u share one
+atom.
 
 ``clear_denominators`` repeatedly multiplies the polynomial by the
 positive powers needed to cancel every sum-base denominator, re-expanding
@@ -75,7 +78,7 @@ class _Ring:
     """The atom table of one expansion and the arithmetic over it."""
 
     __slots__ = ("unit", "period", "atoms", "index", "signs", "sums",
-                 "flips")
+                 "roots", "flips")
 
     def __init__(self, e: Expr):
         self.unit = _unit(e)
@@ -84,6 +87,7 @@ class _Ring:
         self.index: dict = {}
         self.signs: set = set()
         self.sums: set = set()
+        self.roots: dict = {}
         self.flips: dict = {}
 
     def units(self, exp: Fraction) -> int:
@@ -102,9 +106,34 @@ class _Ring:
                 self.signs.add(i)
             elif isinstance(a, Sum):
                 self.sums.add(i)
+            elif isinstance(a, Num):
+                self.roots[i] = a.value
         if i in self.signs and not e % self.unit:
             e %= self.period
+        elif i in self.roots:
+            k, p, q = self.fold(((i, e),))
+            return {k: p}, q
         return ({((i, e),): 1} if e else {(): 1}), 1
+
+    def fold(self, k: tuple) -> tuple:
+        """(monomial, p, q): k with every constant root's exponent reduced
+        into [0, unit), and the int ratio p/q of the whole powers taken
+        out."""
+        p = q = 1
+        out = []
+        for i, e in k:
+            v = self.roots.get(i)
+            if v is not None:
+                w, e = divmod(e, self.unit)
+                if w > 0:
+                    p *= v.numerator ** w
+                    q *= v.denominator ** w
+                elif w < 0:
+                    p *= v.denominator ** -w
+                    q *= v.numerator ** -w
+            if e:
+                out.append((i, e))
+        return tuple(out), p, q
 
     def mono_mul(self, ka: tuple, kb: tuple) -> tuple:
         """Product of two monomials; a sign symbol's whole powers reduce
@@ -127,6 +156,8 @@ class _Ring:
     def mul(self, a: tuple, b: tuple) -> tuple:
         ta, da = a
         tb, db = b
+        if self.roots:
+            return self.mul_folding(ta, tb, da * db)
         out: dict = {}
         get = out.get
         mono = self.mono_mul
@@ -135,6 +166,25 @@ class _Ring:
                 k = mono(ka, kb) if ka and kb else ka or kb
                 out[k] = get(k, 0) + ca * cb
         return {k: c for k, c in out.items() if c}, da * db
+
+    def mul_folding(self, ta: dict, tb: dict, den: int) -> tuple:
+        """``mul`` when constant roots occur: a merge that carries a whole
+        power of a root multiplies its term by an int ratio p/q, and each
+        term keeps its own denominator until the common one is formed."""
+        out: dict = {}
+        get = out.get
+        for ka, ca in ta.items():
+            for kb, cb in tb.items():
+                k, p, q = self.fold(self.mono_mul(ka, kb))
+                n, d = get(k, (0, 1))
+                if d == q:
+                    out[k] = n + ca * cb * p, d
+                else:
+                    m = lcm(d, q)
+                    out[k] = n * (m // d) + ca * cb * p * (m // q), m
+        common = lcm(*[d for _, d in out.values()])
+        return ({k: n * (common // d) for k, (n, d) in out.items() if n},
+                den * common)
 
     def pow(self, base: tuple, n: int) -> tuple:
         out = ({(): 1}, 1)

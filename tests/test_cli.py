@@ -129,6 +129,42 @@ def test_verify_symbolic_mode(capsys):
     assert code == 0
 
 
+def test_solution_witness_counts_exact_verdicts(capsys):
+    def witness(*mode):
+        code, doc = run_json(capsys, "verify", "--entry", "table1.row2",
+                             *mode)
+        assert code == 0
+        return {c["id"]: c["witness"] for c in doc["checks"]}[
+            "table1.row2.solution"]
+
+    # sqrt(3) occurs in this entry: its whole powers fold, so all six
+    # residuals cancel exactly
+    assert witness() == "6 residuals zero (6 exact)"
+    assert witness("--mode", "symbolic") == "6 residuals zero (6 exact)"
+    assert witness("--mode", "numeric") == "6 residuals zero (0 exact)"
+
+
+def test_einstein_substitutes_the_metric_once(monkeypatch, capsys):
+    from walkerkit.expr import nodes
+    from walkerkit.geometry import abstract_curvature
+
+    abstract_curvature()
+    calls = []
+    real = nodes.diff
+
+    def counting(e, v):
+        calls.append((e, v))
+        return real(e, v)
+
+    monkeypatch.setattr(nodes, "diff", counting)
+    code, doc = run_json(capsys, "einstein", "--entry", "table1.row4")
+    assert code == 0
+    # Ricci and Einstein share one memo: each derivative of a, b and c
+    # is taken once (substituting them separately took 46 steps)
+    assert len(calls) == len(set(calls)) == 23
+    assert doc["details"]["einstein"] == "yes"
+
+
 def test_defect_command(capsys):
     code, doc = run_json(capsys, "defect", "--entry", "eq25.family4")
     assert code == 0
@@ -282,7 +318,7 @@ def test_expected_failure_is_honest(capsys):
 # 3.12 and later sum floats with compensation and print other last
 # digits in a few witnesses, so only 3.10 and 3.11 are pinned.
 VERIFY_ALL_SEED42_SHA256 = (
-    "9a6d21ce9d07c67330b3ae905829636ee9fd4e37ea92455a6544fe21f512a1c5")
+    "b9ab21b5614f02274f982265ea48f959f8f3bb46c9f9e84d4969c634048dd103")
 
 
 @pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),

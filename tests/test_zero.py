@@ -179,6 +179,21 @@ def _continued_fraction_difference(depth):
     ("(x + t)^(1/2)*(x + t)^(1/2) - x - t", ZERO_SYMBOLIC),
     # an irrational power of a sum is one opaque atom, never re-expanded
     ("((x + t)^(1/2) + 1)^2 - x - t - 2*(x + t)^(1/2) - 1", ZERO_NUMERIC),
+    # a constant root keeps its exponent in [0, 1): whole powers fold
+    ("(x + sqrt(3))*(x - sqrt(3)) - x^2 + 3", ZERO_SYMBOLIC),
+    ("(x + 2^(1/3))*(x^2 - x*2^(1/3) + 2^(2/3)) - x^3 - 2", ZERO_SYMBOLIC),
+    ("(1 + sqrt(3))^2 - 4 - 2*sqrt(3)", ZERO_SYMBOLIC),
+    ("1/sqrt(3) - sqrt(3)/3", ZERO_SYMBOLIC),
+    ("((3/7)^(1/3))^3 - 3/7", ZERO_SYMBOLIC),
+    ("(-2)^(1/3)*(-2)^(2/3) + 2", ZERO_SYMBOLIC),
+    ("(x + (3/7)^(1/3))^3 - x^3 - 3*x^2*(3/7)^(1/3) - 3*x*(3/7)^(2/3)"
+     " - 3/7", ZERO_SYMBOLIC),
+    ("(x + (-2)^(1/3))^3 - x^3 - 3*x^2*(-2)^(1/3) - 3*x*(-2)^(2/3) + 2",
+     ZERO_SYMBOLIC),
+    # a negative root to a negative power: (-2)^(-1/3) = -1/2*(-2)^(2/3)
+    ("(x + (-2)^(-1/3))^3 - x^3 + 3/2*x^2*(-2)^(2/3) + 3/2*x*(-2)^(1/3)"
+     " + 1/2", ZERO_SYMBOLIC),
+    ("(x + sqrt(3))^2 - x^2 - 3", NONZERO),
     # u and -u share one sum atom
     ("1/(x + t) + 1/(-x - t)", ZERO_SYMBOLIC),
     ("(x + t)^(-3) + (-x - t)^(-3)", ZERO_SYMBOLIC),
@@ -242,6 +257,13 @@ def test_overflowing_samples_are_drawn_again():
 # --- SymPy as an independent oracle for the expansion ------------------------
 
 ORACLE_ATOMS = ("x", "t", "a_1", "eps", "c1")
+# constant roots: text -> (sympy symbol name, value, degree); the oracle
+# reduces each symbol's powers by symbol^degree = value
+ORACLE_ROOTS = {
+    "sqrt(3)": ("ROOTA", Fraction(3), 2),
+    "2^(1/3)": ("ROOTB", Fraction(2), 3),
+    "(3/7)^(1/3)": ("ROOTC", Fraction(3, 7), 3),
+}
 
 
 def _oracle_extend(children):
@@ -254,7 +276,7 @@ def _oracle_extend(children):
 
 # polynomial trees: nested tuples over atom names and small rationals
 ORACLE_TREES = st.recursive(
-    st.one_of(st.sampled_from(ORACLE_ATOMS),
+    st.one_of(st.sampled_from(ORACLE_ATOMS + tuple(ORACLE_ROOTS)),
               st.fractions(min_value=-5, max_value=5, max_denominator=4)),
     _oracle_extend, max_leaves=8)
 
@@ -287,8 +309,11 @@ def test_expansion_matches_sympy(tree):
     e = _fold(tree, lambda v: parse(v) if isinstance(v, str) else num(v),
               add, mul, pow_)
     assume(_expandable(e))
-    gens = [sp.Symbol(n) for n in ORACLE_ATOMS]
-    s = _fold(tree, lambda v: sp.Symbol(v) if isinstance(v, str)
+    roots = list(ORACLE_ROOTS.values())
+    names = {**{n: n for n in ORACLE_ATOMS},
+             **{t: name for t, (name, _, _) in ORACLE_ROOTS.items()}}
+    gens = [sp.Symbol(n) for n in ORACLE_ATOMS + tuple(r[0] for r in roots)]
+    s = _fold(tree, lambda v: sp.Symbol(names[v]) if isinstance(v, str)
               else sp.Rational(v.numerator, v.denominator),
               sp.Add, sp.Mul, sp.Pow)
     keys = [parse(n).key() for n in ORACLE_ATOMS]
@@ -296,10 +321,20 @@ def test_expansion_matches_sympy(tree):
     for exps, c in sp.Poly(s, *gens).as_dict().items():
         exps = list(exps)
         exps[ORACLE_ATOMS.index("eps")] %= 2
-        mono = tuple(sorted((k, n) for k, n in zip(keys, exps) if n))
-        want[mono] = want.get(mono, 0) + Fraction(int(c.p), int(c.q))
+        c = Fraction(int(c.p), int(c.q))
+        mono = [(k, n) for k, n in zip(keys, exps) if n]
+        for (_, value, degree), n in zip(roots, exps[len(keys):]):
+            whole, n = divmod(n, degree)
+            c *= value ** whole
+            if n:
+                mono.append((num(value).key(), Fraction(n, degree)))
+        mono = tuple(sorted(mono))
+        want[mono] = want.get(mono, 0) + c
     assert expand_monomials(e) == {m: c for m, c in want.items() if c}
     # the collected tree expands to the same polynomial
     assert expand_monomials(expand_poly(e).to_expr()) == expand_monomials(e)
-    expanded = parse(str(sp.expand(s)).replace("**", "^"))
+    text = str(sp.expand(s)).replace("**", "^")
+    for t, (name, _, _) in ORACLE_ROOTS.items():
+        text = text.replace(name, f"({t})")
+    expanded = parse(text)
     assert is_zero_symbolic(sub(e, expanded))
