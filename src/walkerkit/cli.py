@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from . import catalog
 from .expr import (
-    NONZERO, ZERO_SYMBOLIC, EvalError, ExprError, is_zero, is_zero_symbolic, parse,
-    probe_zero, render, sub, substitute, substitute_all,
+    NONZERO, ZERO_SYMBOLIC, EvalError, ExprError, is_zero, is_zero_symbolic,
+    parse, probe_zero, render, sub, substitute, substitute_all,
 )
 from .geometry import (
     EINSTEIN_LABELS, abstract_curvature, einstein_verdicts,
