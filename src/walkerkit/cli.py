@@ -231,6 +231,8 @@ def cmd_einstein(args, rep: Report, parser) -> None:
     if args.entry:
         triple = _entry_or_die(parser, args.entry).triples()[0]
         a, b, c = triple.a, triple.b, triple.c
+        # distinct entries can share their verdicts; name the metric
+        rep.details["entry"] = args.entry
     elif args.a is not None and args.b is not None and args.c is not None:
         a, b, c = (_user_value(parser, flag, parse, t)
                    for flag, t in (("--a", args.a), ("--b", args.b),

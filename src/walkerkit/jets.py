@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
+from types import MappingProxyType
 
 from .expr import (
     ALL_DEPS, EvalGuard, Expr, ExprError, PLANE_DEPS, atom_name,
@@ -180,6 +181,12 @@ def _drawn(n: int, seed: int, sys: PDESystem) -> tuple:
 
 # --- prolongation -----------------------------------------------------------
 
+# The (fiber, multi-index) keys of a prolongation's phi, in the order
+# each is built: a multi-index comes after the one it extends.
+_JET_SLOTS = tuple((f, j) for f in FIBER
+                   for j in ((), (1,), (2,), (1, 1), (1, 2), (2, 2)))
+
+
 @dataclass(frozen=True)
 class Prolongation:
     """xi: base coefficients on (x, t); phi: (func, index tuple) -> Expr."""
@@ -202,29 +209,32 @@ def _step(phi_j: Expr, xi: tuple, fname: str, j: tuple, i: int,
 def prolong2(v: VectorField, deps: tuple = PLANE_DEPS) -> Prolongation:
     xi = (v.coeffs[0], v.coeffs[1])
     phi = {}
-    for pos, fname in enumerate(FIBER):
-        phi[(fname, ())] = v.coeffs[2 + pos]
-        for i in (1, 2):
-            phi[(fname, (i,))] = _step(phi[(fname, ())], xi, fname, (), i,
-                                       deps)
-        for j in ((1,), (2,)):
-            for i in (1, 2):
-                jj = tuple(sorted(j + (i,)))
-                if (fname, jj) in phi:
-                    continue
-                phi[(fname, jj)] = _step(phi[(fname, j)], xi, fname, j, i,
-                                         deps)
+    for fname, j in _JET_SLOTS:
+        if j:  # phi^{J,i} from phi^J, where J + (i,) = j
+            phi[(fname, j)] = _step(phi[(fname, j[:-1])], xi, fname,
+                                    j[:-1], j[-1], deps)
+        else:
+            phi[(fname, j)] = v.coeffs[2 + FIBER.index(fname)]
     return Prolongation(xi, phi)
+
+
+@cache
+def _jet_partials(residual: Expr, deps: tuple) -> tuple:
+    """(d/dx, d/dt, {(fiber, j): d/du^fiber_j}) of one residual. No
+    generator enters them, so they are taken once per (residual, deps)
+    and every prolonged action on that residual shares them."""
+    return (partial(residual, coord("x")), partial(residual, coord("t")),
+            MappingProxyType({(f, j): partial(residual, funcsym(f, j, deps))
+                              for f, j in _JET_SLOTS}))
 
 
 def prolonged_action(pro: Prolongation, residual: Expr,
                      deps: tuple = PLANE_DEPS) -> Expr:
-    """pr v applied to a residual, as one expression over jet atoms."""
-    terms = [mul(pro.xi[0], partial(residual, coord("x"))),
-             mul(pro.xi[1], partial(residual, coord("t")))]
-    for (fname, j), ph in pro.phi.items():
-        slot = partial(residual, funcsym(fname, j, deps))
-        terms.append(mul(ph, slot))
+    """pr v applied to a residual, as one expression over jet atoms:
+    xi^x dR/dx + xi^t dR/dt + sum over J of phi^J dR/du_J."""
+    dx, dt, slots = _jet_partials(residual, deps)
+    terms = [mul(pro.xi[0], dx), mul(pro.xi[1], dt)]
+    terms.extend(mul(ph, slots[key]) for key, ph in pro.phi.items())
     return add(*terms)
 
 

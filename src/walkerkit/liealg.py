@@ -271,8 +271,13 @@ def sc() -> StructureConstants:
 
 # --- coefficient vectors ----------------------------------------------------
 
+@cache
 def parse_generator(text: str) -> tuple:
-    """Parse "eps*X2 + X5" style text into a 7-tuple of Expr coefficients."""
+    """Parse "eps*X2 + X5" style text into a 7-tuple of Expr coefficients.
+
+    The tuple of immutable Expr is kept per text, so the checks that
+    re-read a catalog entry's generators parse each text once; a text
+    that raises ExprError is not kept and raises again on every call."""
     e = parse(text, functions={}, extra_params=set(GENERATOR_NAMES))
     coeffs = []
     for name in GENERATOR_NAMES:

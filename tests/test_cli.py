@@ -81,6 +81,7 @@ def test_einstein_flat(capsys):
                          "--c", "0")
     assert code == 0
     assert doc["details"]["ricci_zero"] == "yes"
+    assert "entry" not in doc["details"]
     assert all(c["verdict"] == "pass" for c in doc["checks"])
 
 
@@ -88,6 +89,18 @@ def test_einstein_catalog_entry(capsys):
     code, doc = run_json(capsys, "einstein", "--entry", "eq27")
     assert code == 0
     assert doc["summary"] == {"pass": 10, "fail": 0, "total": 10}
+    assert doc["details"]["entry"] == "eq27"
+
+
+def test_einstein_reports_name_their_entry(capsys):
+    # both metrics are Einstein with the same ten verdicts; only the
+    # entry tells the two reports apart
+    _, row2 = run(capsys, "einstein", "--entry", "table1.row2",
+                  "--report", "json")
+    _, row4 = run(capsys, "einstein", "--entry", "table1.row4",
+                  "--report", "json")
+    assert row2 != row4
+    assert row2.replace('"table1.row2"', '"table1.row4"') == row4
 
 
 def test_einstein_negative(capsys):
@@ -357,3 +370,90 @@ def test_exact_algebra_reports_are_byte_stable(capsys):
     assert digest("brackets") == BRACKETS_SHA256
     for i, want in ADJOINT_THIRD_SHA256.items():
         assert digest("adjoint", "--gen", str(i), "--s", "1/3") == want, i
+
+
+# Reports the shared derivatives must leave byte-identical, with
+# --report json, captured before the partials and parsed generator
+# vectors were shared.
+SHARED_DERIVATIVE_SHA256 = {
+    ("symmetries",):
+        "d765e38d4f7af8b8543b982f7bfd5ae2c8a31378d2f003b5b90161a5c32bfea8",
+    ("symmetries", "--samples", "300", "--seed", "3"):
+        "254dd408c709bf4c78bf1dba8f258d6164c8b47853200669d3a2a47d13e38c17",
+    ("equivalence-probe",):
+        "84c2478b5391e21401d4060f82402a7d19b2586bf1f2b6254a36999cd35c4517",
+    ("subalgebra", "--gens", "X3+eps*X4;eps*X5+X6-2*X7", "--check-closed"):
+        "3a3151b84a87225695842d874d07019b03dbee9c06460f01e8cc9bacfafe66b7",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
+                    reason="the oracle bytes are pinned for Python 3.10/3.11")
+def test_shared_derivative_reports_are_byte_stable(capsys):
+    import hashlib
+
+    for argv, want in SHARED_DERIVATIVE_SHA256.items():
+        _, out = run(capsys, *argv, "--report", "json")
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
+
+# einstein --entry reports, each naming its entry.
+EINSTEIN_ENTRY_SHA256 = {
+    "eq25.family1":
+        "1c52a2911fe7100cd00de0561e0e450c8c068df05d26eef9584aa6201a90ae1d",
+    "eq25.family2":
+        "c300f4928a230232271afc593ab6bb5ac897165fe63e6982cd9c667825c31b27",
+    "eq25.family3":
+        "d4d8738edf3d984f2daaf522d3e85263e1801b35f22ef6d0b8cfae760cf43f8d",
+    "eq25.family4":
+        "81f8fcbe8203400e6f7cdd5a4afd581412824311ff505ea2dbd65e59be585a25",
+    "eq26.family1":
+        "ebc80bef105de3ea0b3fe17d75ff3d8a80a6e081452c269454bc8cf007c25007",
+    "eq26.family2":
+        "80d4b71416aa9cc53d869f18ffacdc667f824a4e743e6d8f3316688d9917d2d2",
+    "eq26.family3":
+        "d3d39036c88eb738c5476655a9b0f7982b15d29c48e289c221c087a55a87ecc9",
+    "table1.row1":
+        "3776adedfba935ff2f169651494e04e8b2866011d2e7a9a221e616b679cd2afa",
+    "table1.row2":
+        "ee31c99cfa6ca4dc7e1e4a027fe05b616a72d04bda2d80ab7699c76778a8b17e",
+    "table1.row3":
+        "af7a58aa95a75e351072d09b12b9485bb7d41e1f451cc9741abdf944adbdb2bd",
+    "table1.row4":
+        "3ebc79c679abafb06805fe7e449bb1b5408dcb7b7322643073a98052f6a0d171",
+    "eq27":
+        "10f78366867ca3e606d9982ffad3f1e59c9789f0f294d3d3366a3e888447b524",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
+                    reason="the oracle bytes are pinned for Python 3.10/3.11")
+def test_einstein_entry_reports_are_byte_stable(capsys):
+    import hashlib
+
+    with_solutions = [e.id for e in catalog.builtin() if e.solutions]
+    assert sorted(with_solutions) == sorted(EINSTEIN_ENTRY_SHA256)
+    for eid, want in EINSTEIN_ENTRY_SHA256.items():
+        _, out = run(capsys, "einstein", "--entry", eid, "--report", "json")
+        assert hashlib.sha256(out.encode()).hexdigest() == want, eid
+
+
+def test_verify_all_parses_each_generator_text_once(monkeypatch, capsys):
+    from walkerkit import liealg
+
+    texts = {g for e in catalog.builtin() for g in e.generators}
+    liealg.parse_generator.cache_clear()
+    parsed = []
+    real = liealg.parse
+
+    def counting(text, **kwargs):
+        if "X1" in kwargs.get("extra_params", ()):  # a generator text
+            parsed.append(text)
+        return real(text, **kwargs)
+
+    monkeypatch.setattr(liealg, "parse", counting)
+    code, _ = run(capsys, "verify", "--all", "--seed", "1",
+                  "--report", "json")
+    assert code == 1
+    # the catalog's checks re-read each entry's generators many times
+    assert sorted(parsed) == sorted(texts)

@@ -252,3 +252,65 @@ def test_symmetries_draw_each_jet_once(monkeypatch, capsys):
     capsys.readouterr()
     # seven generators share one draw of 20 jets, not 7 x 20
     assert len(drawn) == 20
+
+
+def _count_partial_calls(monkeypatch) -> list:
+    """Route every walkerkit binding of ``partial`` through a counter;
+    returns the list each call appends its (expr, atom) to."""
+    import sys as _sys
+    from walkerkit.expr import nodes
+    calls = []
+    real = nodes.partial
+
+    def counting(e, atom):
+        calls.append((e, atom))
+        return real(e, atom)
+
+    for name, mod in list(_sys.modules.items()):
+        if mod is not None and (name == "walkerkit"
+                                or name.startswith("walkerkit.")):
+            for key, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+def _direct_action(pro, residual, deps):
+    """The prolonged action with every partial taken afresh."""
+    from walkerkit.expr import partial
+    terms = [mul(pro.xi[0], partial(residual, coord("x"))),
+             mul(pro.xi[1], partial(residual, coord("t")))]
+    for (fname, j), ph in pro.phi.items():
+        terms.append(mul(ph, partial(residual, funcsym(fname, j, deps))))
+    return add(*terms)
+
+
+def test_shared_partials_give_the_same_action_trees():
+    bogus = la.VectorField((coord("x"), ZERO, ZERO, ZERO, ZERO))
+    for sys in (jets.system2(), jets.system_a7()):
+        for gen in la.BASIS + (bogus,):
+            pro = jets.prolong2(gen, sys.deps)
+            for r in sys.residuals:
+                assert jets.prolonged_action(pro, r, sys.deps) == \
+                    _direct_action(pro, r, sys.deps)
+
+
+def test_symmetries_take_each_residual_partial_once(monkeypatch, capsys):
+    from walkerkit import cli
+    jets.system2().pivots  # the on-shell draw's own derivatives
+    jets._jet_partials.cache_clear()
+    calls = _count_partial_calls(monkeypatch)
+    assert cli.main(["symmetries", "--samples", "5"]) == 0
+    capsys.readouterr()
+    # d/dx, d/dt and the 18 jet atoms of each of the six residuals, shared
+    # by the seven generators (each generator took all 120 before)
+    assert len(calls) == len(set(calls)) == 6 * 20
+
+
+def test_second_symmetry_check_takes_no_partial(monkeypatch):
+    sys = jets.system2()
+    jets.symmetry_check(la.BASIS[2], sys, samples=5, seed=11)
+    calls = _count_partial_calls(monkeypatch)
+    rep = jets.symmetry_check(la.BASIS[5], sys, samples=5, seed=11)
+    assert rep.passed
+    assert calls == []

@@ -141,6 +141,14 @@ def test_parse_generator_rejects_nonlinear():
         la.parse_generator("X1 + 3")
 
 
+def test_parse_generator_keeps_vectors_but_not_errors():
+    assert la.parse_generator("X3 + eps*X4") is la.parse_generator(
+        "X3 + eps*X4")
+    for _ in range(2):
+        with pytest.raises(ExprError):
+            la.parse_generator("X1*X2 + X7")
+
+
 def test_render_generator_round_trip():
     for text in ("X1", "X3 + 2*X6 - X7", "alpha*X5 + X4"):
         coeffs = la.parse_generator(text)
