@@ -76,9 +76,11 @@ def _tokenize(text: str):
         if ch in " \t\n\r":
             i += 1
             continue
-        if ch.isdigit():
+        # only 0-9 make a literal or an index: str.isdigit() also holds
+        # for '²', which int() rejects, and for '٣', which it reads as 3
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j < n and text[j] == ".":
                 raise ParseError("decimal literals are not supported, "
@@ -101,7 +103,7 @@ def _tokenize(text: str):
             idx = None
             if j < n and text[j] == "_":
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and "0" <= text[k] <= "9":
                     k += 1
                 if k == j + 1:
                     raise ParseError("underscore must be followed by "

@@ -40,10 +40,6 @@ EINSTEIN_LABELS = tuple(
 class Metric4:
     rows: tuple  # 4x4 nested tuples of Expr
 
-    def is_symmetric(self) -> bool:
-        return all(self.rows[i][j] == self.rows[j][i]
-                   for i in range(N) for j in range(N))
-
 
 @dataclass(frozen=True)
 class CurvatureBundle:
@@ -79,23 +75,6 @@ def inverse_metric(g: Metric4) -> Metric4:
         (z, o, z, z),
     )
     return Metric4(rows)
-
-
-def metric_det_is_one(g: Metric4, seed: int = 0) -> bool:
-    """Leibniz determinant minus one, tested for exact cancellation."""
-    import itertools
-
-    terms = []
-    for perm in itertools.permutations(range(N)):
-        sign = 1
-        p = list(perm)
-        for i in range(N):
-            for j in range(i + 1, N):
-                if p[i] > p[j]:
-                    sign = -sign
-        terms.append(mul(num(sign), *[g.rows[i][p[i]] for i in range(N)]))
-    det = add(*terms)
-    return bool(is_zero(add(det, num(-1)), seed=seed))
 
 
 def ricci(g: Metric4) -> CurvatureBundle:

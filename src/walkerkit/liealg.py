@@ -95,14 +95,10 @@ def bracket(v: VectorField, w: VectorField) -> VectorField:
 
 # --- Gauss-Jordan elimination ----------------------------------------------
 
-def rref(m: list, ncol: int, eps=0) -> list:
-    """Reduce ``m`` in place to reduced row echelon form over its first
-    ``ncol`` columns; returns the pivot columns, pivot k in row k.
-
-    Each pivot is the entry of largest magnitude in its column, and an
-    entry with |v| <= eps counts as zero. Over Fractions (eps = 0) the
-    result is the unique exact RREF; over floats a relative ``eps`` turns
-    the pivot count into a numeric rank.
+def rref(m: list, ncol: int) -> list:
+    """Reduce ``m`` of Fractions in place to its unique reduced row echelon
+    form over its first ``ncol`` columns; returns the pivot columns, pivot
+    k in row k. Each pivot is the entry of largest magnitude in its column.
     """
     nrow = len(m)
     pivots = []
@@ -111,7 +107,7 @@ def rref(m: list, ncol: int, eps=0) -> list:
         if r == nrow:
             break
         piv = max(range(r, nrow), key=lambda i: abs(m[i][col]))
-        if abs(m[piv][col]) <= eps:
+        if m[piv][col] == 0:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = 1 / m[r][col]

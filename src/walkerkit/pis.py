@@ -1,26 +1,23 @@
 """Partially invariant machinery: invariant sets, ansatz substitution,
 reduced-system verification, characteristics, defect, reducibility.
 
-Ranks are numeric at random points (20 samples, float elimination with a
-relative pivot cutoff of 1e-8); everything else goes through the exact
-kernel and its three-valued zero test.
+Everything goes through the exact kernel and its three-valued zero
+test. A rank is the size of the largest minor that tests nonzero; every
+larger minor has then tested zero.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .expr import (
-    Expr, ExprError, EvalGuard, NONZERO, add, compile_expr, coord, diff,
-    div, free_atoms, is_zero, mul, neg, render, sample_point,
-    substitute, substitute_all,
+    Expr, ExprError, NONZERO, add, coord, diff, div, is_zero, mul, neg,
+    render, substitute, substitute_all,
 )
-from .liealg import coeffs_to_field, rref
+from .liealg import coeffs_to_field
 from .jets import PDESystem
 
-RANK_SAMPLES = 20
-RANK_CUTOFF = 1e-8
 Q = 3  # number of dependent coordinates
 
 _TOTAL_ATOMS = ("x", "t", "a", "b", "c")
@@ -31,20 +28,6 @@ class InvariantSet:
     """Functions on the (x, t, a, b, c) total space."""
 
     members: tuple
-
-    @property
-    def xi_type(self) -> tuple:
-        return tuple(m for m in self.members if self._independent_only(m))
-
-    @property
-    def mixed(self) -> tuple:
-        return tuple(m for m in self.members
-                     if not self._independent_only(m))
-
-    @staticmethod
-    def _independent_only(m: Expr) -> bool:
-        from .expr import Coord
-        return all(isinstance(a, Coord) for a in free_atoms(m))
 
 
 @dataclass(frozen=True)
@@ -81,38 +64,27 @@ class InvariantReport:
             v != NONZERO for _, _, v in self.annihilation)
 
 
-def _numeric_rank(rows, samples: int, cutoff: float, seed: int,
-                  allow_variation: bool = False) -> int:
-    """Rank of a matrix of Exprs at random points; must be stable.
+def _det(m: list) -> Expr:
+    """Determinant by expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return add(*(mul(-1 if j % 2 else 1, m[0][j],
+                     _det([r[:j] + r[j + 1:] for r in m[1:]]))
+                 for j in range(len(m))))
 
-    At each point the rank is the pivot count of float Gauss-Jordan
-    elimination, with entries up to cutoff * (largest |entry|) as zero.
-    """
-    atoms = set()
-    for row in rows:
-        for e in row:
-            atoms |= free_atoms(e)
+
+def exact_rank(rows, seed: int = 0) -> int:
+    """Rank of a matrix of Exprs: the size of the largest minor whose
+    zero test is ``nonzero``, so every larger minor has tested zero."""
+    nrow = len(rows)
     ncol = len(rows[0]) if rows else 0
-    compiled = [[compile_expr(e) for e in row] for row in rows]
-    rng = random.Random(seed)
-    ranks = []
-    tries = 0
-    while len(ranks) < samples and tries < samples * 30:
-        tries += 1
-        point = sample_point(atoms, rng)
-        try:
-            m = [[f(point)[0] for f in row] for row in compiled]
-        except EvalGuard:
-            continue
-        top = max((abs(v) for row in m for v in row), default=0.0)
-        ranks.append(len(rref(m, ncol, cutoff * top)))
-    if len(ranks) < samples:
-        raise ExprError("rank sampling exhausted the retry budget")
-    if allow_variation:
-        return max(ranks)
-    if len(set(ranks)) != 1:
-        raise ExprError(f"rank unstable across samples: {sorted(set(ranks))}")
-    return ranks[0]
+    for k in range(min(nrow, ncol), 0, -1):
+        for ri in combinations(range(nrow), k):
+            for ci in combinations(range(ncol), k):
+                minor = _det([[rows[i][j] for j in ci] for i in ri])
+                if is_zero(minor, seed=seed).verdict == NONZERO:
+                    return k
+    return 0
 
 
 def invariant_check(gens: list, inv: InvariantSet,
@@ -126,7 +98,7 @@ def invariant_check(gens: list, inv: InvariantSet,
             res = is_zero(fld.apply(m), seed=seed)
             annihilation.append((gi, mi, res.verdict))
     jac = [[_formal(m, n) for n in _TOTAL_ATOMS] for m in inv.members]
-    rank = _numeric_rank(jac, RANK_SAMPLES, RANK_CUTOFF, seed)
+    rank = exact_rank(jac, seed)
     independent = rank == len(inv.members)
     return InvariantReport(annihilation, rank, independent)
 
@@ -138,11 +110,10 @@ def _formal(m: Expr, name: str) -> Expr:
     return partial(m, funcsym(name, (), PLANE_DEPS))
 
 
-def invariant_rank(inv: InvariantSet, samples: int = RANK_SAMPLES,
-                   cutoff: float = RANK_CUTOFF, seed: int = 0) -> tuple:
+def invariant_rank(inv: InvariantSet, seed: int = 0) -> tuple:
     """(rank of d(members)/d(a,b,c), defect q - rank)."""
     jac = [[_formal(m, n) for n in ("a", "b", "c")] for m in inv.members]
-    rank = _numeric_rank(jac, samples, cutoff, seed)
+    rank = exact_rank(jac, seed)
     return rank, Q - rank
 
 
@@ -208,16 +179,9 @@ def characteristic_matrix(gens: list, triple: SolutionTriple) -> list:
     return rows
 
 
-def defect(gens: list, triple: SolutionTriple,
-           samples: int = RANK_SAMPLES, cutoff: float = RANK_CUTOFF,
-           seed: int = 0) -> int:
-    """Numeric rank of the characteristic matrix on the solution."""
-    rows = characteristic_matrix(gens, triple)
-    d = _numeric_rank(rows, samples, cutoff, seed)
-    r = len(gens)
-    if not 0 <= d <= min(r, Q):
-        raise ExprError(f"defect {d} violates the bound 0..min({r},{Q})")
-    return d
+def defect(gens: list, triple: SolutionTriple, seed: int = 0) -> int:
+    """Rank of the characteristic matrix on the solution, by minors."""
+    return exact_rank(characteristic_matrix(gens, triple), seed)
 
 
 @dataclass

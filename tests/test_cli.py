@@ -245,6 +245,9 @@ def test_usage_errors_exit_two(capsys):
          "argument --b: integer literal larger"),
         (["einstein", "--a", "x^(3^2000)", "--b", "0", "--c", "0"],
          "argument --a: exponent above"),
+        # a superscript two is a digit to str.isdigit() but not to int()
+        (["einstein", "--a", "\u00b2", "--b", "0", "--c", "0"],
+         "argument --a: unexpected character"),
         # a constant beyond float range cannot be evaluated
         (["einstein", "--a", "2^4000*x^3", "--b", "0", "--c", "0"],
          "beyond float range"),

@@ -18,7 +18,6 @@ from walkerkit.expr import (
     substitute,
 )
 from walkerkit import liealg as la
-from walkerkit.pis import RANK_CUTOFF
 
 
 # hand oracle: {(j, k): {i: coefficient}} for j < k, 1-based, omitted = zero
@@ -359,26 +358,14 @@ def test_structure_constants_eliminate_once(monkeypatch):
     calls = []
     real = la.rref
 
-    def counting(m, ncol, eps=0):
+    def counting(m, ncol):
         calls.append(ncol)
-        return real(m, ncol, eps)
+        return real(m, ncol)
 
     monkeypatch.setattr(la, "rref", counting)
     table = la.structure_constants()
     assert calls == [la.DIM]
     assert table.nonzero == la.sc().nonzero
-
-
-def test_rref_float_rank_ignores_noise_below_cutoff():
-    rng = random.Random(3)
-    u = [1.0, 2.0, -1.0, 0.5, 3.0]
-    w = [0.0, 1.0, 4.0, -2.0, 1.0]
-    rows = [u, w, [p + 2 * q for p, q in zip(u, w)]]
-    noisy = [[v + rng.uniform(-1e-12, 1e-12) for v in r] for r in rows]
-    top = max(abs(v) for r in noisy for v in r)
-    assert len(la.rref([r[:] for r in noisy], 5, RANK_CUTOFF * top)) == 2
-    # without the cutoff the noise is counted as a third pivot
-    assert len(la.rref([r[:] for r in noisy], 5)) == 3
 
 
 def test_normalizer_central_element():

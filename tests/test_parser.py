@@ -111,6 +111,14 @@ def test_decimal_rejected():
         parse("0.5*x")
 
 
+@pytest.mark.parametrize("text", ["\u00b2", "x^\u00b2", "a_\u00b2",
+                                  "\u0663"])
+def test_non_ascii_digits_rejected(text):
+    # superscript two and Arabic-Indic three pass str.isdigit()
+    with pytest.raises(ParseError):
+        parse(text)
+
+
 def test_nonconstant_exponent_rejected():
     with pytest.raises(ParseError):
         parse("x^t")

@@ -5,21 +5,24 @@ derived by hand with pencil and paper before the implementation existed;
 the reduction test requires exact symbolic agreement with them.
 """
 
-import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_linalg as reference
 from walkerkit import catalog
 from walkerkit.expr import (
-    NONZERO, ZERO_SYMBOLIC, EvalGuard, eval_expr, free_atoms, is_zero,
-    is_zero_symbolic, parse, render, sample_point, sub, substitute,
+    NONZERO, ZERO_SYMBOLIC, add, exp_, is_zero, is_zero_symbolic, mul,
+    num, parse, render, sub, substitute,
 )
 from walkerkit.jets import system2
-from walkerkit.liealg import rref
 from walkerkit.pis import (
-    RANK_CUTOFF, InvariantSet, PISAnsatz, SolutionTriple, _formal,
-    ansatz_substitute, characteristic_matrix, defect, invariant_check,
-    invariant_rank, reducibility_scan, verify_reduced_solutions,
+    InvariantSet, PISAnsatz, SolutionTriple, _det, _formal,
+    ansatz_substitute, characteristic_matrix, defect, exact_rank,
+    invariant_check, invariant_rank, reducibility_scan,
+    verify_reduced_solutions,
 )
 
 E1 = (1, 0, 0, 0, 0, 0, 0)
@@ -85,13 +88,6 @@ FULL_TRIPLES = [
 
 def parse_bindings(d):
     return {k: parse(v) for k, v in d.items()}
-
-
-def test_xi_type_split():
-    inv = RATIO_INVARIANTS
-    assert len(inv.xi_type) == 1
-    assert render(inv.xi_type[0]) == "t"
-    assert len(inv.mixed) == 2
 
 
 def test_invariants_annihilated_and_independent():
@@ -212,21 +208,56 @@ def _catalog_rank_matrices():
             yield characteristic_matrix(gens, triple)
 
 
-def test_elimination_rank_matches_svd_rank_on_catalog():
-    np = pytest.importorskip("numpy")
-    rng = random.Random(0)
-    checked = 0
+def test_every_minor_above_the_catalog_ranks_cancels_exactly():
+    # rank r needs one r x r minor that tests nonzero and every larger
+    # minor zero; here each larger minor cancels by exact expansion, so
+    # the defect and the invariant ranks are certificates, not probes
+    matrices = above = 0
     for rows in _catalog_rank_matrices():
-        atoms = set().union(*(free_atoms(e) for row in rows for e in row))
-        for _ in range(10):
-            point = sample_point(atoms, rng)
-            try:
-                m = [[eval_expr(e, point) for e in row] for row in rows]
-            except EvalGuard:
-                continue
-            sv = np.linalg.svd(np.array(m), compute_uv=False)
-            svd_rank = int(np.sum(sv > RANK_CUTOFF * sv[0]))
-            top = max(abs(v) for row in m for v in row)
-            assert len(rref(m, len(m[0]), RANK_CUTOFF * top)) == svd_rank
-            checked += 1
-    assert checked >= 250
+        r = exact_rank(rows)
+        nrow, ncol = len(rows), len(rows[0])
+        for k in range(r + 1, min(nrow, ncol) + 1):
+            for ri in combinations(range(nrow), k):
+                for ci in combinations(range(ncol), k):
+                    minor = _det([[rows[i][j] for j in ci] for i in ri])
+                    assert is_zero_symbolic(minor), (r, ri, ci)
+                    above += 1
+        matrices += 1
+    # 9 Jacobians each of 3x5 (rank 3) and 3x3 (rank 2), 9 two-row
+    # characteristic matrices (rank 1) and 3 one-row ones (rank 0)
+    assert (matrices, above) == (30, 45)
+
+
+def test_exact_rank_of_a_symbolic_dependent_row():
+    u = [parse(s) for s in ("x", "t^2", "a", "1", "exp(t)")]
+    w = [parse(s) for s in ("1", "x*t", "b", "c", "0")]
+    dep = [add(mul(exp_(parse("x")), p), mul(parse("t"), q))
+           for p, q in zip(u, w)]
+    assert exact_rank([u, w, dep]) == 2
+    assert all(is_zero_symbolic(_det([[r[j] for j in ci]
+                                      for r in (u, w, dep)]))
+               for ci in combinations(range(5), 3))
+    # one perturbed entry makes the third row independent
+    bumped = dep[:4] + [add(dep[4], num(1))]
+    assert exact_rank([u, w, bumped]) == 3
+
+
+@st.composite
+def int_matrices(draw):
+    nrow = draw(st.integers(1, 3))
+    ncol = draw(st.integers(1, 5))
+    # rows drawn from a smaller span are often dependent
+    span = draw(st.integers(1, nrow))
+    basis = [[draw(st.integers(-3, 3)) for _ in range(ncol)]
+             for _ in range(span)]
+    return [[sum(draw(st.integers(-2, 2)) * b[j] for b in basis)
+             for j in range(ncol)] for _ in range(nrow)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_exact_rank_matches_fraction_elimination(m):
+    rows = [[num(v) for v in row] for row in m]
+    want = len(reference.rref([list(map(Fraction, r)) for r in m],
+                              len(m[0])))
+    assert exact_rank(rows) == want
