@@ -429,41 +429,61 @@ def _line_of(text: str, needle: str) -> str:
     return f"line {text.count(chr(10), 0, i) + 1}, offset {i}"
 
 
-def _reject_unknown(keys, allowed, where, text):
-    extra = sorted(set(keys) - allowed)
+def _typed(value, kind, where: str):
+    """``value``, which the schema requires to be a ``kind``."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where} must be {kind.__name__}, "
+                          f"got {type(value).__name__}")
+    return value
+
+
+def _strings(value, where: str) -> tuple:
+    return tuple(_typed(v, str, f"{where}[{i}]")
+                 for i, v in enumerate(_typed(value, list, where)))
+
+
+def _string_map(value, where: str) -> tuple:
+    return tuple(sorted((k, _typed(v, str, f"{where}.{k}"))
+                        for k, v in _typed(value, dict, where).items()))
+
+
+def _required(d: dict, keys, allowed, where: str, text: str) -> None:
+    """``d`` is an object with every field in ``keys`` and none outside
+    ``allowed``."""
+    extra = sorted(set(_typed(d, dict, where)) - allowed)
     if extra:
         raise SchemaError(
             f"unknown field {extra[0]!r} in {where} "
             f"({_line_of(text, json.dumps(extra[0]))})")
-
-
-def _from_dict(d: dict, text: str, where: str) -> CatalogEntry:
-    _reject_unknown(d.keys(), _ENTRY_KEYS, where, text)
-    for key in ("id", "subalgebra", "provenance"):
+    for key in keys:
         if key not in d:
             raise SchemaError(f"missing field {key!r} in {where}")
-    sub = d["subalgebra"]
-    _reject_unknown(sub.keys(), _SUBALGEBRA_KEYS, f"{where}.subalgebra",
-                    text)
-    if "generators" not in sub:
-        raise SchemaError(f"missing field 'generators' in "
-                          f"{where}.subalgebra")
+
+
+def _from_dict(d, text: str, where: str) -> CatalogEntry:
+    _required(d, ("id", "subalgebra", "provenance"), _ENTRY_KEYS, where,
+              text)
+    sub, subwhere = d["subalgebra"], f"{where}.subalgebra"
+    _required(sub, ("generators",), _SUBALGEBRA_KEYS, subwhere, text)
     solutions = []
-    for j, s in enumerate(d.get("solutions", [])):
+    for j, s in enumerate(_typed(d.get("solutions", []), list,
+                                 f"{where}.solutions")):
         swhere = f"{where}.solutions[{j}]"
-        _reject_unknown(s.keys(), _SOLUTION_KEYS, swhere, text)
-        for key in ("a", "b", "c"):
-            if key not in s:
-                raise SchemaError(f"missing field {key!r} in {swhere}")
-        solutions.append(Solution(s["a"], s["b"], s["c"],
-                                  tuple(s.get("params", []))))
-    texts = {key: tuple(d.get(key, [])) for key in _TEXT_LISTS}
-    texts |= {key: tuple(sorted(d.get(key, {}).items()))
+        _required(s, ("a", "b", "c"), _SOLUTION_KEYS, swhere, text)
+        solutions.append(Solution(
+            *(_typed(s[key], str, f"{swhere}.{key}") for key in "abc"),
+            _strings(s.get("params", []), f"{swhere}.params")))
+    texts = {key: _strings(d.get(key, []), f"{where}.{key}")
+             for key in _TEXT_LISTS}
+    texts |= {key: _string_map(d.get(key, {}), f"{where}.{key}")
               for key in _TEXT_MAPS}
     entry = CatalogEntry(
-        id=d["id"], generators=tuple(sub["generators"]),
-        params=tuple(sub.get("params", [])),
-        solutions=tuple(solutions), provenance=d["provenance"], **texts)
+        id=_typed(d["id"], str, f"{where}.id"),
+        generators=_strings(sub["generators"], f"{subwhere}.generators"),
+        params=_strings(sub.get("params", []), f"{subwhere}.params"),
+        solutions=tuple(solutions),
+        provenance=_typed(d["provenance"], str, f"{where}.provenance"),
+        **texts)
     for t in entry.generators:
         parse_generator(t)
     for t in entry.all_expr_texts()[len(entry.generators):]:
@@ -472,12 +492,20 @@ def _from_dict(d: dict, text: str, where: str) -> CatalogEntry:
 
 
 def load(path) -> tuple:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    doc = json.loads(text)
-    _reject_unknown(doc.keys(), {"schema", "entries"}, "document", text)
+    """The entries of a saved catalog. A document that is not UTF-8
+    JSON, or breaks the schema, raises SchemaError; an expression that
+    does not parse raises ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers
+        raise SchemaError(f"not a UTF-8 JSON document: {exc}") from None
+    _required(doc, (), {"schema", "entries"}, "document", text)
     if doc.get("schema") != SCHEMA:
         raise SchemaError(f"unsupported schema {doc.get('schema')!r}, "
                           f"expected {SCHEMA!r}")
     return tuple(_from_dict(d, text, f"entries[{i}]")
-                 for i, d in enumerate(doc.get("entries", [])))
+                 for i, d in enumerate(_typed(doc.get("entries", []), list,
+                                              "entries")))

@@ -37,8 +37,6 @@ from .pis import (
 )
 
 REPORT_SCHEMA = "walker-report/1"
-GENERIC_FLOOR = 1e-4
-_TOL_DEFAULTS = {"symmetries": 1e-8}
 
 
 @dataclass
@@ -198,23 +196,25 @@ def cmd_subalgebra(args, rep: Report, parser) -> None:
                 "symbolic" if closure.symbolic else "")
 
 
-def _symmetry_checks(ctx, rep: Report, tol: float) -> dict:
+def _symmetry_checks(ctx, rep: Report) -> dict:
     """One check per basis generator; returns the per-equation residuals."""
     sys2 = system2()
     residuals = {}
     for i in range(DIM):
         label = f"X{i + 1}"
         srep = symmetry_check(BASIS[i], sys2, samples=ctx.samples,
-                              tol=tol, seed=ctx.seed, label=label)
+                              tol=ctx.tol, seed=ctx.seed, label=label)
         residuals[label] = [f"{c.max_residual:.3e}" for c in srep.cells]
+        zero = sum(c.passed for c in srep.cells)
+        exact = sum(c.exact for c in srep.cells)
         rep.add(f"symmetries.{label}", srep.passed,
-                f"max residual {srep.max_residual:.3e}")
+                f"{zero} of {len(srep.cells)} equations zero ({exact} exact)"
+                f" on the solved jet, max residual {srep.max_residual:.3e}")
     return residuals
 
 
 def cmd_symmetries(args, rep: Report, parser) -> None:
-    rep.details["per_equation_residuals"] = _symmetry_checks(
-        args, rep, args.tol)
+    rep.details["per_equation_residuals"] = _symmetry_checks(args, rep)
 
 
 def _entry_or_die(parser, entry_id, solutions=True):
@@ -422,7 +422,7 @@ def _verify_suite(ctx, rep: Report) -> None:
     rep.add("algebra.replays", all(r.ok for r in replays),
             f"{len(replays)} normalization cases")
 
-    _symmetry_checks(ctx, rep, _TOL_DEFAULTS["symmetries"])
+    _symmetry_checks(ctx, rep)
     _equivalence_checks(ctx, rep)
 
 
@@ -454,14 +454,17 @@ def _equivalence_checks(ctx, rep: Report):
     """The three Einstein/PDE correspondence checks; returns the probe."""
     probe = equivalence_probe(samples=ctx.samples, tol=ctx.tol,
                               seed=ctx.seed)
-    rep.add("equivalence.on_shell", probe.on_shell_max < ctx.tol,
-            f"max scaled component {probe.on_shell_max:.3e}")
-    rep.add("equivalence.generic", probe.generic_min > GENERIC_FLOOR,
-            f"min generic violation {probe.generic_min:.3e}")
-    corr_ok = (all(probe.correspondence.values())
-               and all(v > GENERIC_FLOOR
-                       for v in probe.single_violation_max.values()))
-    rep.add("equivalence.correspondence", corr_ok,
+    exact = sum(r.verdict == ZERO_SYMBOLIC for r in probe.rows)
+    bad = [f"{label}: {r.describe()}"
+           for label, r in zip(EINSTEIN_LABELS, probe.rows) if not r]
+    rep.add("equivalence.on_shell", probe.on_shell,
+            "; ".join(bad) or f"{len(probe.rows)} components of E - M*r"
+                               f" zero ({exact} exact)")
+    rep.add("equivalence.generic", probe.generic,
+            f"det of M on rows {', '.join(probe.block)} is "
+            f"{render(probe.determinant)}, so E = 0 forces r = 0")
+    rep.add("equivalence.correspondence",
+            all(probe.correspondence.values()),
             "; ".join(f"{k} moves {len(v)} components"
                       for k, v in probe.correspondence.items()))
     return probe
@@ -508,7 +511,7 @@ def _positive(convert):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--tol", type=_positive(float), default=None)
+    common.add_argument("--tol", type=_positive(float), default=1e-9)
     common.add_argument("--samples", type=_positive(int), default=100)
     common.add_argument("--report", choices=("json", "text"),
                         default="text")
@@ -575,8 +578,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None:
-        args.tol = _TOL_DEFAULTS.get(args.command, 1e-9)
     if not hasattr(args, "mode"):
         args.mode = "auto"
 

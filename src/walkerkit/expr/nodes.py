@@ -545,12 +545,14 @@ def _derive(e: Expr, leaf) -> Expr:
 def _norm_bindings(bindings: dict):
     fmap: dict = {}
     pmap: dict = {}
+    jmap: dict = {}
     for k, v in bindings.items():
         v = to_expr(v)
         if isinstance(k, Func):
             if k.idx:
-                raise ExprError("bind the base function symbol, not a derivative")
-            fmap[k.name] = v
+                jmap[k] = v
+            else:
+                fmap[k.name] = v
         elif isinstance(k, Param):
             pmap[k.name] = v
         elif isinstance(k, str):
@@ -562,7 +564,7 @@ def _norm_bindings(bindings: dict):
                 pmap[k] = v
         else:
             raise ExprError(f"bad binding key {k!r}")
-    return fmap, pmap
+    return fmap, pmap, jmap
 
 
 def substitute(e: Expr, bindings: dict) -> Expr:
@@ -571,7 +573,8 @@ def substitute(e: Expr, bindings: dict) -> Expr:
     A derivative symbol of a bound function rewrites to the corresponding
     derivative of the bound expression, so a binding like b -> a*f carries
     b_2 to a_2*f + a*f_2 automatically. Differentiating a binding along a
-    coordinate it does not involve yields zero rather than an error.
+    coordinate it does not involve yields zero rather than an error. A
+    jet-atom key such as a_11 replaces that one atom only, as a leaf.
     """
     return substitute_all((e,), bindings)[0]
 
@@ -583,7 +586,7 @@ def substitute_all(exprs, bindings: dict) -> tuple:
     derivative of a binding (a_1, a_11, ...) is differentiated once for
     the whole batch.
     """
-    fmap, pmap = _norm_bindings(bindings)
+    fmap, pmap, jmap = _norm_bindings(bindings)
     memo: dict = {}
 
     def bound(name: str, idx: tuple) -> Expr:
@@ -602,7 +605,7 @@ def substitute_all(exprs, bindings: dict) -> tuple:
         if isinstance(e, Param):
             return pmap.get(e.name, e)
         if isinstance(e, Func):
-            return bound(e.name, e.idx) if e.name in fmap else e
+            return bound(e.name, e.idx) if e.name in fmap else jmap.get(e, e)
         if isinstance(e, Sum):
             return add(*[walk(t) for t in e.terms])
         if isinstance(e, Prod):

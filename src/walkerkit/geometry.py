@@ -1,6 +1,6 @@
 """Metric layer: the two-block null-plane metric, its curvature, and the
-probe tying the trace-adjusted Ricci components to the second-order
-residual system.
+exact identity tying the trace-adjusted Ricci components to the
+second-order residual system.
 
 Coordinate order is (x, t, y, z), indices 1..4. The metric matrix is
 
@@ -16,17 +16,16 @@ function symbols.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .expr import (
-    ALL_DEPS, Expr, INDEX_COORD, ZERO, ONE, add, compile_expr, diff,
-    funcsym, is_zero, mul, neg, num, render, substitute_all,
+    ALL_DEPS, Expr, INDEX_COORD, Num, ZERO, ONE, add, diff, funcsym,
+    is_zero, mul, neg, num, parse, render, sub, substitute_all,
 )
 from .expr.expand import expand_poly
+from .pis import det
 from . import jets
 
 N = 4
@@ -181,84 +180,55 @@ def einstein_verdicts(a, b, c, samples: int = 64, tol: float = 1e-9,
     return [is_zero(e, samples=samples, tol=tol, seed=seed) for e in comps]
 
 
-# --- correspondence probe ---------------------------------------------------
+# --- correspondence ---------------------------------------------------------
 
 @dataclass
 class EquivalenceReport:
-    samples: int
-    tol: float
-    on_shell_max: float
-    generic_min: float
-    correspondence: dict
-    single_violation_max: dict
-    passed: bool
-    failure: dict | None = None
+    rows: tuple           # zero verdict of E - M r per EINSTEIN_LABELS row
+    block: tuple          # labels of the rows of M that decide ``generic``
+    determinant: Expr     # det of M on those rows
+    correspondence: dict  # residual_k -> labels of the rows it enters
 
+    @property
+    def on_shell(self) -> bool:
+        return all(self.rows)
 
-def _eval_components(comps, values) -> list:
-    """Scaled values of compiled components at one jet."""
-    out = []
-    for f in comps:
-        value, scale = f(values)
-        out.append(value / scale)
-    return out
+    @property
+    def generic(self) -> bool:
+        return isinstance(self.determinant, Num) and self.determinant != ZERO
 
-
-def _largest(vals, non_finite: float) -> float:
-    """max |v|, or ``non_finite`` when a value is NaN or infinite: ``max``
-    keeps a leading NaN, and NaN compares False with every bound."""
-    if all(map(math.isfinite, vals)):
-        return max(map(abs, vals))
-    return non_finite
+    @property
+    def passed(self) -> bool:
+        return (self.on_shell and self.generic
+                and all(self.correspondence.values()))
 
 
 def equivalence_probe(samples: int = 100, tol: float = 1e-9,
                       seed: int = 42) -> EquivalenceReport:
-    """Check both directions of the Einstein/PDE correspondence on the
-    abstract metric: residual-satisfying 2-jets annihilate every E
-    component, generic jets do not, and single-residual violations map
-    to the components that respond. A non-finite component fails an
-    on-shell jet and is no evidence at a generic or violating one."""
+    """Both directions of the Einstein/PDE correspondence on the
+    abstract metric, from the identity E = M r with M in
+    ``jets.EINSTEIN_M``: E vanishes wherever the residuals r do when
+    every row of E - M r is zero, and r vanishes wherever E does when
+    M's block on the rows xy, xz, ty, yy, yz, zz (triangular with a
+    constant diagonal) has a nonzero constant determinant."""
     _, einstein = abstract_curvature()
-    comps = [compile_expr(e) for e in einstein]
-    sys = jets.system_a7()
-    rng = random.Random(seed)
-
-    on_shell_max = 0.0
-    failure = None
-    for _ in range(samples):
-        p = jets.on_shell_sample(0, sys, rng)
-        vals = _eval_components(comps, p.values)
-        worst = _largest(vals, math.inf)
-        if worst > on_shell_max:
-            on_shell_max = worst
-        if worst > tol and failure is None:
-            failure = {"jet": p.values, "components": vals}
-
-    generic_min = float("inf")
-    for _ in range(samples):
-        values = {n: rng.uniform(0.5, 2.0) for n in sys.jet_coords}
-        worst = _largest(_eval_components(comps, values), 0.0)
-        generic_min = min(generic_min, worst)
-
-    correspondence = {}
-    single_violation_max = {}
-    base = jets.on_shell_sample(7, sys)
-    base_vals = _eval_components(comps, base.values)
-    for k in range(len(sys.residuals)):
-        bumped = jets.on_shell_sample(7, sys, targets={k: 0.5})
-        vals = _eval_components(comps, bumped.values)
-        moved = [EINSTEIN_LABELS[m] for m in range(len(comps))
-                 if _largest([vals[m] - base_vals[m]], 0.0) > 1e-6]
-        correspondence[f"residual_{k + 1}"] = moved
-        single_violation_max[f"residual_{k + 1}"] = _largest(vals, 0.0)
-
-    passed = (failure is None and generic_min > 1e-4
-              and all(v > 1e-4 for v in single_violation_max.values())
-              and all(len(v) > 0 for v in correspondence.values()))
-    return EquivalenceReport(samples, tol, on_shell_max, generic_min,
-                             correspondence, single_violation_max, passed,
-                             failure)
+    residuals = jets.system_a7().residuals
+    funcs = {f: ALL_DEPS for f in ("a", "b", "c")}
+    m = {label: [parse(row.get(k, "0"), functions=funcs)
+                 for k in range(1, len(residuals) + 1)]
+         for label, row in jets.EINSTEIN_M.items()}
+    zero_row = [ZERO] * len(residuals)
+    rows = tuple(
+        is_zero(sub(e, add(*map(mul, m.get(label, zero_row), residuals))),
+                samples=samples, tol=tol, seed=seed)
+        for label, e in zip(EINSTEIN_LABELS, einstein))
+    block = ("xy", "xz", "ty", "yy", "yz", "zz")
+    determinant = det([m[label] for label in block])
+    correspondence = {
+        f"residual_{k + 1}": [label for label in EINSTEIN_LABELS
+                              if m.get(label, zero_row)[k] != ZERO]
+        for k in range(len(residuals))}
+    return EquivalenceReport(rows, block, determinant, correspondence)
 
 
 # --- emission ---------------------------------------------------------------

@@ -5,32 +5,29 @@ x-derivative atom, a_12 the mixed one, so total derivatives are plain
 diff() calls. Prolongation follows the total-derivative recursion
 phi^{J,i} = D_i phi^J - sum_k (D_i xi^k) u^{J,k}.
 
-Symmetry verification is numeric on designated-solve points: the six
-residuals are solved for one leading derivative each, every other jet
-coordinate is sampled, and the prolonged action is required to vanish
-relative to the size of its own terms.
+Symmetry verification is exact on the solved jet: each residual is
+solved for one leading derivative, the solutions are substituted into
+the prolonged action, and the result must cancel (the infinitesimal
+invariance criterion, Olver, Applications of Lie Groups to Differential
+Equations, 1986, Thm 2.31).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
 
 from .expr import (
-    ALL_DEPS, EvalGuard, Expr, ExprError, PLANE_DEPS, atom_name,
-    compile_expr, coord, diff, add, eval_expr, funcsym, mul,
-    neg, parse, partial, INDEX_COORD,
+    ALL_DEPS, Expr, ExprError, PLANE_DEPS, ZERO, ZERO_SYMBOLIC,
+    atom_name, coord, diff, add, div, eval_expr, free_atoms, funcsym,
+    is_zero, is_zero_symbolic, mul, neg, parse, partial, substitute,
+    substitute_all, INDEX_COORD,
 )
 from .liealg import VectorField
 
 FIBER = ("a", "b", "c")
-
-PIVOT_GUARD = 1e-3
-RESIDUAL_TOL = 1e-12
-MAX_TRIES = 100
 
 
 @dataclass(frozen=True)
@@ -43,17 +40,29 @@ class PDESystem:
     designated: tuple  # ((atom name, residual index), ...) in solve order
 
     @cached_property
-    def compiled_residuals(self) -> tuple:
-        """compile_expr of each residual, built at first use."""
-        return tuple(compile_expr(r) for r in self.residuals)
+    def on_shell(self) -> MappingProxyType:
+        """Designated jet atom -> its value on the solution set, in the
+        free coordinates, built at first use.
 
-    @cached_property
-    def pivots(self) -> tuple:
-        """(atom name, residual index, compiled d residual / d atom) in
-        solve order; each residual is linear in its designated atom."""
-        return tuple((name, k, compile_expr(partial(
-                          self.residuals[k], _parse_atom(name, self.deps))))
-                     for name, k in self.designated)
+        Each residual is solved in ``designated`` order for its atom (it
+        is linear in it), and the solution is substituted back into the
+        earlier ones. Every residual must then cancel exactly."""
+        solved: dict = {}
+        for name, k in self.designated:
+            atom = _parse_atom(name, self.deps)
+            r = substitute(self.residuals[k], solved)
+            coeff = partial(r, atom)
+            if coeff == ZERO or atom in free_atoms(coeff):
+                raise ExprError(f"residual {k + 1} is not linear in {name}")
+            value = neg(div(substitute(r, {atom: ZERO}), coeff))
+            solved = dict(zip(solved, substitute_all(solved.values(),
+                                                     {atom: value})))
+            solved[atom] = value
+        for k, r in enumerate(substitute_all(self.residuals, solved)):
+            if not is_zero_symbolic(r):
+                raise ExprError(f"residual {k + 1} does not vanish on the "
+                                "solved jet")
+        return MappingProxyType(solved)
 
     @cached_property
     def jet_coords(self) -> tuple:
@@ -84,6 +93,20 @@ _SYS2_TEXT = (
     "a_2*b_1 - c_1*c_2 + c*a_11 - a*c_11 - c*c_12 - b*c_22",
     "a_1*b_1 - b_1*c_2 + b_2*c_1 - c_1^2 + a*b_11 + 2*c*b_12 - b*c_12",
 )
+
+# E = M r: each Einstein component of the metric on (a, b, c), by its
+# geometry.EINSTEIN_LABELS label, as a combination of the residuals
+# r1..r6 of system_a7(), {residual number: coefficient text}. The
+# components not listed (xx, xt, tt) vanish identically.
+EINSTEIN_M = {
+    "xy": {1: "1/4"},
+    "xz": {2: "1/2"},
+    "ty": {3: "1/2"},
+    "tz": {1: "-1/4"},
+    "yy": {1: "a/4", 4: "1/2"},
+    "yz": {1: "c/4", 5: "-1/2"},
+    "zz": {1: "-b/4", 6: "1/2"},
+}
 
 _SYS4_EXTRA = {
     3: " - 2*a_24 + 2*c_23",
@@ -126,50 +149,23 @@ def _parse_atom(name: str, deps: tuple):
 
 
 def on_shell_sample(seed: int, sys: PDESystem | None = None,
-                    rng: random.Random | None = None,
-                    targets: dict | None = None) -> JetPoint:
-    """One random jet satisfying every residual of the system.
-
-    Free coordinates are uniform on [0.5, 2.0]; each designated leading
-    derivative is solved from its residual, which is linear in it. Small
-    pivots trigger a full resample. ``targets`` maps a residual index to
-    a prescribed value instead of zero; the designated solve order is
-    triangular, so later residuals stay exact.
-    """
+                    rng: random.Random | None = None) -> JetPoint:
+    """One random jet satisfying every residual of the system: free
+    coordinates uniform on [0.5, 2.0], the designated ones evaluated
+    from the on-shell map. The pivots of both systems are constants or
+    one of a, b, c, so no evaluation guard is met."""
     sys = sys or system2()
     rng = rng or random.Random(seed)
-    targets = targets or {}
-    for _ in range(MAX_TRIES):
-        values = {n: rng.uniform(0.5, 2.0) for n in sys.free_coords}
-        ok = True
-        for name, k, coeff_f in sys.pivots:
-            values[name] = 0.0
-            try:
-                coeff = coeff_f(values)[0]
-                base = sys.compiled_residuals[k](values)[0]
-            except EvalGuard:
-                ok = False
-                break
-            if abs(coeff) < PIVOT_GUARD:
-                ok = False
-                break
-            values[name] = (targets.get(k, 0.0) - base) / coeff
-        if not ok:
-            continue
-        scaled = [f(values) for f in sys.compiled_residuals]
-        if all(abs(res - targets.get(k, 0.0)) / scale <= RESIDUAL_TOL
-               for k, (res, scale) in enumerate(scaled)):
-            return JetPoint(values)
-    raise ExprError("could not draw an on-shell jet within the retry budget")
+    values = {n: rng.uniform(0.5, 2.0) for n in sys.free_coords}
+    values.update({atom_name(a): eval_expr(v, values)
+                   for a, v in sys.on_shell.items()})
+    return JetPoint(values)
 
 
 def on_shell_points(n: int, seed: int,
                     sys: PDESystem | None = None) -> tuple:
-    """``n`` on-shell jets drawn in turn from ``random.Random(seed)``.
-
-    Each (n, seed, system) set is drawn once and shared, so the checks of
-    several generators at one seed evaluate at the same jets without
-    redrawing them."""
+    """``n`` on-shell jets drawn in turn from ``random.Random(seed)``;
+    each (n, seed, system) set is drawn once and kept."""
     return _drawn(n, seed, sys or system2())
 
 
@@ -247,6 +243,7 @@ class SymmetryCell:
     max_residual: float
     passed: bool
     witness: dict | None = None
+    exact: bool = False
 
 
 @dataclass
@@ -268,28 +265,19 @@ class SymmetryReport:
 def symmetry_check(v: VectorField, sys: PDESystem | None = None,
                    samples: int = 100, tol: float = 1e-8,
                    seed: int = 42, label: str = "") -> SymmetryReport:
-    """Evaluate the prolonged action of v on every residual at seeded
-    on-shell jets; each cell passes when the worst scaled residual stays
-    under tol. A non-finite residual counts as infinite: the cell fails
-    with the first such jet as the witness."""
+    """Decide pr v(R_k) = 0 on the solution set for every residual R_k:
+    the zero test of the prolonged action with the on-shell map
+    substituted. A symmetry cancels exactly; a cell that does not takes
+    its residual and witness point from the probe."""
     sys = sys or system2()
-    points = on_shell_points(samples, seed, sys)
     pro = prolong2(v, sys.deps)
+    actions = substitute_all(
+        [prolonged_action(pro, r, sys.deps) for r in sys.residuals],
+        sys.on_shell)
     cells = []
-    for k, r in enumerate(sys.residuals):
-        action = compile_expr(prolonged_action(pro, r, sys.deps))
-        worst = 0.0
-        witness = None
-        for p in points:
-            value, scale = action(p.values)
-            val = abs(value) / scale
-            if not val <= worst:  # true for NaN, where val > worst is not
-                witness = p.values
-                if math.isnan(val):
-                    worst = math.inf
-                    break
-                worst = val
-        ok = worst < tol
-        cells.append(SymmetryCell(label, k, worst, ok,
-                                  None if ok else witness))
+    for k, action in enumerate(actions):
+        res = is_zero(action, samples=samples, tol=tol, seed=seed)
+        cells.append(SymmetryCell(label, k, res.max_residual, bool(res),
+                                  res.witness,
+                                  res.verdict == ZERO_SYMBOLIC))
     return SymmetryReport(label, cells, samples, tol)

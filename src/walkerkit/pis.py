@@ -64,12 +64,12 @@ class InvariantReport:
             v != NONZERO for _, _, v in self.annihilation)
 
 
-def _det(m: list) -> Expr:
+def det(m: list) -> Expr:
     """Determinant by expansion along the first row."""
     if len(m) == 1:
         return m[0][0]
     return add(*(mul(-1 if j % 2 else 1, m[0][j],
-                     _det([r[:j] + r[j + 1:] for r in m[1:]]))
+                     det([r[:j] + r[j + 1:] for r in m[1:]]))
                  for j in range(len(m))))
 
 
@@ -81,7 +81,7 @@ def exact_rank(rows, seed: int = 0) -> int:
     for k in range(min(nrow, ncol), 0, -1):
         for ri in combinations(range(nrow), k):
             for ci in combinations(range(ncol), k):
-                minor = _det([[rows[i][j] for j in ci] for i in ri])
+                minor = det([[rows[i][j] for j in ci] for i in ri])
                 if is_zero(minor, seed=seed).verdict == NONZERO:
                     return k
     return 0

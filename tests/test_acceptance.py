@@ -12,7 +12,7 @@ import time
 from walkerkit import catalog
 from walkerkit.cli import main
 from walkerkit.expr import (
-    ZERO, ZERO_SYMBOLIC, coord, is_zero, is_zero_symbolic, num, parse,
+    ZERO, ZERO_SYMBOLIC, coord, is_zero, is_zero_symbolic, num, parse, render,
     sub, substitute,
 )
 from walkerkit.geometry import (
@@ -60,15 +60,15 @@ def test_2_symmetry_certification():
         rep = symmetry_check(BASIS[i], sys2, samples=100, tol=1e-8,
                              seed=42, label=f"X{i + 1}")
         worst = max(worst, rep.max_residual)
-        ok = ok and rep.passed
+        ok = ok and rep.passed and all(c.exact for c in rep.cells)
     bogus = VectorField((coord("x"), ZERO, ZERO, ZERO, ZERO))
     neg = symmetry_check(bogus, sys2, samples=100, tol=1e-8, seed=42,
                          label="x*d/dx control")
     ok = ok and not neg.passed and neg.max_residual > 1e-3
     elapsed = time.perf_counter() - start
     _verdict(2, "symmetry certification", ok and elapsed < 10.0,
-             f"7 generators x 6 equations at 100 on-shell jets, "
-             f"max relative residual {worst:.2e} < 1e-8; negative "
+             f"7 generators x 6 equations cancel exactly on the solved "
+             f"jet (max residual {worst:.2e}); negative "
              f"control {neg.max_residual:.2e} > 1e-3; "
              f"{elapsed:.2f}s < 10s")
 
@@ -172,13 +172,14 @@ def test_6_einstein_certification():
         ok = ok and all(is_zero_symbolic(bundle.ricci[i][j])
                         for i in range(4) for j in range(4))
     probe = equivalence_probe(samples=100, tol=1e-9, seed=42)
-    ok = ok and probe.passed
+    exact = sum(r.verdict == ZERO_SYMBOLIC for r in probe.rows)
+    ok = ok and probe.passed and exact == 10
     _verdict(6, "einstein certification", ok,
              f"10 trace-adjusted components zero (worst residual "
              f"{worst:.2e} < 1e-9); flat and constant metrics Ricci-flat "
-             f"exactly; equivalence probe on-shell {probe.on_shell_max:.2e}"
-             f", generic floor {probe.generic_min:.2e}, both directions "
-             f"at 100 jets")
+             f"exactly; E - M*r cancels on {exact}/10 components, "
+             f"det of M's block {render(probe.determinant)}, both "
+             f"directions exact")
 
 
 def test_7_closed_form_row_verdicts():

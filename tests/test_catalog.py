@@ -3,12 +3,13 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from walkerkit.catalog import (
     SCHEMA, CatalogEntry, SchemaError, Solution, builtin, builtin_map,
     load, save,
 )
-from walkerkit.expr import ParseError, is_zero_symbolic, parse, render, sub
+from walkerkit.expr import ExprError, ParseError, is_zero_symbolic, parse, render, sub
 from walkerkit.liealg import parse_generator, render_generator, subalgebra_closed
 
 
@@ -159,3 +160,110 @@ def test_missing_required_field(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="provenance"):
         load(path)
+
+
+def _good_doc() -> dict:
+    entry = {"id": "x", "provenance": "p",
+             "subalgebra": {"generators": ["X1", "X7"], "params": []},
+             "invariants": ["t", "a"], "ansatz": {"b": "f"},
+             "solutions": [{"a": "c1*t", "b": "0", "c": "0",
+                            "params": ["c1 in R"]}]}
+    return {"schema": SCHEMA, "entries": [entry]}
+
+
+def _entry_with(key, value) -> dict:
+    doc = _good_doc()
+    doc["entries"][0][key] = value
+    return doc
+
+
+def _subalgebra_with(key, value) -> dict:
+    doc = _good_doc()
+    doc["entries"][0]["subalgebra"][key] = value
+    return doc
+
+
+MALFORMED = {
+    "truncated": b'{"schema": "walker-catalog/1", "entries": [',
+    "array-document": b"[]",
+    "entries-string": json.dumps({"schema": SCHEMA, "entries": "x"}),
+    "generators-null": json.dumps(_subalgebra_with("generators", None)),
+    "generator-int": json.dumps(_subalgebra_with("generators", [3])),
+    "ansatz-int": json.dumps(_entry_with("ansatz", 0)),
+    "subalgebra-list": json.dumps(_entry_with("subalgebra", [])),
+    "solution-int": json.dumps(_entry_with(
+        "solutions", [{"a": 1, "b": "0", "c": "0"}])),
+    "provenance-null": json.dumps(_entry_with("provenance", None)),
+    "not-utf8": b"\xff\xfe",
+    "long-integer": b"1" * 5000,  # past the int conversion limit
+    "deep-nesting": b"[" * 100000,  # past the recursion limit
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_documents_raise_schema_error(tmp_path, case):
+    raw = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw if isinstance(raw, bytes) else raw.encode())
+    with pytest.raises(SchemaError):
+        load(path)
+
+
+def test_good_document_loads(tmp_path):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(_good_doc()))
+    (entry,) = load(path)
+    assert entry.ansatz == (("b", "f"),)
+
+
+# Bounded fuzz: a malformed catalog may only fail with ExprError (which
+# SchemaError and ParseError both are), never with a raw exception.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _load_or_expr_error(path):
+    try:
+        load(path)
+    except ExprError:
+        pass
+
+
+@FUZZ
+@given(st.data())
+def test_byte_mutations_fail_only_with_expr_errors(tmp_path, data):
+    raw = bytearray(json.dumps(_good_doc(), indent=1).encode())
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(raw) - 1))
+        raw[i] = data.draw(st.integers(0, 255))
+    path = tmp_path / "mutated.json"
+    path.write_bytes(bytes(raw))
+    _load_or_expr_error(path)
+
+
+def _paths(value, prefix=()):
+    """Every (key or index) path into a JSON value."""
+    yield prefix
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+@FUZZ
+@given(st.data())
+def test_replaced_fields_fail_only_with_expr_errors(tmp_path, data):
+    doc = _good_doc()
+    where = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for k in where[:-1]:
+        parent = parent[k]
+    parent[where[-1]] = data.draw(JSON_VALUES)
+    path = tmp_path / "replaced.json"
+    path.write_text(json.dumps(doc))
+    _load_or_expr_error(path)

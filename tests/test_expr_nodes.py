@@ -112,6 +112,17 @@ def test_substitute_carries_derivatives():
     assert out == expect
 
 
+def test_substitute_jet_atom_is_a_leaf():
+    a_11 = funcsym("a", (1, 1), (1, 2))
+    a_1 = funcsym("a", (1,), (1, 2))
+    full = funcsym("a", (1, 1), (1, 2, 3, 4))
+    e = add(mul(b, a_11), a_1, full)
+    # only that atom, on its own dependencies, is replaced
+    assert substitute(e, {a_11: x}) == add(mul(b, x), a_1, full)
+    # a base binding closes under derivatives; the atom binding does not
+    assert substitute(e, {a_11: x, "b": t}) == add(mul(t, x), a_1, full)
+
+
 def test_substitute_param():
     e = add(mul(c1, x), t)
     assert substitute(e, {"c1": num(3)}) == add(mul(3, x), t)

@@ -6,7 +6,7 @@ R^r_{s m n} = d_m G^r_{n s} - d_n G^r_{m s} + G^r_{m l}G^l_{n s}
 which shares only the Christoffel input with the production path.
 """
 
-import math
+import json
 import random
 from fractions import Fraction
 
@@ -168,55 +168,62 @@ def test_einstein_zero_on_full_on_shell_jets():
     rng = random.Random(31)
     for _ in range(10):
         p = jets.on_shell_sample(0, sys, rng)
-        vals = geo._eval_components(comps, p.values)
-        assert max(abs(v) for v in vals) < 1e-9
+        assert max(abs(value) / scale
+                   for value, scale in (f(p.values) for f in comps)) < 1e-9
+
+
+# The components each residual enters, as the single-violation probe
+# measured them before the correspondence was read from M.
+PROBED_CORRESPONDENCE = {
+    "residual_1": ["xy", "tz", "yy", "yz", "zz"],
+    "residual_2": ["xz"], "residual_3": ["ty"], "residual_4": ["yy"],
+    "residual_5": ["yz"], "residual_6": ["zz"],
+}
 
 
 def test_equivalence_probe_report():
     rep = geo.equivalence_probe(samples=30, tol=1e-9, seed=42)
-    assert rep.passed, (rep.on_shell_max, rep.generic_min)
-    assert rep.on_shell_max < 1e-9
-    assert rep.generic_min > 1e-4
-    assert set(rep.correspondence) == {f"residual_{k}" for k in range(1, 7)}
-    for label, moved in rep.correspondence.items():
-        assert moved, label
+    assert rep.passed
+    assert [r.verdict for r in rep.rows] == [ZERO_SYMBOLIC] * 10
+    assert rep.determinant == num(Fraction(-1, 128))
+    assert rep.correspondence == PROBED_CORRESPONDENCE
 
 
-@pytest.mark.parametrize("nan_call, phase", [
-    (0, "on_shell"), (5, "generic"), (11, "single_violation")])
-def test_equivalence_probe_non_finite_component_fails(
-        monkeypatch, nan_call, phase):
-    # with samples=5, E_xx is evaluated at 5 on-shell jets (calls 0-4), 5
-    # generic jets (5-9), the base jet (10) and one jet per violated
-    # residual (11-16); NaN at any one of them must not pass, and max()
-    # keeps a leading NaN that every bound then compares False with
-    real = geo.compile_expr
-    compiled, calls = [], []
+def test_einstein_is_m_times_residuals():
+    # E = M r, row by row, checked against the residuals directly
+    _, einstein = geo.abstract_curvature()
+    r = [None] + list(jets.system_a7().residuals)
+    a, b, c = geo.abstract_functions()
+    quarter, half = num(Fraction(1, 4)), num(Fraction(1, 2))
+    expected = {
+        "xy": mul(quarter, r[1]), "tz": neg(mul(quarter, r[1])),
+        "xz": mul(half, r[2]), "ty": mul(half, r[3]),
+        "yy": add(mul(quarter, a, r[1]), mul(half, r[4])),
+        "yz": add(mul(quarter, c, r[1]), neg(mul(half, r[5]))),
+        "zz": add(neg(mul(quarter, b, r[1])), mul(half, r[6])),
+    }
+    for label, e in zip(geo.EINSTEIN_LABELS, einstein):
+        assert is_zero_symbolic(sub(e, expected.get(label, ZERO))), label
 
-    def patched(e):
-        f = real(e)
-        compiled.append(e)
-        if len(compiled) > 1:
-            return f
 
-        def first_component(values):
-            calls.append(values)
-            value, scale = f(values)
-            return (math.nan if len(calls) - 1 == nan_call else value), scale
-        return first_component
-
-    monkeypatch.setattr(geo, "compile_expr", patched)
-    rep = geo.equivalence_probe(samples=5, tol=1e-9, seed=42)
-    assert not rep.passed, phase
-    if phase == "on_shell":
-        assert rep.on_shell_max == math.inf
-        assert rep.failure["jet"] is calls[nan_call]
-    elif phase == "generic":
-        assert rep.failure is None and rep.generic_min == 0.0
-    else:
-        assert rep.failure is None and rep.generic_min > 1e-4
-        assert rep.single_violation_max["residual_1"] == 0.0
-        assert "xx" not in rep.correspondence["residual_1"]
+def test_perturbed_m_fails_on_shell(monkeypatch, capsys):
+    m = dict(jets.EINSTEIN_M, xy={1: "1/2"})
+    monkeypatch.setattr(jets, "EINSTEIN_M", m)
+    rep = geo.equivalence_probe(samples=20, seed=42)
+    assert not rep.on_shell and not rep.passed
+    bad = [label for label, res in zip(geo.EINSTEIN_LABELS, rep.rows)
+           if not res]
+    assert bad == ["xy"]
+    assert rep.rows[2].verdict == NONZERO
+    assert rep.rows[2].witness
+    # the block's determinant doubles and stays a nonzero constant
+    assert rep.generic and rep.determinant == num(Fraction(-1, 64))
+    assert cli.main(["equivalence-probe", "--report", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    verdicts = {c["id"]: c["verdict"] for c in doc["checks"]}
+    assert verdicts == {"equivalence.on_shell": "fail",
+                        "equivalence.generic": "pass",
+                        "equivalence.correspondence": "pass"}
 
 
 def test_metric_latex_and_matrix():

@@ -12,9 +12,12 @@ import random
 import pytest
 
 from walkerkit.expr import (
-    PLANE_DEPS, ZERO, add, coord, diff, eval_expr, funcsym,
-    is_zero_symbolic, mul, neg, num, parse,
+    PLANE_DEPS, ZERO, ExprError, add, atom_name, coord, diff, eval_expr,
+    free_atoms, funcsym, is_zero_symbolic, mul, neg, num, parse,
+    substitute_all,
 )
+from walkerkit.expr import nodes, numeric
+from walkerkit.expr.expand import expand_poly
 from walkerkit import jets
 from walkerkit import liealg as la
 
@@ -181,6 +184,8 @@ def test_all_generators_are_symmetries():
         rep = jets.symmetry_check(gen, sys, samples=25, seed=11,
                                   label=f"X{idx}")
         assert rep.passed, (idx, rep.max_residual)
+        # every cell by exact cancellation on the solved jet
+        assert all(c.exact and c.max_residual == 0.0 for c in rep.cells)
 
 
 def test_translation_action_is_identically_zero():
@@ -193,31 +198,44 @@ def test_translation_action_is_identically_zero():
 def test_negative_control_fails():
     sys = jets.system2()
     bogus = la.VectorField((coord("x"), ZERO, ZERO, ZERO, ZERO))
-    rep = jets.symmetry_check(bogus, sys, samples=25, seed=11,
-                              label="x*d/dx")
-    assert not rep.passed
-    assert rep.max_residual > 1e-3
-    failing = [c for c in rep.cells if not c.passed]
-    assert failing and failing[0].witness is not None
+    for seed in (0, 11, 3101):
+        rep = jets.symmetry_check(bogus, sys, samples=25, seed=seed,
+                                  label="x*d/dx")
+        assert not rep.passed
+        # every cell fails, each with its residual and witness point
+        for cell in rep.cells:
+            assert not cell.passed and not cell.exact
+            assert cell.max_residual > 1e-3, (seed, cell.equation)
+            assert cell.witness
+            assert set(cell.witness) <= set(sys.free_coords)
 
 
-def test_non_finite_residual_fails_its_cell(monkeypatch):
-    # NaN > worst is False, so a NaN residual must not be skipped
-    sys = jets.system2()
-    points = jets.on_shell_points(12, 11, sys)
-    bad = points[5].values
-    compile_expr = jets.compile_expr
+@pytest.mark.parametrize("system", [jets.system2, jets.system_a7])
+def test_on_shell_map_sends_every_residual_to_zero(system):
+    sys = system()
+    on_shell = sys.on_shell
+    assert [atom_name(a) for a in on_shell] == [n for n, _ in sys.designated]
+    # back-substituted: no value involves a designated atom
+    solved = set(on_shell)
+    assert not any(free_atoms(v) & solved for v in on_shell.values())
+    for r in substitute_all(sys.residuals, on_shell):
+        assert expand_poly(r).to_expr() == ZERO
+    assert sys.on_shell is on_shell
 
-    def nan_at_bad(e):
-        f = compile_expr(e)
-        return lambda p: (math.nan, 1.0) if p is bad else f(p)
 
-    monkeypatch.setattr(jets, "compile_expr", nan_at_bad)
-    rep = jets.symmetry_check(la.BASIS[0], sys, samples=12, seed=11)
-    assert not rep.passed
-    for cell in rep.cells:
-        assert not cell.passed and cell.witness is bad
-        assert cell.max_residual == math.inf
+def test_on_shell_map_rejects_a_bad_recipe():
+    funcs = {f: PLANE_DEPS for f in jets.FIBER}
+    nonlinear = jets.PDESystem(
+        "nonlinear", (parse("a_11^2 - b", functions=funcs),), PLANE_DEPS,
+        (("a_11", 0),))
+    with pytest.raises(ExprError, match="not linear"):
+        nonlinear.on_shell
+    unsolved = jets.PDESystem(
+        "unsolved", tuple(parse(s, functions=funcs)
+                          for s in ("a_11 - b", "a_11 - c")),
+        PLANE_DEPS, (("a_11", 0),))
+    with pytest.raises(ExprError, match="residual 2 does not vanish"):
+        unsolved.on_shell
 
 
 def test_systems_are_built_once():
@@ -236,35 +254,15 @@ def test_on_shell_points_equal_a_fresh_draw():
         30, 2024, sys)
 
 
-def test_symmetries_draw_each_jet_once(monkeypatch, capsys):
-    from walkerkit import cli
-    drawn = []
-    sample = jets.on_shell_sample
-
-    def counted(*args, **kwargs):
-        drawn.append(1)
-        return sample(*args, **kwargs)
-
-    monkeypatch.setattr(jets, "on_shell_sample", counted)
-    # a seed no other test draws at, so no set is cached yet
-    assert cli.main(["symmetries", "--samples", "20", "--seed",
-                     "730501"]) == 0
-    capsys.readouterr()
-    # seven generators share one draw of 20 jets, not 7 x 20
-    assert len(drawn) == 20
-
-
-def _count_partial_calls(monkeypatch) -> list:
-    """Route every walkerkit binding of ``partial`` through a counter;
-    returns the list each call appends its (expr, atom) to."""
+def _count_calls(monkeypatch, real) -> list:
+    """Route every walkerkit binding of ``real`` through a counter;
+    returns the list each call appends to."""
     import sys as _sys
-    from walkerkit.expr import nodes
     calls = []
-    real = nodes.partial
 
-    def counting(e, atom):
-        calls.append((e, atom))
-        return real(e, atom)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
     for name, mod in list(_sys.modules.items()):
         if mod is not None and (name == "walkerkit"
@@ -297,9 +295,9 @@ def test_shared_partials_give_the_same_action_trees():
 
 def test_symmetries_take_each_residual_partial_once(monkeypatch, capsys):
     from walkerkit import cli
-    jets.system2().pivots  # the on-shell draw's own derivatives
+    jets.system2().on_shell  # the solve's own derivatives
     jets._jet_partials.cache_clear()
-    calls = _count_partial_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, nodes.partial)
     assert cli.main(["symmetries", "--samples", "5"]) == 0
     capsys.readouterr()
     # d/dx, d/dt and the 18 jet atoms of each of the six residuals, shared
@@ -310,7 +308,17 @@ def test_symmetries_take_each_residual_partial_once(monkeypatch, capsys):
 def test_second_symmetry_check_takes_no_partial(monkeypatch):
     sys = jets.system2()
     jets.symmetry_check(la.BASIS[2], sys, samples=5, seed=11)
-    calls = _count_partial_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, nodes.partial)
     rep = jets.symmetry_check(la.BASIS[5], sys, samples=5, seed=11)
     assert rep.passed
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["symmetries", "equivalence-probe"])
+def test_default_flags_decide_without_floats(monkeypatch, capsys, command):
+    from walkerkit import cli
+    compiled = _count_calls(monkeypatch, numeric.compile_expr)
+    drawn = _count_calls(monkeypatch, jets.on_shell_sample)
+    assert cli.main([command]) == 0
+    capsys.readouterr()
+    assert compiled == [] and drawn == []

@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walkerkit.expr import (
-    ParseError, add, atan, coord, exp_, free_atoms, funcsym, ln, mul, num,
+    ExprError, ParseError, add, atan, coord, exp_, free_atoms, funcsym, ln, mul, num,
     param, parse, parse_fraction, pow_, render,
 )
 from walkerkit.expr.parser import MAX_DEPTH, MAX_POWER_BITS
@@ -213,3 +214,18 @@ def test_extra_params_and_custom_functions():
 def test_parse_fraction():
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("-2") == -2
+
+
+# The characters of the grammar's tokens and names (ln, exp, atan, sqrt,
+# alpha, beta, eps, c1..c9), plus a few it rejects.
+GRAMMAR_ALPHABET = "0123456789_+-*/^()., abcfghxtyzelnpsqrtαβ²"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=GRAMMAR_ALPHABET, max_size=40))
+def test_parse_fails_only_with_expression_errors(text):
+    # any other exception escaping parse is a bug
+    try:
+        parse(text)
+    except ExprError:
+        pass

@@ -66,3 +66,16 @@ def test_every_case_boundary_exists():
     for modname, attr in bounds:
         mod = importlib.import_module(f"walkerkit.{modname}")
         assert callable(getattr(mod, attr, None)), f"{modname}.{attr}"
+
+
+def test_probe_dense_repetition_meets_its_known_answers():
+    # one repetition of the probe_dense workload, as the benchmark runs
+    # it: the seven generators and the correspondence pass, and the
+    # x*d/dx control fails with a residual above its floor
+    proc = _python(os.path.join(BENCH, "child.py"), "probe_dense", "3101",
+                   "0", "tier1", os.devnull)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["attempted"] > 0
+    assert (result["mismatches"], result["errors"]) == (0, 0), \
+        result["notes"]

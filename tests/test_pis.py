@@ -19,7 +19,7 @@ from walkerkit.expr import (
 )
 from walkerkit.jets import system2
 from walkerkit.pis import (
-    InvariantSet, PISAnsatz, SolutionTriple, _det, _formal,
+    InvariantSet, PISAnsatz, SolutionTriple, det, _formal,
     ansatz_substitute, characteristic_matrix, defect, exact_rank,
     invariant_check, invariant_rank, reducibility_scan,
     verify_reduced_solutions,
@@ -219,7 +219,7 @@ def test_every_minor_above_the_catalog_ranks_cancels_exactly():
         for k in range(r + 1, min(nrow, ncol) + 1):
             for ri in combinations(range(nrow), k):
                 for ci in combinations(range(ncol), k):
-                    minor = _det([[rows[i][j] for j in ci] for i in ri])
+                    minor = det([[rows[i][j] for j in ci] for i in ri])
                     assert is_zero_symbolic(minor), (r, ri, ci)
                     above += 1
         matrices += 1
@@ -234,7 +234,7 @@ def test_exact_rank_of_a_symbolic_dependent_row():
     dep = [add(mul(exp_(parse("x")), p), mul(parse("t"), q))
            for p, q in zip(u, w)]
     assert exact_rank([u, w, dep]) == 2
-    assert all(is_zero_symbolic(_det([[r[j] for j in ci]
+    assert all(is_zero_symbolic(det([[r[j] for j in ci]
                                       for r in (u, w, dep)]))
                for ci in combinations(range(5), 3))
     # one perturbed entry makes the third row independent
