@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import catalog
 from .expr import (
-    NONZERO, ZERO_SYMBOLIC, EvalError, ExprError, is_zero, is_zero_symbolic,
+    NONZERO, ZERO_SYMBOLIC, ExprError, is_zero, is_zero_symbolic,
     parse, probe_zero, render, sub, substitute, substitute_all,
 )
 from .geometry import (
@@ -250,7 +250,7 @@ def cmd_einstein(args, rep: Report, parser) -> None:
             is_zero(r, samples=min(args.samples, 16), tol=args.tol,
                     seed=args.seed)
             for r in comps[:len(ricci)])
-    except EvalError as exc:
+    except ExprError as exc:
         parser.error(f"cannot evaluate the metric: {exc}")
     for label, res in zip(EINSTEIN_LABELS, verdicts):
         rep.add(f"einstein.{label}", bool(res), res.describe())

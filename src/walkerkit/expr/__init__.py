@@ -11,7 +11,7 @@ from .nodes import (
 )
 from .numeric import (
     NONZERO, ZERO_NUMERIC, ZERO_SYMBOLIC, EvalError, EvalGuard, ZeroResult,
-    compile_expr, eval_expr, eval_scaled, is_zero, probe_zero, sample_point,
+    eval_expr, eval_scaled, is_zero, probe_zero, sample_point,
 )
 from .parser import DEFAULT_FUNCS, PARAM_NAMES, ParseError, parse, parse_fraction
 
@@ -24,8 +24,8 @@ __all__ = [
     "partial", "pow_", "render", "sqrt", "sub", "substitute",
     "substitute_all", "to_expr",
     "NONZERO", "ZERO_NUMERIC", "ZERO_SYMBOLIC", "EvalError", "EvalGuard",
-    "ZeroResult", "compile_expr", "eval_expr", "eval_scaled", "is_zero",
-    "probe_zero", "sample_point",
+    "ZeroResult", "eval_expr", "eval_scaled", "is_zero", "probe_zero",
+    "sample_point",
     "DEFAULT_FUNCS", "PARAM_NAMES", "ParseError", "parse", "parse_fraction",
     "clear_denominators", "expand_monomials", "is_zero_symbolic",
 ]

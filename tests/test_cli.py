@@ -254,6 +254,14 @@ def test_usage_errors_exit_two(capsys):
         # a power that overflows a float at every sample
         (["einstein", "--a", "exp(x)^4000", "--b", "0", "--c", "0"],
          "cannot evaluate the metric: could not find an admissible"),
+        # the input parses; dividing by an exact zero only comes when the
+        # metric is differentiated
+        (["einstein", "--a", "ln(0)", "--b", "0", "--c", "0"],
+         "cannot evaluate the metric: division by exact zero"),
+        (["einstein", "--a", "ln(x-x)", "--b", "0", "--c", "0"],
+         "cannot evaluate the metric: division by exact zero"),
+        (["einstein", "--a", "0", "--b", "ln(1-1)", "--c", "0"],
+         "cannot evaluate the metric: division by exact zero"),
         (["subalgebra", "--gens", "X1*X2"], "argument --gens:"),
         (["adjoint", "--gen", "1", "--s", "abc"], "argument --s:"),
         # the flow parameter is exact only

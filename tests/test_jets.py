@@ -317,8 +317,8 @@ def test_second_symmetry_check_takes_no_partial(monkeypatch):
 @pytest.mark.parametrize("command", ["symmetries", "equivalence-probe"])
 def test_default_flags_decide_without_floats(monkeypatch, capsys, command):
     from walkerkit import cli
-    compiled = _count_calls(monkeypatch, numeric.compile_expr)
+    evaluated = _count_calls(monkeypatch, numeric.eval_expr)
     drawn = _count_calls(monkeypatch, jets.on_shell_sample)
     assert cli.main([command]) == 0
     capsys.readouterr()
-    assert compiled == [] and drawn == []
+    assert evaluated == [] and drawn == []

@@ -79,3 +79,17 @@ def test_probe_dense_repetition_meets_its_known_answers():
     assert result["attempted"] > 0
     assert (result["mismatches"], result["errors"]) == (0, 0), \
         result["notes"]
+
+
+def test_tracer_sees_every_float_evaluation(tmp_path):
+    # one traced verify_all repetition: every probe sample is at least one
+    # traced eval_expr call, so no float evaluation bypasses the tracer
+    proc = _python(os.path.join(BENCH, "child.py"), "verify_all", "3", "1",
+                   "hooks", str(tmp_path / "spans.json"))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["mismatches"], result["errors"]) == (0, 0), \
+        result["notes"]
+    assert result["missing"] == []
+    counters = result["counters"]
+    assert counters["evals"] >= counters["probe_samples"], counters
