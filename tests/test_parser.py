@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkerkit.expr import (
-    ExprError, ParseError, add, atan, coord, exp_, free_atoms, funcsym, ln, mul, num,
-    param, parse, parse_fraction, pow_, render,
+    ALL_DEPS, PLANE_DEPS, ExprError, ParseError, add, atan, coord, exp_,
+    free_atoms, funcsym, ln, mul, num, param, parse, parse_fraction, pow_,
+    render,
 )
-from walkerkit.expr.parser import MAX_DEPTH, MAX_POWER_BITS
+from walkerkit.expr.parser import MAX_DEPTH, MAX_POWER_BITS, _parse
 
 LEAVES = [
     lambda: coord("x"),
@@ -209,6 +210,45 @@ def test_extra_params_and_custom_functions():
     atoms = free_atoms(e)
     assert param("X1") in atoms
     assert funcsym("a", (3,), (1, 2, 3, 4)) in atoms
+
+
+# --- the parse cache ----------------------------------------------------------
+
+def test_failed_parse_is_not_cached():
+    for _ in range(2):
+        with pytest.raises(ParseError, match="unknown symbol"):
+            parse("x + lam")
+    # the extra names are part of the key: admitted once, still unknown
+    # without them
+    assert parse("x + lam", extra_params={"lam"}) == add(coord("x"),
+                                                         param("lam"))
+    with pytest.raises(ParseError, match="unknown symbol"):
+        parse("x + lam")
+
+
+def test_list_valued_dependencies_parse():
+    as_lists = parse("a_12*f_2", functions={"a": [1, 2], "f": [2]})
+    assert as_lists == parse("a_12*f_2",
+                             functions={"a": (1, 2), "f": (2,)})
+    assert funcsym("a", (1, 2), (1, 2)) in free_atoms(as_lists)
+
+
+def test_symbol_table_is_part_of_the_key():
+    plane = parse("a_1", functions={"a": PLANE_DEPS})
+    full = parse("a_1", functions={"a": ALL_DEPS})
+    assert plane != full
+    assert (plane.deps, full.deps) == (PLANE_DEPS, ALL_DEPS)
+    with pytest.raises(ParseError, match="does not depend"):
+        parse("a_3", functions={"a": PLANE_DEPS})
+    assert parse("a_3", functions={"a": ALL_DEPS}) == funcsym("a", (3,))
+
+
+def test_repeated_text_is_parsed_once():
+    text = "(c1 + c2*t^3)*(x - c3)^2/t^3 + ln(x + t)"
+    first = parse(text)
+    before = _parse.cache_info().misses
+    assert parse(text) is first
+    assert _parse.cache_info().misses == before
 
 
 def test_parse_fraction():

@@ -281,12 +281,17 @@ ORACLE_TREES = st.recursive(
     _oracle_extend, max_leaves=8)
 
 
-def _fold(tree, leaf, plus, times, power):
+def _fold(tree, leaf, plus, times, power, call=None):
+    """Build a tree with the given constructors; ``call(name, arg)``
+    builds the kernels ("ln", arg) etc. that other strategies add."""
     if not isinstance(tree, tuple):
         return leaf(tree)
     if tree[0] == "^":
-        return power(_fold(tree[1], leaf, plus, times, power), tree[2])
-    parts = [_fold(c, leaf, plus, times, power) for c in tree[1]]
+        return power(_fold(tree[1], leaf, plus, times, power, call),
+                     tree[2])
+    if tree[0] not in ("+", "*"):
+        return call(tree[0], _fold(tree[1], leaf, plus, times, power, call))
+    parts = [_fold(c, leaf, plus, times, power, call) for c in tree[1]]
     return plus(*parts) if tree[0] == "+" else times(*parts)
 
 
