@@ -468,7 +468,8 @@ def ln(arg) -> Expr:
 
 
 def exp_(arg) -> Expr:
-    return ExpF(to_expr(arg))
+    arg = to_expr(arg)
+    return ONE if arg == ZERO else ExpF(arg)
 
 
 def atan(arg) -> Expr:

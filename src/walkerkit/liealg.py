@@ -6,11 +6,13 @@ brackets use formal partials. Coefficient vectors express algebra
 elements in the fixed basis X1..X7. Structure constants come from an
 exact decomposition of every basis bracket, and adjoint matrices are
 exact: finite series for nilpotent generators, exponential entries for
-the diagonal ones.
+the diagonal ones. adjoint_flow_holds certifies each one as exp(s*ad_i)
+by exact cancellation, which gives the group law.
 
 Sign convention: adjoint_matrix uses Ad(exp(s*Xi)) = e^{+s ad_i}. The
-alternative sign fails the normalization replays, so the plus form is
-frozen here and surfaced as ADJOINT_SIGN.
+alternative sign fails the normalization replays and the flow
+certificate, so the plus form is frozen here and surfaced as
+ADJOINT_SIGN.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from itertools import combinations, takewhile
 
 from .expr import (
     Expr, ExprError, NONZERO, Num, Param, ZERO, ONE, ZERO_NUMERIC,
-    ZERO_SYMBOLIC, add, coord, div, eval_expr, exp_, free_atoms, funcsym,
-    is_zero, mul, neg, num, param, parse, partial, pow_, render, substitute,
+    ZERO_SYMBOLIC, add, coord, div, exp_, free_atoms, funcsym, is_zero,
+    is_zero_symbolic, mul, neg, num, param, parse, partial, pow_, render,
+    sub, substitute,
 )
 
 ADJOINT_SIGN = +1
@@ -139,31 +142,6 @@ def solve_many(rows: list, rhs_rows: list) -> list:
         for r, col in enumerate(pivots):
             x[col] = m[r][j]
         out.append(x)
-    return out
-
-
-def solve_exact(rows: list, rhs: list):
-    """Solve A x = b over Fractions. Returns x or None if inconsistent;
-    requires unique solution on the pivoted columns (free columns get 0)."""
-    return solve_many(rows, [[v] for v in rhs])[0]
-
-
-def nullspace_exact(rows: list) -> list:
-    """Basis of the nullspace of A over Fractions."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return []
-    ncol = len(m[0])
-    pivots = rref(m, ncol)
-    out = []
-    for fc in range(ncol):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * ncol
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        out.append(v)
     return out
 
 
@@ -284,7 +262,6 @@ def parse_generator(text: str) -> tuple:
         coeffs.append(cf)
     rebuilt = add(*[mul(cf, param(name))
                     for cf, name in zip(coeffs, GENERATOR_NAMES)])
-    from .expr import is_zero_symbolic
     if not is_zero_symbolic(add(e, neg(rebuilt))):
         raise ExprError(f"{text!r} has terms outside the generator span")
     return tuple(coeffs)
@@ -427,25 +404,26 @@ def _is_diagonal(m: list) -> bool:
     return all(m[i][j] == 0 for i in range(DIM) for j in range(DIM) if i != j)
 
 
+def _identity() -> list:
+    return [[ONE if a == b else ZERO for b in range(DIM)] for a in range(DIM)]
+
+
 def adjoint_matrix(i: int, s) -> list:
-    """Exact 7x7 matrix of Ad(exp(s*X_i)) in the basis; s is Expr-like.
+    """Exact 7x7 matrix of Ad(exp(s*X_i)) in the basis; s is an Expr or
+    an exact rational.
 
     Diagonal ad gives exponential entries; nilpotent ad gives the finite
     series. Every basis generator here is one or the other.
     """
     if not 1 <= i <= DIM:
         raise ExprError(f"generator index out of range: {i}")
-    if isinstance(s, float):
-        return [[eval_expr(e, {"s": s}) for e in row] for row in _flow(i)]
     s = s if isinstance(s, Expr) else num(s)
     m = sc().ad_matrix(i)
+    out = _identity()
     if _is_diagonal(m):
-        out = [[ZERO] * DIM for _ in range(DIM)]
         for k in range(DIM):
-            d = m[k][k]
-            out[k][k] = ONE if d == 0 else exp_(mul(num(ADJOINT_SIGN * d), s))
+            out[k][k] = exp_(mul(num(ADJOINT_SIGN * m[k][k]), s))
         return out
-    out = [[ONE if a == b else ZERO for b in range(DIM)] for a in range(DIM)]
     power = [[int(a == b) for b in range(DIM)] for a in range(DIM)]
     for n in range(1, DIM + 1):
         power = _mat_mul(power, m)
@@ -463,10 +441,21 @@ def adjoint_matrix(i: int, s) -> list:
     return out
 
 
-@cache
-def _flow(i: int) -> tuple:
-    """Ad(exp(s*X_i)) with a symbolic s, built once per generator."""
-    return tuple(map(tuple, adjoint_matrix(i, param("s"))))
+def adjoint_flow_holds(i: int) -> bool:
+    """M(s) = adjoint_matrix(i, s) is exp(s*ad_i), exactly: every entry of
+    dM/ds - ad_i*M cancels by exact expansion, and M(0) is the identity
+    tree. Both together fix M(s) = exp(s*ad_i), so M(s)*M(s') = M(s + s')
+    holds for all s and s' (the group law)."""
+    s = param("s")
+    m = adjoint_matrix(i, s)
+    ad = sc().ad_matrix(i)
+    flows = all(
+        is_zero_symbolic(sub(partial(m[a][b], s),
+                             add(*[mul(ad[a][k], m[k][b])
+                                   for k in range(DIM) if ad[a][k]])))
+        for a in range(DIM) for b in range(DIM))
+    at_zero = [[substitute(e, {"s": ZERO}) for e in row] for row in m]
+    return flows and at_zero == _identity()
 
 
 def apply_matrix(mat: list, coeffs: tuple) -> tuple:
@@ -474,116 +463,6 @@ def apply_matrix(mat: list, coeffs: tuple) -> tuple:
     for k in range(DIM):
         out.append(add(*[mul(mat[k][j], coeffs[j]) for j in range(DIM)]))
     return tuple(out)
-
-
-# --- normalizer equations ---------------------------------------------------
-
-def _char_poly(m: list) -> list:
-    """Characteristic polynomial coefficients via Faddeev-LeVerrier.
-
-    Returns [a_0, ..., a_n] with det(mu*I - M) = sum a_k mu^k, exact.
-    """
-    n = DIM
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]
-    mk = [row[:] for row in ident]
-    for k in range(1, n + 1):
-        prod = _mat_mul(m, mk)
-        ck = -Fraction(sum(prod[i][i] for i in range(n)), k)
-        coeffs.append(ck)
-        mk = [[prod[i][j] + (ck if i == j else 0) for j in range(n)]
-              for i in range(n)]
-    # coeffs are for lambda^n + c1 lambda^(n-1) + ...; reverse to a_0..a_n
-    return list(reversed(coeffs))
-
-
-def _rational_roots(poly: list) -> list:
-    """All rational roots of the polynomial with Fraction coefficients."""
-    while len(poly) > 1 and poly[-1] == 0:
-        poly = poly[:-1]
-    roots = set()
-    # strip mu = 0 roots
-    while poly and poly[0] == 0:
-        roots.add(Fraction(0))
-        poly = poly[1:]
-    if len(poly) <= 1:
-        return sorted(roots)
-    lcm = 1
-    for q in poly:
-        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-    ints = [int(q * lcm) for q in poly]
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n):
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(cf * cand ** k for k, cf in enumerate(poly)) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-@dataclass
-class NormalizerStratum:
-    mu: Fraction
-    solutions: list  # (Y: 7 Fractions, lam: Fraction) basis
-
-
-@dataclass
-class NormalizerSpace:
-    """Solutions (Y, lam, mu) of [x, Y] = lam*x + mu*Y for rational x."""
-
-    x: tuple
-    matrix: list
-    eigen_mus: list
-    strata: list
-
-    def solve_for_mu(self, mu: Fraction) -> list:
-        rows = []
-        for k in range(DIM):
-            row = [self.matrix[k][j] - (mu if j == k else 0)
-                   for j in range(DIM)]
-            row.append(-self.x[k])
-            rows.append(row)
-        return [(tuple(v[:DIM]), v[DIM]) for v in nullspace_exact(rows)]
-
-    def admits(self, y: tuple):
-        """(lam, mu) witness for a given rational Y, or None."""
-        wy = [sum(self.matrix[k][j] * y[j] for j in range(DIM))
-              for k in range(DIM)]
-        rows = [[self.x[k], y[k]] for k in range(DIM)]
-        sol = solve_exact(rows, wy)
-        if sol is None:
-            return None
-        return sol[0], sol[1]
-
-
-def normalizer_solve(x: tuple) -> NormalizerSpace:
-    xs = []
-    for e in x:
-        e = e if isinstance(e, Expr) else num(e)
-        if not isinstance(e, Num):
-            raise ExprError("normalizer_solve needs rational coefficients")
-        xs.append(e.value)
-    if all(v == 0 for v in xs):
-        raise ExprError("normalizer_solve needs a nonzero element")
-    ads = [sc().ad_matrix(i) for i in range(1, DIM + 1)]
-    m = [[sum(x * ad[k][j] for x, ad in zip(xs, ads)) for j in range(DIM)]
-         for k in range(DIM)]
-    mus = _rational_roots(_char_poly(m))
-    space = NormalizerSpace(tuple(xs), m, mus, [])
-    for mu in mus:
-        space.strata.append(NormalizerStratum(mu, space.solve_for_mu(mu)))
-    return space
 
 
 # --- proof-case replays -----------------------------------------------------

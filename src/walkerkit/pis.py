@@ -1,5 +1,5 @@
 """Partially invariant machinery: invariant sets, ansatz substitution,
-reduced-system verification, characteristics, defect, reducibility.
+characteristics, defect, reducibility.
 
 Everything goes through the exact kernel and its three-valued zero
 test. A rank is the size of the largest minor that tests nonzero; every
@@ -121,41 +121,6 @@ def invariant_rank(inv: InvariantSet, seed: int = 0) -> tuple:
 
 def ansatz_substitute(ansatz: PISAnsatz, sys: PDESystem) -> tuple:
     return substitute_all(sys.residuals, ansatz.bindings)
-
-
-@dataclass
-class FamilyVerdict:
-    index: int
-    residuals: list       # verdict strings, reduced system then extras
-    inequations: list     # verdict strings, expected nonzero
-    passed: bool
-
-
-def verify_reduced_solutions(reduced: tuple, consistency: tuple,
-                             inequations: tuple, families: list,
-                             samples: int = 100, tol: float = 1e-9,
-                             seed: int = 42) -> list:
-    """Substitute each candidate family into the reduced equations and
-    the consistency conditions; inequations must stay nonzero."""
-    out = []
-    for idx, bindings in enumerate(families, start=1):
-        passed = True
-        res_verdicts = []
-        for r in tuple(reduced) + tuple(consistency):
-            res = is_zero(substitute(r, bindings), samples=samples,
-                          tol=tol, seed=seed)
-            res_verdicts.append(res.verdict)
-            if res.verdict == NONZERO:
-                passed = False
-        ineq_verdicts = []
-        for q in inequations:
-            res = is_zero(substitute(q, bindings), samples=samples,
-                          tol=tol, seed=seed)
-            ineq_verdicts.append(res.verdict)
-            if res.verdict != NONZERO:
-                passed = False
-        out.append(FamilyVerdict(idx, res_verdicts, ineq_verdicts, passed))
-    return out
 
 
 # --- characteristics, defect, reducibility ----------------------------------

@@ -1,6 +1,7 @@
 """Reference exact solver: Gauss-Jordan elimination of one augmented
-system [A | b] over Fractions, as ``liealg.solve_exact`` was before every
-right-hand side of a table shared one elimination.
+system [A | b] over Fractions, one right-hand side at a time, against
+which ``liealg.solve_many`` (all right-hand sides in one elimination) is
+compared column by column.
 """
 
 from fractions import Fraction

@@ -6,26 +6,25 @@ measured residuals and elapsed time next to its PASS or FAIL.
 """
 
 import json
-import random
 import time
 
 from walkerkit import catalog
 from walkerkit.cli import main
 from walkerkit.expr import (
-    ZERO, ZERO_SYMBOLIC, coord, is_zero, is_zero_symbolic, num, parse, render,
-    sub, substitute,
+    NONZERO, ZERO, ZERO_SYMBOLIC, coord, is_zero, is_zero_symbolic, num,
+    parse, render, sub, substitute,
 )
 from walkerkit.geometry import (
     build_metric, einstein_verdicts, equivalence_probe, ricci,
 )
 from walkerkit.jets import symmetry_check, system2
 from walkerkit.liealg import (
-    BASIS, DIM, NotClosed, VectorField, adjoint_matrix, bracket,
+    BASIS, DIM, NotClosed, VectorField, adjoint_flow_holds, bracket,
     decompose, proof_case_replays, sc, subalgebra_closed,
 )
 from walkerkit.pis import (
     ansatz_substitute, defect, invariant_check, invariant_rank,
-    reducibility_scan, verify_reduced_solutions,
+    reducibility_scan,
 )
 
 
@@ -97,23 +96,13 @@ def test_4_adjoint_replays_and_group_law():
     step = case_f.steps[0]
     ok = (ok and step.s_text == "b5/(-1 + b6)" and step.killed == 5
           and step.verdict == ZERO_SYMBOLIC)
-    rng = random.Random(42)
-    dev = 0.0
-    for i in range(1, DIM + 1):
-        for _ in range(10):
-            s, t = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
-            ms = adjoint_matrix(i, s)
-            mt = adjoint_matrix(i, t)
-            mst = adjoint_matrix(i, s + t)
-            for a in range(DIM):
-                for b in range(DIM):
-                    got = sum(ms[a][k] * mt[k][b] for k in range(DIM))
-                    dev = max(dev, abs(got - mst[a][b]))
-    ok = ok and dev < 1e-10
+    flows = [adjoint_flow_holds(i) for i in range(1, DIM + 1)]
+    ok = ok and all(flows)
     _verdict(4, "adjoint replay and group law", ok,
              f"{len(replays)} normalization cases replayed; the stated "
-             f"shear kills the fifth coefficient exactly; flow "
-             f"composition deviation {dev:.2e} < 1e-10")
+             f"shear kills the fifth coefficient exactly; "
+             f"{sum(flows)}/{DIM} adjoint matrices solve dM/ds = ad*M "
+             f"with M(0) = I exactly, so they compose as a group")
 
 
 def test_5_reduction_pipeline():
@@ -137,13 +126,16 @@ def test_5_reduction_pipeline():
     ineq = tuple(parse(s) for s in catalog.RATIO_INEQUATIONS)
     families = [{k: parse(v) for k, v in d.items()}
                 for d in catalog.RATIO_PROFILE_FAMILIES]
-    reports = verify_reduced_solutions(reduced, consistency, ineq,
-                                       families, samples=100, tol=1e-9,
-                                       seed=42)
-    ok = ok and all(r.passed for r in reports)
-    # rational families must cancel exactly, not merely numerically
-    ok = ok and all(v == ZERO_SYMBOLIC
-                    for r in reports[:2] for v in r.residuals)
+    for n, bindings in enumerate(families):
+        verdicts = [is_zero(substitute(r, bindings), samples=100, tol=1e-9,
+                            seed=42).verdict
+                    for r in reduced + consistency]
+        ok = ok and NONZERO not in verdicts and all(
+            is_zero(substitute(q, bindings), samples=100, tol=1e-9,
+                    seed=42).verdict == NONZERO for q in ineq)
+        # rational families must cancel exactly, not merely numerically
+        if n < 2:
+            ok = ok and all(v == ZERO_SYMBOLIC for v in verdicts)
 
     sys2 = system2()
     solved = 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkerkit.expr import (
-    ALL_DEPS, PLANE_DEPS, ExprError, ParseError, add, atan, coord, exp_,
+    ALL_DEPS, ONE, PLANE_DEPS, ExprError, ParseError, add, atan, coord, exp_,
     free_atoms, funcsym, ln, mul, num, param, parse, parse_fraction, pow_,
     render,
 )
@@ -100,6 +100,11 @@ def test_fraction_exponent():
 def test_division_folds():
     assert parse("x/2") == mul(Fraction(1, 2), coord("x"))
     assert parse("6/4") == num(Fraction(3, 2))
+
+
+def test_exp_of_zero_folds():
+    assert parse("exp(x - x)") == ONE
+    assert parse("exp(0*t)") == ONE
 
 
 def test_unknown_symbol_reports_offset():
