@@ -2,10 +2,10 @@
 
 Every expression is kept in a canonical normal form at construction time:
 sums and products are flattened and sorted under a fixed total order, like
-terms are merged, rational constants are folded, nested powers collapse,
-and power exponents are rational numbers. Two expressions built from the
-same term multiset compare structurally equal, so ``==`` is mathematical
-equality of normal forms.
+terms are merged, rational constants are folded, nested powers collapse
+where that keeps the value (``pow_``), and power exponents are rational
+numbers. Two expressions built from the same term multiset compare
+structurally equal, so ``==`` is mathematical equality of normal forms.
 
 Transcendental kernels (ln, exp, atan) stay opaque: their arguments are
 normalized but no identities between distinct kernels are applied. The
@@ -16,7 +16,7 @@ zero test that needs more than the constructive normal form lives in
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import repeat
 from math import gcd
 
@@ -181,7 +181,9 @@ class Atan(Expr):
 
 
 class Pow(Expr):
-    """base^exp with a rational exponent. Never exp 0 or 1, never Num^int."""
+    """base^exp with a rational exponent. Never exp 0 or 1, never Num^int.
+    The base is a Pow only where merging the exponents would change the
+    value, as in ((x - 1)^2)^(1/2) = |x - 1|."""
 
     __slots__ = ("base", "exp")
 
@@ -239,6 +241,43 @@ def funcsym(name: str, idx=(), deps=ALL_DEPS) -> Func:
     return Func(name, tuple(sorted(idx)), tuple(deps))
 
 
+# Entries of the derivative cache shared by ``diff`` and ``partial``. The
+# Einstein checks of a metric and of its twin re-derive the same b and c
+# subtrees, and ``verify --all`` re-takes the basis fields' partials. At
+# 512, perfbench's curvature workload at seed 7 derives 4868 nodes where
+# it derived 33 601 uncached (5229 at 256, 4062 with no bound), and peak
+# memory stays flat; it grows about 1.7 MB from 4096 entries.
+DERIVE_CACHE = 512
+
+# Entries of each constructor cache (``add``, ``mul``, ``pow_``). Vector
+# fields, bracket cases and minors rebuild the same normal forms. At 256,
+# perfbench's verify_all workload at seed 1 finds 11 871 of its 14 339
+# ``mul`` calls and 5852 of its 7129 ``add`` calls in the caches (12 024
+# and 5868 at 512, 12 083 and 5894 at 4096), and peak memory grows about
+# 0.45 MB; 512 entries run no faster and add 0.1 to 0.3 MB more, 4096 up
+# to 2.5 MB more.
+BUILD_CACHE = 256
+
+
+def _memoized(build):
+    """``build`` behind an LRU of BUILD_CACHE entries keyed on its
+    arguments and their types, so 1, 1.0 and Fraction(1) are distinct
+    keys and a float is rejected even after an equal int was cached. An
+    unhashable argument (a list, a dict) skips the cache and ``build``
+    rejects it with ExprError, as uncached."""
+    cached = lru_cache(maxsize=BUILD_CACHE, typed=True)(build)
+
+    @wraps(build)
+    def builder(*args):
+        try:
+            return cached(*args)
+        except TypeError:  # an unhashable argument
+            return build(*args)
+
+    builder.cache_info = cached.cache_info
+    return builder
+
+
 def _coeff_factors(e: Expr):
     """Split a normalized term into (rational coefficient, factor tuple)."""
     if isinstance(e, Num):
@@ -256,6 +295,7 @@ def _remake_term(coeff: Fraction, factors: tuple) -> Expr:
     return Prod(coeff, factors)
 
 
+@_memoized
 def add(*terms) -> Expr:
     # Like terms share a bucket keyed by their factor keys (a product
     # holds that tuple in its _key). A term alone in its bucket is already
@@ -296,6 +336,7 @@ def _sort_key(e: Expr):
     return e._key
 
 
+@_memoized
 def mul(*factors) -> Expr:
     # The coefficient is an int numerator and denominator until the end.
     # A base met once keeps its own factor node: a Pow is only ever built
@@ -351,7 +392,9 @@ def mul(*factors) -> Expr:
         if tp is Num:
             cn *= p.value.numerator
             cd *= p.value.denominator
-        elif tp is Prod:
+        elif tp is Prod or (tp is Pow and p.base != base):
+            # a product, or a nested power whose exponents merged: its
+            # base may meet another factor's
             redo.append(p)
         else:
             out.append(p)
@@ -415,6 +458,7 @@ def scale_sum(s: Sum, factor: Fraction) -> Expr:
     return add(*[mul(factor, t) for t in s.terms])
 
 
+@_memoized
 def pow_(base, e) -> Expr:
     e = _frac(e)
     base = to_expr(base)
@@ -437,7 +481,11 @@ def pow_(base, e) -> Expr:
             raise ExprError(f"even root of negative rational {base.value}")
         return Pow(base, e)
     if tb is Pow:
-        return pow_(base.base, base.exp * e)
+        if (e.denominator == 1 or base.exp.numerator % 2
+                or _positive_atom(base.base)):
+            return pow_(base.base, base.exp * e)
+        # u^m >= 0 for an even numerator m, so (u^m)^e is |u|^(m*e)
+        return Pow(base, e)
     if tb is Prod:
         parts = [pow_(f, e) for f in base.factors]
         if base.coeff != 1:
@@ -449,6 +497,17 @@ def pow_(base, e) -> Expr:
             primitive = scale_sum(base, 1 / content)
             return mul(pow_(Num(content), e), pow_(primitive, e))
     return Pow(base, e)
+
+
+def _positive_atom(u: Expr) -> bool:
+    """A leaf taken positive by convention (numeric samples draw it from
+    [0.5, 2]), or a positive rational."""
+    tu = type(u)
+    if tu is Coord or tu is Func:
+        return True
+    if tu is Param:
+        return u.name not in SIGN_PARAMS and u.name not in TERNARY_PARAMS
+    return tu is Num and u.value > 0
 
 
 def div(a, b) -> Expr:
@@ -464,7 +523,8 @@ def sub(a, b) -> Expr:
 
 
 def ln(arg) -> Expr:
-    return Ln(to_expr(arg))
+    arg = to_expr(arg)
+    return ZERO if arg == ONE else Ln(arg)
 
 
 def exp_(arg) -> Expr:
@@ -473,7 +533,8 @@ def exp_(arg) -> Expr:
 
 
 def atan(arg) -> Expr:
-    return Atan(to_expr(arg))
+    arg = to_expr(arg)
+    return ZERO if arg == ZERO else Atan(arg)
 
 
 def sqrt(arg) -> Expr:
@@ -512,15 +573,6 @@ def _derivative(e: Expr, wrt) -> Expr:
     except RecursionError:
         raise ExprError("expression nested too deeply to "
                         "differentiate") from None
-
-
-# Entries of the derivative cache shared by ``diff`` and ``partial``. The
-# Einstein checks of a metric and of its twin re-derive the same b and c
-# subtrees, and ``verify --all`` re-takes the basis fields' partials. At
-# 512, perfbench's curvature workload at seed 7 derives 4868 nodes where
-# it derived 33 601 uncached (5229 at 256, 4062 with no bound), and peak
-# memory stays flat; it grows about 1.7 MB from 4096 entries.
-DERIVE_CACHE = 512
 
 
 @lru_cache(maxsize=DERIVE_CACHE)
@@ -697,7 +749,7 @@ def _pow_text(e: Pow) -> str:
     if e.exp == Fraction(1, 2):
         return f"sqrt({render(e.base)})"
     base = render(e.base)
-    if isinstance(e.base, (Sum, Prod)) or (
+    if isinstance(e.base, (Sum, Prod, Pow)) or (
             isinstance(e.base, Num) and (e.base.value < 0 or e.base.value.denominator != 1)):
         base = f"({base})"
     if e.exp.denominator == 1 and e.exp >= 0:
@@ -740,7 +792,8 @@ def render(e: Expr) -> str:
         for term in e.terms[1:]:
             cf, factors = _coeff_factors(term)
             if cf < 0:
-                out += " - " + render(_remake_term(-cf, factors))
+                # -1*(u + v) negates to the sum u + v, which needs brackets
+                out += " - " + _factor_text(_remake_term(-cf, factors))
             else:
                 out += " + " + render(term)
         return out

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from walkerkit.expr.nodes import (
     ONE, ZERO, ExprError, Num, Pow, Prod, Sum, _exact_pow, _frac,
-    _fraction_gcd, to_expr,
+    _fraction_gcd, _positive_atom, to_expr,
 )
 
 
@@ -99,7 +99,7 @@ def mul(*factors):
         p = pow_(base, e)
         if isinstance(p, Num):
             coeff *= p.value
-        elif isinstance(p, Prod):
+        elif isinstance(p, Prod) or (isinstance(p, Pow) and p.base != base):
             redo.append(p)
         else:
             out.append(p)
@@ -148,7 +148,10 @@ def pow_(base, e):
             raise ExprError(f"even root of negative rational {base.value}")
         return Pow(base, e)
     if isinstance(base, Pow):
-        return pow_(base.base, base.exp * e)
+        if (e.denominator == 1 or base.exp.numerator % 2
+                or _positive_atom(base.base)):
+            return pow_(base.base, base.exp * e)
+        return Pow(base, e)
     if isinstance(base, Prod):
         parts = [pow_(f, e) for f in base.factors]
         if base.coeff != 1:

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from walkerkit.expr import (
     PLANE_DEPS, EvalGuard, ExprError, add, atan, coord, diff, eval_expr,
@@ -261,10 +261,28 @@ def _sympy_space(sp):
     return symbols, functions
 
 
-def _assert_same_value(sp, got, want):
+def _in_real_domain(sp, side, point) -> bool:
+    """False where ``side`` takes an even root of a negative value or the
+    logarithm of a non-positive one, where the kernel's real powers and
+    logarithms have no value."""
+    for n in sp.preorder_traversal(side):
+        if n.is_Pow and n.exp.is_Rational and n.exp.q % 2 == 0:
+            v = sp.N(n.base.subs(point), 40)
+            if not (v.is_real and v >= 0):
+                return False
+        elif isinstance(n, sp.log):
+            v = sp.N(n.args[0].subs(point), 40)
+            if not (v.is_real and v > 0):
+                return False
+    return True
+
+
+def _assert_same_value(sp, got, want, real=False):
     """Both sides agree to 25 digits at one point, with principal branches
     (a negative base makes a complex value); a point where either side is
-    undefined says nothing."""
+    undefined says nothing. With ``real``, neither does a point outside
+    either side's real domain (``_in_real_domain``). The values stay
+    40-digit SymPy numbers, whose exponent range holds exp(4096)."""
     point = {sp.Symbol(n): v for n, v in (
         ("x", sp.Rational(7, 10)), ("t", sp.Rational(13, 10)),
         ("y", sp.Rational(2, 5)), ("z", sp.Rational(3, 7)),
@@ -273,9 +291,12 @@ def _assert_same_value(sp, got, want):
     for side in (got, want):
         v = sp.N(side.subs(point), 40)
         assume(v.is_number and not v.has(sp.zoo, sp.oo, sp.nan))
-        values.append(complex(v))
-    scale = max(1.0, *map(abs, values))
-    assert abs(values[0] - values[1]) <= 1e-25 * scale, (got, want)
+        if real:
+            assume(_in_real_domain(sp, side, point))
+        values.append(v)
+    scale = max(1, *map(abs, values))
+    assert abs(values[0] - values[1]) <= sp.Float("1e-25") * scale, \
+        (got, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,13 +316,26 @@ def test_diff_matches_sympy(tree, var):
     _assert_same_value(sp, _to_sympy(sp, d, symbols, functions), want)
 
 
+def _real_odd_roots(sp, s):
+    """``s`` with every odd root taken real, as the kernel takes it: a
+    power p/q with q odd becomes real_root(base, q)^p. SymPy's own power
+    is the principal branch, complex at a negative base."""
+    return s.replace(
+        lambda n: n.is_Pow and n.exp.is_Rational and n.exp.q % 2 == 1
+        and n.exp.q > 1,
+        lambda n: sp.real_root(n.base, n.exp.q) ** n.exp.p)
+
+
 @settings(max_examples=100, deadline=None)
 @given(KERNEL_TREES, KERNEL_TREES,
        st.fractions(min_value=Fraction(1, 4), max_value=5,
                     max_denominator=4))
+# a = -1 makes (x*a)^(-2/3) the real x^(-2/3)
+@example(tree=("^", ("^", ("*", ["x", "a"]), Fraction(-2, 3)), 1),
+         binding=Fraction(-1), value=Fraction(1, 4))
 def test_substitute_matches_sympy(tree, binding, value):
-    # c1 stays positive: the kernel takes the real odd root of a negative
-    # rational where SymPy takes the principal one
+    # a binding can make a base negative, where the kernel takes the real
+    # odd root, so both sides are compared over the reals
     sp = pytest.importorskip("sympy")
     e, bound = _build(tree), _build(binding)
     assume(e is not None and bound is not None)
@@ -314,4 +348,6 @@ def test_substitute_matches_sympy(tree, binding, value):
         sp, e, dict(symbols, c1=sp.Rational(value.numerator,
                                             value.denominator)),
         dict(functions, a=_to_sympy(sp, bound, symbols, functions)))
-    _assert_same_value(sp, _to_sympy(sp, got, symbols, functions), want)
+    _assert_same_value(
+        sp, _real_odd_roots(sp, _to_sympy(sp, got, symbols, functions)),
+        _real_odd_roots(sp, want), real=True)

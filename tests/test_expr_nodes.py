@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import reference_nodes as reference
 from walkerkit.expr import (
     Expr, ExprError, Func, Num, Pow, Prod, Sum, add, coord, diff, div,
-    funcsym, mul, neg, num, param, parse, partial, pow_, render, sqrt, sub,
-    substitute,
+    eval_expr, funcsym, mul, neg, num, param, parse, partial, pow_, render,
+    sqrt, sub, substitute,
 )
 from walkerkit.expr import nodes
 
@@ -253,3 +253,101 @@ def test_mul_keeps_a_normal_power(monkeypatch):
     assert calls == []
     assert e.factors[0] is p or e.factors[1] is p
     assert e.key() == reference.mul(p, x).key()
+
+
+# --- nested powers merge only where that keeps the value ---------------------
+
+@pytest.mark.parametrize("text", [
+    "((x - 1)^2)^(1/2)",
+    "((x - 1)^2)^(3/2)",
+    "((x - 1)^2)^(-1/2)",
+    "((x - 1)^4)^(1/4)",
+    "((x - 1)^2)^(1/4)",
+    "((x - 1)^2)^2",
+    "((x - 1)^(1/3))^3",
+    "((x*t - 2)^2)^(1/2)*(x*t - 2)",
+    "(x^2)^(1/2)",
+    "(c1^2)^(3/2)",
+])
+def test_nested_power_keeps_its_value(text):
+    # SymPy keeps the absolute value: sqrt((x - 1)^2) is Abs(x - 1), and
+    # (x^2)^(1/2) is x for a positive x, the kernel's convention for atoms
+    sp = pytest.importorskip("sympy")
+    symbols = {n: sp.Symbol(n, positive=True) for n in ("x", "t", "c1")}
+    want = sp.sympify(text.replace("^", "**"), locals=symbols)
+    e = parse(text)
+    for xv in (0.3, 0.8, 1.7, 2.4):
+        point = {"x": xv, "t": 1.3, "c1": 0.9}
+        got = eval_expr(e, point)
+        value = complex(want.subs({symbols[n]: v for n, v in point.items()}))
+        assert abs(value.imag) < 1e-12
+        assert got == pytest.approx(value.real, rel=1e-12), (text, xv)
+
+
+def test_nested_power_merges_only_where_sound():
+    assert parse("((x - 1)^2)^(1/2)") != parse("x - 1")
+    assert isinstance(parse("((x - 1)^2)^(1/2)").base, Pow)
+    # an integer outer exponent, an odd inner numerator or a positive
+    # atom merges
+    assert parse("((x - 1)^2)^3") == parse("(x - 1)^6")
+    assert parse("((x - 1)^3)^(1/3)") == parse("x - 1")
+    assert parse("((x - 1)^(1/2))^(2/3)") == parse("(x - 1)^(1/3)")
+    assert parse("(x^2)^(1/2)") == x
+    assert parse("(c1^4)^(1/4)") == c1
+    assert parse("(2^(2/3))^(3/2)") == num(2)
+    # sign symbols and negative rationals are not positive
+    for text in ("(eps^2)^(1/2)", "(epz^2)^(1/2)", "((-2)^(2/3))^(1/2)"):
+        assert isinstance(parse(text).base, Pow), text
+    assert eval_expr(parse("((-2)^(2/3))^(1/2)"), {}) == pytest.approx(
+        2 ** (1 / 3))
+    # two nested roots that merge to an integer power, in one product,
+    # join the other powers of their base
+    root, u = parse("((x - 1)^2)^(1/2)"), parse("x - 1")
+    assert mul(root, root, u) == mul(root, u, root) == pow_(u, 3)
+
+
+# --- the constructor caches --------------------------------------------------
+
+BUILDERS = (add, mul, pow_)
+
+
+@pytest.mark.parametrize("build, args", [
+    (mul, ([1], x)), (mul, (x, {})), (mul, (1.0, x)),
+    (add, (x, [1])), (add, (x, {})), (add, (x, 1.0)),
+    (pow_, (x, [1])), (pow_, ({}, 2)), (pow_, (x, 2.0)),
+])
+def test_bad_builder_arguments_are_expression_errors(build, args):
+    with pytest.raises(ExprError):
+        build(*args)
+
+
+@pytest.mark.parametrize("build, good, bad", [
+    (mul, (1, x), (1.0, x)),
+    (add, (x, 2), (x, 2.0)),
+    (pow_, (x, 2), (x, 2.0)),
+    (pow_, (t, Fraction(1, 2)), (t, 0.5)),
+])
+def test_cached_call_does_not_admit_an_equal_float(build, good, bad):
+    # the cache keys are typed: 2 and 2.0 are equal with equal hashes
+    build(*good)
+    with pytest.raises(ExprError):
+        build(*bad)
+
+
+def _built(run):
+    """Constructor-cache misses of add, mul and pow_ during ``run()``."""
+    before = [f.cache_info().misses for f in BUILDERS]
+    run()
+    return [f.cache_info().misses - b for f, b in zip(BUILDERS, before)]
+
+
+def test_repeated_determinant_builds_no_node():
+    from walkerkit.pis import det
+
+    m = [[parse(s) for s in row] for row in (
+        ("x", "t + 1", "a_1"), ("c1", "x*t", "2"), ("t^2", "1/x", "b"))]
+    first = det(m)
+    assert _built(lambda: det(m)) == [0, 0, 0]
+    assert det(m) is first
+    assert all(f.cache_info().maxsize == nodes.BUILD_CACHE
+               for f in BUILDERS)

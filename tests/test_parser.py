@@ -1,16 +1,17 @@
 """Grammar round-trip: parse(render(e)) == e on random trees and on the
 expression shapes the catalog actually uses."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from walkerkit.expr import (
-    ALL_DEPS, ONE, PLANE_DEPS, ExprError, ParseError, add, atan, coord, exp_,
-    free_atoms, funcsym, ln, mul, num, param, parse, parse_fraction, pow_,
-    render,
+    ALL_DEPS, ONE, PLANE_DEPS, EvalGuard, ExprError, ParseError, add, atan,
+    coord, eval_expr, exp_, free_atoms, funcsym, ln, mul, num, param, parse,
+    parse_fraction, pow_, render, sample_point,
 )
 from walkerkit.expr.parser import MAX_DEPTH, MAX_POWER_BITS, _parse
 
@@ -60,6 +61,69 @@ def test_round_trip_random_trees():
         e = random_tree(rng, rng.randrange(1, 5))
         s = render(e)
         assert parse(s) == e, s
+
+
+KERNELS = {"ln": ln, "exp": exp_, "atan": atan}
+RENDER_EXPONENTS = (2, 3, -1, Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2),
+                    Fraction(1, 3), Fraction(2, 3), Fraction(-2, 3))
+
+
+def _render_extend(children):
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(lambda ts: ("+", ts)),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: ("*", fs)),
+        st.tuples(st.just("^"), children, st.sampled_from(RENDER_EXPONENTS)),
+        st.tuples(st.just("-"), children),
+        st.tuples(st.sampled_from(tuple(KERNELS)), children),
+    )
+
+
+# trees with negated sums, nested powers and kernels, over atoms and
+# small rationals
+RENDER_TREES = st.recursive(
+    st.one_of(st.sampled_from(("x", "t", "c1", "eps", "a", "b_1")),
+              st.fractions(min_value=-3, max_value=3, max_denominator=3)),
+    _render_extend, max_leaves=8)
+
+
+def _grow(tree):
+    if isinstance(tree, str):
+        return parse(tree)
+    if not isinstance(tree, tuple):
+        return num(tree)
+    op, arg = tree[0], tree[1]
+    if op == "+":
+        return add(*map(_grow, arg))
+    if op == "*":
+        return mul(*map(_grow, arg))
+    if op == "^":
+        return pow_(_grow(arg), tree[2])
+    if op == "-":
+        return mul(-1, _grow(arg))
+    return KERNELS[op](_grow(arg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(RENDER_TREES)
+@example(("+", ["x", ("-", ("+", ["x", -1]))]))
+@example(("^", ("^", ("+", ["x", -1]), 2), Fraction(3, 2)))
+def test_render_round_trips(tree):
+    try:
+        e = _grow(tree)
+    except ExprError:  # 0^-1, an even root of a negative rational
+        assume(False)
+    text = render(e)
+    back = parse(text)
+    point = sample_point(free_atoms(e), random.Random(text))
+    try:
+        want = eval_expr(e, point)
+        got = eval_expr(back, point)
+    except EvalGuard:
+        pass
+    else:
+        if math.isfinite(want):
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9), text
+    assert back == e, text
 
 
 @pytest.mark.parametrize("text", [

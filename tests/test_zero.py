@@ -86,6 +86,19 @@ def test_numeric_only_root_of_square():
     assert verdict("sqrt(x^2 + 2*x*t + t^2) - x - t") == ZERO_NUMERIC
 
 
+def test_root_of_a_square_is_an_absolute_value():
+    # ((x - 1)^2)^(1/2) is |x - 1|, not x - 1: samples below x = 1 tell
+    # them apart, and two roots of equal squares agree everywhere
+    assert verdict("((x - 1)^2)^(1/2) - (x - 1)") == NONZERO
+    assert verdict("((x - 1)^2)^(1/2) - ((1 - x)^2)^(1/2)") == ZERO_NUMERIC
+
+
+def test_ln_one_and_atan_zero_fold_at_construction():
+    assert verdict("ln(1)") == ZERO_SYMBOLIC
+    assert verdict("x*atan(0)") == ZERO_SYMBOLIC
+    assert verdict("ln(x - x + 1) + atan(t - t)") == ZERO_SYMBOLIC
+
+
 def test_nonzero_with_witness():
     res = is_zero(parse("x^2 - t"))
     assert res.verdict == NONZERO
