@@ -183,7 +183,9 @@ class Atan(Expr):
 class Pow(Expr):
     """base^exp with a rational exponent. Never exp 0 or 1, never Num^int.
     The base is a Pow only where merging the exponents would change the
-    value, as in ((x - 1)^2)^(1/2) = |x - 1|."""
+    value, as in ((x - 1)^2)^(1/2) = |x - 1|, and a Prod only under an
+    even root of factors not positive by convention, as in
+    ((x - 1)*ln(x))^(1/2)."""
 
     __slots__ = ("base", "exp")
 
@@ -487,6 +489,21 @@ def pow_(base, e) -> Expr:
         # u^m >= 0 for an even numerator m, so (u^m)^e is |u|^(m*e)
         return Pow(base, e)
     if tb is Prod:
+        if e.denominator % 2 == 0:
+            # an even root spreads only over factors positive by
+            # convention: (u*v)^(1/2) is real where u, v < 0, and
+            # u^(1/2)*v^(1/2) is not
+            rest = tuple(f for f in base.factors if not _positive_factor(f))
+            if rest:
+                sign = -1 if base.coeff < 0 else 1
+                kept = Prod(Fraction(sign), rest) if (
+                    sign < 0 or len(rest) > 1) else rest[0]
+                parts = [pow_(f, e) for f in base.factors
+                         if _positive_factor(f)]
+                parts.append(pow_(Num(abs(base.coeff)), e))
+                parts.append(Pow(kept, e) if type(kept) is Prod
+                             else pow_(kept, e))
+                return mul(*parts)
         parts = [pow_(f, e) for f in base.factors]
         if base.coeff != 1:
             parts.append(pow_(Num(base.coeff), e))
@@ -508,6 +525,15 @@ def _positive_atom(u: Expr) -> bool:
     if tu is Param:
         return u.name not in SIGN_PARAMS and u.name not in TERNARY_PARAMS
     return tu is Num and u.value > 0
+
+
+def _positive_factor(f: Expr) -> bool:
+    """A factor positive wherever it is defined: a positive atom, a power
+    of one, or an exponential."""
+    tf = type(f)
+    if tf is Pow:
+        return _positive_atom(f.base)
+    return tf is ExpF or _positive_atom(f)
 
 
 def div(a, b) -> Expr:

@@ -10,8 +10,8 @@ result's ``_key`` compares directly with the kernel constructors'.
 from fractions import Fraction
 
 from walkerkit.expr.nodes import (
-    ONE, ZERO, ExprError, Num, Pow, Prod, Sum, _exact_pow, _frac,
-    _fraction_gcd, _positive_atom, to_expr,
+    ONE, ZERO, Coord, ExprError, ExpF, Func, Num, Param, Pow, Prod, Sum,
+    _exact_pow, _frac, _fraction_gcd, to_expr,
 )
 
 
@@ -127,6 +127,22 @@ def scale_sum(s, factor):
     return add(*[mul(Num(factor), t) for t in s.terms])
 
 
+def _positive_atom(u):
+    """x, t, y, z, a function symbol, a parameter other than the signs
+    eps, epsp and epz, or a positive rational."""
+    if isinstance(u, (Coord, Func)):
+        return True
+    if isinstance(u, Param):
+        return u.name not in ("eps", "epsp", "epz")
+    return isinstance(u, Num) and u.value > 0
+
+
+def _positive(f):
+    if isinstance(f, Pow):
+        return _positive_atom(f.base)
+    return isinstance(f, ExpF) or _positive_atom(f)
+
+
 def pow_(base, e):
     e = _frac(e)
     base = to_expr(base)
@@ -153,6 +169,18 @@ def pow_(base, e):
             return pow_(base.base, base.exp * e)
         return Pow(base, e)
     if isinstance(base, Prod):
+        if e.denominator % 2 == 0 and not all(map(_positive, base.factors)):
+            # an even root spreads over the positive factors only
+            rest = [f for f in base.factors if not _positive(f)]
+            sign = -1 if base.coeff < 0 else 1
+            if len(rest) == len(base.factors) and abs(base.coeff) == 1:
+                return Pow(base, e)  # nothing spreads
+            if sign < 0 or len(rest) > 1:
+                kept = Pow(Prod(Fraction(sign), tuple(rest)), e)
+            else:
+                kept = pow_(rest[0], e)
+            return mul(kept, pow_(Num(abs(base.coeff)), e),
+                       *[pow_(f, e) for f in base.factors if _positive(f)])
         parts = [pow_(f, e) for f in base.factors]
         if base.coeff != 1:
             parts.append(pow_(Num(base.coeff), e))

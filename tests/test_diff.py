@@ -281,7 +281,8 @@ def _assert_same_value(sp, got, want, real=False):
     """Both sides agree to 25 digits at one point, with principal branches
     (a negative base makes a complex value); a point where either side is
     undefined says nothing. With ``real``, neither does a point outside
-    either side's real domain (``_in_real_domain``). The values stay
+    the real domain of ``want`` (``_in_real_domain``), while a ``got``
+    without a real value where ``want`` has one fails. The values stay
     40-digit SymPy numbers, whose exponent range holds exp(4096)."""
     point = {sp.Symbol(n): v for n, v in (
         ("x", sp.Rational(7, 10)), ("t", sp.Rational(13, 10)),
@@ -291,9 +292,10 @@ def _assert_same_value(sp, got, want, real=False):
     for side in (got, want):
         v = sp.N(side.subs(point), 40)
         assume(v.is_number and not v.has(sp.zoo, sp.oo, sp.nan))
-        if real:
-            assume(_in_real_domain(sp, side, point))
         values.append(v)
+    if real:
+        assume(_in_real_domain(sp, want, point))
+        assert _in_real_domain(sp, got, point), (got, want)
     scale = max(1, *map(abs, values))
     assert abs(values[0] - values[1]) <= sp.Float("1e-25") * scale, \
         (got, want)
@@ -333,6 +335,11 @@ def _real_odd_roots(sp, s):
 # a = -1 makes (x*a)^(-2/3) the real x^(-2/3)
 @example(tree=("^", ("^", ("*", ["x", "a"]), Fraction(-2, 3)), 1),
          binding=Fraction(-1), value=Fraction(1, 4))
+# (x - 1)*ln(x) > 0 at x = 0.7 with both factors negative, so its square
+# root must not split into sqrt(x - 1)*sqrt(ln(x))
+@example(tree=("^", "a", Fraction(1, 2)),
+         binding=("*", [("+", ["x", Fraction(-1)]), ("ln", "x")]),
+         value=Fraction(1, 4))
 def test_substitute_matches_sympy(tree, binding, value):
     # a binding can make a base negative, where the kernel takes the real
     # odd root, so both sides are compared over the reals

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_nodes as reference
 from walkerkit.expr import (
@@ -220,6 +220,8 @@ def _rebuilt(e):
 
 @settings(max_examples=400, deadline=None)
 @given(TREES)
+# eps is a sign, not positive: the root keeps it under one Pow with -1
+@example(tree=("^", ("*", ["eps", "x", -3]), Fraction(1, 2)))
 def test_constructors_match_reference(tree):
     got = _build(tree, (add, mul, pow_))
     want = _build(tree, (reference.add, reference.mul, reference.pow_))
@@ -268,6 +270,9 @@ def test_mul_keeps_a_normal_power(monkeypatch):
     "((x*t - 2)^2)^(1/2)*(x*t - 2)",
     "(x^2)^(1/2)",
     "(c1^2)^(3/2)",
+    "((x - 1)*ln(x))^(1/2)",
+    "(x*(x - 1)*ln(x)/t)^(-1/2)",
+    "(-x*(x - 1)*(1 - x))^(1/2)",
 ])
 def test_nested_power_keeps_its_value(text):
     # SymPy keeps the absolute value: sqrt((x - 1)^2) is Abs(x - 1), and
@@ -300,6 +305,18 @@ def test_nested_power_merges_only_where_sound():
         assert isinstance(parse(text).base, Pow), text
     assert eval_expr(parse("((-2)^(2/3))^(1/2)"), {}) == pytest.approx(
         2 ** (1 / 3))
+    # an even root of a product spreads over its positive factors only:
+    # (x - 1)*ln(x) > 0 on 0 < x < 1, where neither factor has a root
+    u = parse("((x - 1)*ln(x))^(1/2)")
+    assert isinstance(u, Pow) and isinstance(u.base, Prod)
+    assert parse("(4*x*(x - 1)*ln(x))^(1/2)") == mul(2, sqrt(x), u)
+    assert parse("(x*(x - 1))^(1/2)") == mul(sqrt(x), sqrt(parse("x - 1")))
+    assert parse("(-x*(x - 1))^(1/2)") == mul(
+        sqrt(x), Pow(Prod(Fraction(-1), (parse("x - 1"),)), Fraction(1, 2)))
+    # odd roots and integer powers spread over every factor
+    assert parse("((x - 1)*ln(x))^(1/3)") == parse(
+        "(x - 1)^(1/3)*ln(x)^(1/3)")
+    assert parse("((x - 1)*ln(x))^(-2)") == parse("(x - 1)^(-2)*ln(x)^(-2)")
     # two nested roots that merge to an integer power, in one product,
     # join the other powers of their base
     root, u = parse("((x - 1)^2)^(1/2)"), parse("x - 1")
