@@ -15,12 +15,25 @@ denominator in the input, so x^(1/2)*x^(1/2) merges to x. No Fraction is
 built while expanding; ``Poly.monomials`` gives the canonical rational
 form, keyed by atom keys, for comparison across expansions.
 
+Each expansion does its work once per subtree. One walk over the tree
+finds its exponent unit and the nodes that more than one parent reaches
+(substituted components share their jet subtrees). The ring remembers
+the polynomial of each such node, keyed by node, and of each sum atom,
+which clearing multiplies out in every round; every other node is
+expanded once anyway and is not stored. The memo belongs to the ring,
+whose atom indices and exponent unit its entries are written in; the
+pairs it hands out are shared and never modified.
+
 Sums raised to small positive integer powers are multiplied out. Sign
 symbols squaring to one have integer exponents reduced mod 2. A constant
 root (a rational base such as the 3 of sqrt(3)) keeps its exponent in
 [0, 1): its whole powers move into the coefficient, so sqrt(3)*sqrt(3)
-merges to 3. Sum bases are sign-normalized so that u and -u share one
-atom.
+merges to 3. Since every monomial already holds its roots below a whole
+power, a product of two monomials takes a whole power out only where the
+same root occurs in both, and a constant factor only scales the other
+side's coefficients. Sum bases are sign-normalized so that u and -u share
+one atom, and so is the sum of an even power kept under a root, since
+u^2 = (-u)^2: ((x - 1)^2)^(1/2) and ((1 - x)^2)^(1/2) are one atom.
 
 ``clear_denominators`` repeatedly multiplies the polynomial by the
 positive powers needed to cancel every sum-base denominator, re-expanding
@@ -42,24 +55,38 @@ from .nodes import (
 
 POW_EXPAND_LIMIT = 8
 CLEAR_ROUNDS = 6
+_LEAVES = (Coord, Param, Func, Ln, ExpF, Atan)
 
 
-def _unit(e: Expr) -> int:
-    """lcm of the exponent denominators reachable through sums, products
-    and powers: every exponent of the expansion is an int in 1/unit."""
+def _survey(e: Expr) -> tuple:
+    """(unit, shared) of one walk over the sums, products and powers of
+    ``e``: every exponent of the expansion is an int in 1/unit, the lcm of
+    the exponent denominators; ``shared`` holds the ids of the nodes that
+    more than one parent reaches, whose subtrees are walked once."""
     unit = 1
     stack = [e]
+    seen: set = set()
+    shared: set = set()
     while stack:
         n = stack.pop()
-        if isinstance(n, Sum):
-            stack.extend(n.terms)
-        elif isinstance(n, Prod):
-            stack.extend(n.factors)
-        elif isinstance(n, Pow):
+        t = type(n)
+        if t is Sum:
+            children = n.terms
+        elif t is Prod:
+            children = n.factors
+        elif t is Pow:
             if n.exp.denominator != 1:
                 unit = lcm(unit, n.exp.denominator)
-            stack.append(n.base)
-    return unit
+            children = (n.base,)
+        else:
+            continue
+        i = id(n)
+        if i in seen:
+            shared.add(i)
+        else:
+            seen.add(i)
+            stack.extend(children)
+    return unit, shared
 
 
 def _add(polys: list) -> tuple:
@@ -75,13 +102,17 @@ def _add(polys: list) -> tuple:
 
 
 class _Ring:
-    """The atom table of one expansion and the arithmetic over it."""
+    """The atom table of one expansion and the arithmetic over it.
 
-    __slots__ = ("unit", "period", "atoms", "index", "signs", "sums",
-                 "roots", "flips")
+    ``expand`` remembers the nodes whose ids are in ``shared``, so the
+    (terms, den) pairs it returns are shared and must be treated as
+    read-only."""
+
+    __slots__ = ("unit", "shared", "period", "atoms", "index", "signs",
+                 "sums", "roots", "flips", "memo")
 
     def __init__(self, e: Expr):
-        self.unit = _unit(e)
+        self.unit, self.shared = _survey(e)
         self.period = 2 * self.unit
         self.atoms: list = []
         self.index: dict = {}
@@ -89,6 +120,7 @@ class _Ring:
         self.sums: set = set()
         self.roots: dict = {}
         self.flips: dict = {}
+        self.memo: dict = {}
 
     def units(self, exp: Fraction) -> int:
         q, r = divmod(exp.numerator * self.unit, exp.denominator)
@@ -97,94 +129,99 @@ class _Ring:
         return q
 
     def atom(self, a: Expr, e: int) -> tuple:
-        """a^(e/unit) as a polynomial."""
-        i = self.index.get(a._key)
+        """a^(e/unit) as a polynomial. A constant root keeps its exponent
+        in [0, unit); its whole powers move into the coefficient."""
+        i = self.index.get(a)
         if i is None:
-            i = self.index[a._key] = len(self.atoms)
+            i = self.index[a] = len(self.atoms)
             self.atoms.append(a)
             if isinstance(a, Param) and a.name in SIGN_PARAMS:
                 self.signs.add(i)
             elif isinstance(a, Sum):
                 self.sums.add(i)
+                # every round of clearing that lifts it expands it
+                self.shared.add(id(a))
             elif isinstance(a, Num):
                 self.roots[i] = a.value
+        v = self.roots.get(i)
+        if v is not None:
+            w, e = divmod(e, self.unit)
+            if w >= 0:
+                p, q = v.numerator ** w, v.denominator ** w
+            else:
+                p, q = v.denominator ** -w, v.numerator ** -w
+            return ({((i, e),): p} if e else {(): p}), q
         if i in self.signs and not e % self.unit:
             e %= self.period
-        elif i in self.roots:
-            k, p, q = self.fold(((i, e),))
-            return {k: p}, q
         return ({((i, e),): 1} if e else {(): 1}), 1
 
-    def fold(self, k: tuple) -> tuple:
-        """(monomial, p, q): k with every constant root's exponent reduced
-        into [0, unit), and the int ratio p/q of the whole powers taken
-        out."""
+    def mono_mul(self, ka: tuple, kb: tuple) -> tuple:
+        """(monomial, p, q): the product of two monomials times the int
+        ratio p/q. A sign symbol's whole powers reduce mod 2. Both factors
+        hold each constant root below a whole power, so a whole power is
+        taken out only where the same root meets in both."""
+        d = dict(ka)
         p = q = 1
-        out = []
-        for i, e in k:
+        for i, e in kb:
+            f = d.get(i)
+            if f is None:
+                d[i] = e
+                continue
+            e += f
             v = self.roots.get(i)
             if v is not None:
-                w, e = divmod(e, self.unit)
-                if w > 0:
-                    p *= v.numerator ** w
-                    q *= v.denominator ** w
-                elif w < 0:
-                    p *= v.denominator ** -w
-                    q *= v.numerator ** -w
+                if e >= self.unit:
+                    e -= self.unit
+                    p *= v.numerator
+                    q *= v.denominator
+            elif i in self.signs and not e % self.unit:
+                e %= self.period
             if e:
-                out.append((i, e))
-        return tuple(out), p, q
-
-    def mono_mul(self, ka: tuple, kb: tuple) -> tuple:
-        """Product of two monomials; a sign symbol's whole powers reduce
-        mod 2."""
-        d = dict(ka)
-        signs, unit = self.signs, self.unit
-        for i, e in kb:
-            if i in d:
-                e += d[i]
-                if i in signs and not e % unit:
-                    e %= self.period
-                if e:
-                    d[i] = e
-                else:
-                    del d[i]
-            else:
                 d[i] = e
-        return tuple(sorted(d.items()))
+            else:
+                del d[i]
+        return tuple(sorted(d.items())), p, q
 
     def mul(self, a: tuple, b: tuple) -> tuple:
+        """Product of two polynomials. A constant side only scales the
+        other's coefficients; a merge that takes out a whole power of a
+        root multiplies its term by p/q, and each such term keeps its own
+        denominator until the common one is formed."""
         ta, da = a
         tb, db = b
-        if self.roots:
-            return self.mul_folding(ta, tb, da * db)
+        if len(tb) == 1 and () in tb:
+            ta, tb = tb, ta
+        if len(ta) == 1 and () in ta:
+            c = ta[()]
+            return (tb if c == 1 else {k: c * v for k, v in tb.items()},
+                    da * db)
         out: dict = {}
         get = out.get
+        split: dict = {}
         mono = self.mono_mul
         for ka, ca in ta.items():
             for kb, cb in tb.items():
-                k = mono(ka, kb) if ka and kb else ka or kb
-                out[k] = get(k, 0) + ca * cb
-        return {k: c for k, c in out.items() if c}, da * db
-
-    def mul_folding(self, ta: dict, tb: dict, den: int) -> tuple:
-        """``mul`` when constant roots occur: a merge that carries a whole
-        power of a root multiplies its term by an int ratio p/q, and each
-        term keeps its own denominator until the common one is formed."""
-        out: dict = {}
-        get = out.get
-        for ka, ca in ta.items():
-            for kb, cb in tb.items():
-                k, p, q = self.fold(self.mono_mul(ka, kb))
-                n, d = get(k, (0, 1))
-                if d == q:
-                    out[k] = n + ca * cb * p, d
+                if ka and kb:
+                    k, p, q = mono(ka, kb)
+                    if q != 1:
+                        n, d = split.get(k, (0, 1))
+                        m = lcm(d, q)
+                        split[k] = n * (m // d) + ca * cb * p * (m // q), m
+                        if k not in out:  # terms keep the merge's order
+                            out[k] = 0
+                        continue
+                    c = ca * cb * p
                 else:
-                    m = lcm(d, q)
-                    out[k] = n * (m // d) + ca * cb * p * (m // q), m
-        common = lcm(*[d for _, d in out.values()])
-        return ({k: n * (common // d) for k, (n, d) in out.items() if n},
-                den * common)
+                    k, c = ka or kb, ca * cb
+                out[k] = get(k, 0) + c
+        if split:
+            common = lcm(*[d for _, d in split.values()])
+            for k, c in out.items():
+                out[k] = c * common
+            for k, (n, d) in split.items():
+                out[k] += n * (common // d)
+            da *= common
+        return {k: c for k, c in out.items() if c}, da * db
 
     def pow(self, base: tuple, n: int) -> tuple:
         out = ({(): 1}, 1)
@@ -201,23 +238,49 @@ class _Ring:
         if isinstance(e, Num):
             v = e.value
             return ({(): v.numerator}, v.denominator) if v else ({}, 1)
-        if isinstance(e, (Coord, Param, Func, Ln, ExpF, Atan)):
+        if isinstance(e, _LEAVES):
             return self.atom(e, self.unit)
-        if isinstance(e, Sum):
-            return _add([self.expand(t) for t in e.terms])
-        if isinstance(e, Prod):
+        is_pow = isinstance(e, Pow)
+        if is_pow and not isinstance(e.base, Sum):
+            # one atom: cheaper to make again than to remember
+            return self.expand_pow(e.base, e.exp)
+        shared = id(e) in self.shared
+        if shared:
+            hit = self.memo.get(e)
+            if hit is not None:
+                return hit
+        if is_pow:
+            out = self.expand_pow(e.base, e.exp)
+        elif isinstance(e, Sum):
+            out = _add([self.expand(t) for t in e.terms])
+        elif isinstance(e, Prod):
             c = e.coeff
             out = ({(): c.numerator}, c.denominator)
             for f in e.factors:
                 out = self.mul(out, self.expand(f))
-            return out
-        if isinstance(e, Pow):
-            return self.expand_pow(e.base, e.exp)
-        raise ExprError(f"cannot expand {e!r}")
+        else:
+            raise ExprError(f"cannot expand {e!r}")
+        if shared:
+            self.memo[e] = out
+        return out
+
+    def negate(self, u: Sum) -> Sum:
+        hit = self.flips.get(u)
+        if hit is None:
+            hit = self.flips[u] = add(*[mul(-1, t) for t in u.terms])
+        return hit
 
     def expand_pow(self, base: Expr, exp: Fraction) -> tuple:
         if not isinstance(base, Sum):
-            # non-sum bases are leaves or kernels after normalization
+            # non-sum bases are leaves or kernels after normalization, or
+            # an even power of a sum kept under a root; as u^2 = (-u)^2,
+            # that sum is signed so its least term by factors is positive
+            if (isinstance(base, Pow) and isinstance(base.base, Sum)
+                    and not base.exp.numerator % 2):
+                u = base.base
+                least = min(u.terms, key=lambda t: _coeff_factors(t)[1])
+                if _coeff_factors(least)[0] < 0:
+                    base = pow_(self.negate(u), base.exp)
             return self.atom(base, self.units(exp))
         if exp.denominator != 1:
             # irrational power of a sum stays one opaque atom
@@ -228,11 +291,7 @@ class _Ring:
         # a sum atom is sign-normalized, so u and -u share one atom
         flip = _coeff_factors(base.terms[0])[0] < 0
         if flip:
-            hit = self.flips.get(base._key)
-            if hit is None:
-                hit = self.flips[base._key] = add(
-                    *[mul(-1, t) for t in base.terms])
-            base = hit
+            base = self.negate(base)
         terms, den = self.atom(base, n * self.unit)
         if flip and n % 2:
             terms = {k: -c for k, c in terms.items()}

@@ -1,6 +1,7 @@
 """Shipped catalog data: cardinality, parseability, closure, round trips."""
 
 import json
+from datetime import timedelta
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -223,7 +224,9 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
-FUZZ = settings(max_examples=150, deadline=None,
+# a per-example time bound, generous for a slow two-vCPU host, turns a
+# stall on hostile input into a failure
+FUZZ = settings(max_examples=150, deadline=timedelta(seconds=5),
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 

@@ -88,9 +88,21 @@ def test_numeric_only_root_of_square():
 
 def test_root_of_a_square_is_an_absolute_value():
     # ((x - 1)^2)^(1/2) is |x - 1|, not x - 1: samples below x = 1 tell
-    # them apart, and two roots of equal squares agree everywhere
+    # them apart; two roots of equal squares add up to 2|x - 1|
     assert verdict("((x - 1)^2)^(1/2) - (x - 1)") == NONZERO
-    assert verdict("((x - 1)^2)^(1/2) - ((1 - x)^2)^(1/2)") == ZERO_NUMERIC
+    assert verdict("((x - 1)^2)^(1/2) + ((1 - x)^2)^(1/2)") == NONZERO
+
+
+@pytest.mark.parametrize("text", [
+    "((x - 1)^2)^(1/2) - ((1 - x)^2)^(1/2)",
+    "((x - t)^2)^(1/3) - ((t - x)^2)^(1/3)",
+    "((x - 1)^(2/3))^(1/2) - ((1 - x)^(2/3))^(1/2)",
+    "((t - x)^4)^(1/2)*x - x*((x - t)^4)^(1/2)",
+])
+def test_even_power_under_a_root_cancels_exactly(text):
+    # u^2 = (-u)^2: the sum base of an even power kept under a root is
+    # sign-normalized, so both roots expand to one atom
+    assert verdict(text) == ZERO_SYMBOLIC
 
 
 def test_ln_one_and_atan_zero_fold_at_construction():
