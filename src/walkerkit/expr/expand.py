@@ -8,12 +8,29 @@ kernels taken opaquely, and sum bases that cannot be multiplied out
 power of a sum stays one opaque atom.
 
 The polynomial is a dict from monomial to int coefficient over one
-common int denominator. A monomial is a sorted tuple of (atom index,
-exponent) pairs. Atoms are numbered in a table built once per expansion,
-and exponents are ints in units of 1/D, where D is the lcm of every power
-denominator in the input, so x^(1/2)*x^(1/2) merges to x. No Fraction is
-built while expanding; ``Poly.monomials`` gives the canonical rational
-form, keyed by atom keys, for comparison across expansions.
+common int denominator. Atoms are numbered in a table built once per
+expansion, and exponents are ints in units of 1/D, where D is the lcm of
+every power denominator in the input, so x^(1/2)*x^(1/2) merges to x. A
+monomial is one int: field i, ``width`` bits wide, holds the exponent of
+atom i as a balanced (signed) digit, so negative exponents pack too, and
+the empty monomial is 0. The product of two monomials is the sum of
+their ints. No Fraction is built while expanding; ``Poly.monomials``
+unpacks the canonical rational form, keyed by atom keys, for comparison
+across expansions.
+
+The field width can never wrap. Every polynomial carries a bound on the
+size of its largest field: |e| for an atom's e; the sum of the factors'
+bounds for a product, since a field of ka + kb is the sum of theirs and a
+fix-up (below) only shrinks it; the largest of the terms' bounds for a
+sum, which makes no new monomial. While every bound stays below half the
+field range, 2^(width - 1), each field lies in [-half, half), the
+balanced digits of an int are unique, and no addition carries into a
+neighbouring field. An atom or a product whose bound reaches half stops
+the expansion, which starts again in a ring with twice the width and the
+same atom table. That costs two int operations per polynomial product,
+not per term; exponents are unbounded, and a chain such as
+u_{k+1} = u_k*(u_k + 2), which expands to x^(2^k) - 1, widens as far as
+it needs.
 
 Each expansion does its work once per subtree. One walk over the tree
 finds its exponent unit and the nodes that more than one parent reaches
@@ -21,19 +38,22 @@ finds its exponent unit and the nodes that more than one parent reaches
 the polynomial of each such node, keyed by node, and of each sum atom,
 which clearing multiplies out in every round; every other node is
 expanded once anyway and is not stored. The memo belongs to the ring,
-whose atom indices and exponent unit its entries are written in; the
-pairs it hands out are shared and never modified.
+whose atom indices, exponent unit and width its entries are written in;
+the polynomials it hands out are shared and never modified.
 
 Sums raised to small positive integer powers are multiplied out. Sign
 symbols squaring to one have integer exponents reduced mod 2. A constant
 root (a rational base such as the 3 of sqrt(3)) keeps its exponent in
 [0, 1): its whole powers move into the coefficient, so sqrt(3)*sqrt(3)
-merges to 3. Since every monomial already holds its roots below a whole
-power, a product of two monomials takes a whole power out only where the
-same root occurs in both, and a constant factor only scales the other
-side's coefficients. Sum bases are sign-normalized so that u and -u share
-one atom, and so is the sum of an even power kept under a root, since
-u^2 = (-u)^2: ((x - 1)^2)^(1/2) and ((1 - x)^2)^(1/2) are one atom.
+merges to 3. These two are fix-ups after the addition of two monomials,
+made only in a ring that holds such atoms and only where both monomials
+carry the atom: every monomial already holds its roots below a whole
+power and its sign symbols reduced, and a constant factor only scales
+the other side's coefficients. Sum bases are sign-normalized so that u
+and -u share one atom, and so is the sum of an even power kept under a
+root, since u^2 = (-u)^2: ((x - 1)^2)^(1/2) and ((1 - x)^2)^(1/2) are one
+atom. Both take the sign that makes the sum's least term by factors
+positive, which u and -u agree on.
 
 ``clear_denominators`` repeatedly multiplies the polynomial by the
 positive powers needed to cancel every sum-base denominator, re-expanding
@@ -55,7 +75,14 @@ from .nodes import (
 
 POW_EXPAND_LIMIT = 8
 CLEAR_ROUNDS = 6
-_LEAVES = (Coord, Param, Func, Ln, ExpF, Atan)
+# bits of each exponent field in a fresh ring; a ring whose exponents
+# outgrow it is made again twice as wide
+WIDTH = 64
+_LEAVES = frozenset((Coord, Param, Func, Ln, ExpF, Atan))
+
+
+class _Overflow(Exception):
+    """An exponent bound reached half of the ring's field range."""
 
 
 def _survey(e: Expr) -> tuple:
@@ -90,37 +117,97 @@ def _survey(e: Expr) -> tuple:
 
 
 def _add(polys: list) -> tuple:
-    """Sum of (terms, den) polynomials, over the lcm of their dens."""
-    den = lcm(*[d for _, d in polys])
+    """Sum of (terms, den, bound) polynomials, over the lcm of their
+    dens."""
+    den = lcm(*[d for _, d, _ in polys])
     out: dict = {}
     get = out.get
-    for terms, d in polys:
+    for terms, d, _ in polys:
         s = den // d
         for k, c in terms.items():
             out[k] = get(k, 0) + c * s
-    return {k: c for k, c in out.items() if c}, den
+    return ({k: c for k, c in out.items() if c}, den,
+            max([b for _, _, b in polys], default=0))
 
 
 class _Ring:
     """The atom table of one expansion and the arithmetic over it.
 
-    ``expand`` remembers the nodes whose ids are in ``shared``, so the
-    (terms, den) pairs it returns are shared and must be treated as
-    read-only."""
+    A polynomial is (terms, den, bound): packed monomial -> int
+    coefficient, the common denominator, and a bound on the size of every
+    exponent field. ``expand`` remembers the nodes whose ids are in
+    ``shared``, so the polynomials it returns are shared and must be
+    treated as read-only."""
 
-    __slots__ = ("unit", "shared", "period", "atoms", "index", "signs",
-                 "sums", "roots", "flips", "memo")
+    __slots__ = ("unit", "shared", "period", "width", "half", "mask",
+                 "offsets", "atoms", "index", "signs", "sums", "roots",
+                 "fixed", "carried", "flips", "memo")
 
-    def __init__(self, e: Expr):
-        self.unit, self.shared = _survey(e)
-        self.period = 2 * self.unit
+    def __init__(self, unit: int, shared: set, width: int = WIDTH):
+        self.unit = unit
+        self.shared = shared
+        self.period = 2 * unit
+        self.width = width
+        self.half = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+        # offsets[i] adds half to every field up to i, so that field i
+        # reads off with no borrow from the signed fields below it
+        self.offsets: list = []
         self.atoms: list = []
         self.index: dict = {}
         self.signs: set = set()
-        self.sums: set = set()
+        self.sums: list = []
         self.roots: dict = {}
+        # atoms that need a fix-up after an addition, and the digits of
+        # those atoms in each monomial met so far
+        self.fixed: list = []
+        self.carried: dict = {}
         self.flips: dict = {}
         self.memo: dict = {}
+
+    def widened(self) -> _Ring:
+        """A ring with twice the width and the same atoms, in order."""
+        ring = _Ring(self.unit, set(self.shared), 2 * self.width)
+        for a in self.atoms:
+            ring.register(a)
+        return ring
+
+    def register(self, a: Expr) -> int:
+        i = self.index[a] = len(self.atoms)
+        self.atoms.append(a)
+        self.offsets.append((self.offsets[-1] if i else 0)
+                            + (self.half << (self.width * i)))
+        if isinstance(a, Param) and a.name in SIGN_PARAMS:
+            self.signs.add(i)
+            self.fixed.append(i)
+        elif isinstance(a, Sum):
+            self.sums.append(i)
+            # every round of clearing that lifts it expands it
+            self.shared.add(id(a))
+        elif isinstance(a, Num):
+            self.roots[i] = a.value
+            self.fixed.append(i)
+        return i
+
+    def unpack(self, k: int) -> list:
+        """[(atom index, exponent)] of the nonzero fields of ``k``."""
+        w, half, mask = self.width, self.half, self.mask
+        out = []
+        i = 0
+        while k:
+            d = ((k + half) & mask) - half
+            if d:
+                out.append((i, d))
+            k = (k - d) >> w
+            i += 1
+        return out
+
+    def repack(self, poly: tuple, old: _Ring) -> tuple:
+        """``poly``, written in ``old``, in this ring's width."""
+        terms, den, bound = poly
+        w = self.width
+        return ({sum(e << (w * i) for i, e in old.unpack(k)): c
+                 for k, c in terms.items()}, den, bound)
 
     def units(self, exp: Fraction) -> int:
         q, r = divmod(exp.numerator * self.unit, exp.denominator)
@@ -133,16 +220,8 @@ class _Ring:
         in [0, unit); its whole powers move into the coefficient."""
         i = self.index.get(a)
         if i is None:
-            i = self.index[a] = len(self.atoms)
-            self.atoms.append(a)
-            if isinstance(a, Param) and a.name in SIGN_PARAMS:
-                self.signs.add(i)
-            elif isinstance(a, Sum):
-                self.sums.add(i)
-                # every round of clearing that lifts it expands it
-                self.shared.add(id(a))
-            elif isinstance(a, Num):
-                self.roots[i] = a.value
+            i = self.register(a)
+        p = q = 1
         v = self.roots.get(i)
         if v is not None:
             w, e = divmod(e, self.unit)
@@ -150,69 +229,109 @@ class _Ring:
                 p, q = v.numerator ** w, v.denominator ** w
             else:
                 p, q = v.denominator ** -w, v.numerator ** -w
-            return ({((i, e),): p} if e else {(): p}), q
-        if i in self.signs and not e % self.unit:
+        elif i in self.signs and not e % self.unit:
             e %= self.period
-        return ({((i, e),): 1} if e else {(): 1}), 1
+        if abs(e) >= self.half:
+            raise _Overflow
+        return {e << (self.width * i): p}, q, abs(e)
 
-    def mono_mul(self, ka: tuple, kb: tuple) -> tuple:
-        """(monomial, p, q): the product of two monomials times the int
-        ratio p/q. A sign symbol's whole powers reduce mod 2. Both factors
-        hold each constant root below a whole power, so a whole power is
-        taken out only where the same root meets in both."""
-        d = dict(ka)
+    def carry(self, k: int) -> dict:
+        """{atom index: exponent} of the fix-up atoms that ``k`` holds."""
+        hit = self.carried.get(k)
+        if hit is None:
+            w, half, mask, offsets = (self.width, self.half, self.mask,
+                                      self.offsets)
+            hit = {}
+            for i in self.fixed:
+                d = ((k + offsets[i]) >> (w * i) & mask) - half
+                if d:
+                    hit[i] = d
+            self.carried[k] = hit
+        return hit
+
+    def fix(self, k: int, xa: dict, xb: dict) -> tuple:
+        """(monomial, p, q): the sum ``k`` of two monomials that carry the
+        fix-up atoms ``xa`` and ``xb``, with a sign symbol's whole powers
+        reduced mod 2 and a constant root's whole power taken out as the
+        int ratio p/q. Both sides hold each root below a whole power, so
+        that happens only where the same root meets in both."""
         p = q = 1
-        for i, e in kb:
-            f = d.get(i)
-            if f is None:
-                d[i] = e
+        unit = self.unit
+        for i, d in xa.items():
+            e = xb.get(i)
+            if e is None:
                 continue
-            e += f
+            e += d
             v = self.roots.get(i)
             if v is not None:
-                if e >= self.unit:
-                    e -= self.unit
+                if e >= unit:
+                    k -= unit << (self.width * i)
                     p *= v.numerator
                     q *= v.denominator
-            elif i in self.signs and not e % self.unit:
-                e %= self.period
-            if e:
-                d[i] = e
-            else:
-                del d[i]
-        return tuple(sorted(d.items())), p, q
+            elif not e % unit:
+                k += (e % self.period - e) << (self.width * i)
+        return k, p, q
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         """Product of two polynomials. A constant side only scales the
         other's coefficients; a merge that takes out a whole power of a
         root multiplies its term by p/q, and each such term keeps its own
         denominator until the common one is formed."""
-        ta, da = a
-        tb, db = b
-        if len(tb) == 1 and () in tb:
-            ta, tb = tb, ta
-        if len(ta) == 1 and () in ta:
-            c = ta[()]
+        ta, da, ba = a
+        tb, db, bb = b
+        if len(tb) == 1 and 0 in tb:
+            ta, tb, bb = tb, ta, ba
+        if len(ta) == 1 and 0 in ta:
+            c = ta[0]
             return (tb if c == 1 else {k: c * v for k, v in tb.items()},
-                    da * db)
+                    da * db, bb)
+        bound = ba + bb
+        if bound >= self.half:
+            raise _Overflow
+        if self.fixed:
+            carry = self.carry
+            xas = [carry(ka) for ka in ta]
+            xbs = [carry(kb) for kb in tb] if any(xas) else ()
+            if any(xbs):
+                return self.mul_fixing(ta, tb, xas, xbs, da * db, bound)
+        # one term on a side: the products are distinct monomials
+        if len(ta) == 1:
+            (ka, ca), = ta.items()
+            return ({ka + kb: ca * cb for kb, cb in tb.items()}, da * db,
+                    bound)
+        if len(tb) == 1:
+            (kb, cb), = tb.items()
+            return ({ka + kb: ca * cb for ka, ca in ta.items()}, da * db,
+                    bound)
+        out: dict = {}
+        get = out.get
+        for ka, ca in ta.items():
+            for kb, cb in tb.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return {k: c for k, c in out.items() if c}, da * db, bound
+
+    def mul_fixing(self, ta: dict, tb: dict, xas: list, xbs: list,
+                   den: int, bound: int) -> tuple:
+        """``mul`` where monomials on both sides carry fix-up atoms, with
+        those atoms' exponents ``xas`` and ``xbs`` for each monomial."""
         out: dict = {}
         get = out.get
         split: dict = {}
-        mono = self.mono_mul
-        for ka, ca in ta.items():
-            for kb, cb in tb.items():
-                if ka and kb:
-                    k, p, q = mono(ka, kb)
+        for (ka, ca), xa in zip(ta.items(), xas):
+            for (kb, cb), xb in zip(tb.items(), xbs):
+                k = ka + kb
+                c = ca * cb
+                if xa and xb:
+                    k, p, q = self.fix(k, xa, xb)
                     if q != 1:
                         n, d = split.get(k, (0, 1))
                         m = lcm(d, q)
-                        split[k] = n * (m // d) + ca * cb * p * (m // q), m
+                        split[k] = n * (m // d) + c * p * (m // q), m
                         if k not in out:  # terms keep the merge's order
                             out[k] = 0
                         continue
-                    c = ca * cb * p
-                else:
-                    k, c = ka or kb, ca * cb
+                    c *= p
                 out[k] = get(k, 0) + c
         if split:
             common = lcm(*[d for _, d in split.values()])
@@ -220,11 +339,11 @@ class _Ring:
                 out[k] = c * common
             for k, (n, d) in split.items():
                 out[k] += n * (common // d)
-            da *= common
-        return {k: c for k, c in out.items() if c}, da * db
+            den *= common
+        return {k: c for k, c in out.items() if c}, den, bound
 
     def pow(self, base: tuple, n: int) -> tuple:
-        out = ({(): 1}, 1)
+        out = ({0: 1}, 1, 0)
         acc = base
         while n:
             if n & 1:
@@ -235,13 +354,13 @@ class _Ring:
         return out
 
     def expand(self, e: Expr) -> tuple:
-        if isinstance(e, Num):
+        te = type(e)
+        if te is Num:
             v = e.value
-            return ({(): v.numerator}, v.denominator) if v else ({}, 1)
-        if isinstance(e, _LEAVES):
+            return ({0: v.numerator}, v.denominator, 0) if v else ({}, 1, 0)
+        if te in _LEAVES:
             return self.atom(e, self.unit)
-        is_pow = isinstance(e, Pow)
-        if is_pow and not isinstance(e.base, Sum):
+        if te is Pow and type(e.base) is not Sum:
             # one atom: cheaper to make again than to remember
             return self.expand_pow(e.base, e.exp)
         shared = id(e) in self.shared
@@ -249,13 +368,13 @@ class _Ring:
             hit = self.memo.get(e)
             if hit is not None:
                 return hit
-        if is_pow:
+        if te is Pow:
             out = self.expand_pow(e.base, e.exp)
-        elif isinstance(e, Sum):
+        elif te is Sum:
             out = _add([self.expand(t) for t in e.terms])
-        elif isinstance(e, Prod):
+        elif te is Prod:
             c = e.coeff
-            out = ({(): c.numerator}, c.denominator)
+            out = ({0: c.numerator}, c.denominator, 0)
             for f in e.factors:
                 out = self.mul(out, self.expand(f))
         else:
@@ -264,23 +383,30 @@ class _Ring:
             self.memo[e] = out
         return out
 
-    def negate(self, u: Sum) -> Sum:
+    def signed(self, u: Sum) -> tuple:
+        """(v, flipped): of u and -u, the one whose least term by factors
+        is positive, and whether that is -u. u and -u have the same least
+        term with opposite signs, so both give one v."""
         hit = self.flips.get(u)
         if hit is None:
-            hit = self.flips[u] = add(*[mul(-1, t) for t in u.terms])
+            least = min(u.terms, key=lambda t: _coeff_factors(t)[1])
+            if _coeff_factors(least)[0] < 0:
+                hit = add(*[mul(-1, t) for t in u.terms]), True
+            else:
+                hit = u, False
+            self.flips[u] = hit
         return hit
 
     def expand_pow(self, base: Expr, exp: Fraction) -> tuple:
         if not isinstance(base, Sum):
             # non-sum bases are leaves or kernels after normalization, or
-            # an even power of a sum kept under a root; as u^2 = (-u)^2,
-            # that sum is signed so its least term by factors is positive
+            # an even power of a sum kept under a root, whose sum is signed
+            # as u^2 = (-u)^2
             if (isinstance(base, Pow) and isinstance(base.base, Sum)
                     and not base.exp.numerator % 2):
-                u = base.base
-                least = min(u.terms, key=lambda t: _coeff_factors(t)[1])
-                if _coeff_factors(least)[0] < 0:
-                    base = pow_(self.negate(u), base.exp)
+                u, flip = self.signed(base.base)
+                if flip:
+                    base = pow_(u, base.exp)
             return self.atom(base, self.units(exp))
         if exp.denominator != 1:
             # irrational power of a sum stays one opaque atom
@@ -289,81 +415,86 @@ class _Ring:
         if 0 < n <= POW_EXPAND_LIMIT:
             return self.pow(self.expand(base), n)
         # a sum atom is sign-normalized, so u and -u share one atom
-        flip = _coeff_factors(base.terms[0])[0] < 0
-        if flip:
-            base = self.negate(base)
-        terms, den = self.atom(base, n * self.unit)
+        base, flip = self.signed(base)
+        terms, den, bound = self.atom(base, n * self.unit)
         if flip and n % 2:
             terms = {k: -c for k, c in terms.items()}
-        return terms, den
+        return terms, den, bound
 
     def denominators(self, terms: dict) -> dict:
         """Sum atom index -> exponent (in units) needed to clear it. A sum
         atom only ever carries whole powers."""
         need: dict = {}
-        sums = self.sums
+        w, half, mask, offsets = self.width, self.half, self.mask, self.offsets
         for k in terms:
-            for i, e in k:
-                if e < 0 and i in sums:
-                    need[i] = max(need.get(i, 0), -e)
+            for i in self.sums:
+                e = ((k + offsets[i]) >> (w * i) & mask) - half
+                if e < 0 and need.get(i, 0) < -e:
+                    need[i] = -e
         return need
 
     def lift(self, poly: tuple, i: int, m: int):
         """poly times atom i^(m/unit), with that atom multiplied out; None
         when that would raise it past twice the expansion cap."""
-        terms, den = poly
+        terms, den, bound = poly
+        s, off, half, mask = (self.width * i, self.offsets[i], self.half,
+                              self.mask)
         groups: dict = {}
         for k, c in terms.items():
-            e, rest = 0, k
-            for j, (a, ae) in enumerate(k):
-                if a == i:
-                    e, rest = ae, k[:j] + k[j + 1:]
-                    break
-            groups.setdefault(e + m, {})[rest] = c
+            e = ((k + off) >> s & mask) - half
+            groups.setdefault(e + m, {})[k - (e << s)] = c
         if max(groups, default=0) > 2 * POW_EXPAND_LIMIT * self.unit:
             return None
         expansion = self.expand(self.atoms[i])
         parts = []
         for e, group in groups.items():
-            part = (group, 1)
+            part = (group, 1, bound)
             if e:
                 part = self.mul(part, self.pow(expansion, e // self.unit))
             parts.append(part)
-        terms, lifted = _add(parts)
-        return terms, den * lifted
+        terms, lifted, bound = _add(parts)
+        return terms, den * lifted, bound
 
 
 class Poly:
-    """sum(terms[k] * prod(atom_i^(e/unit) for i, e in k)) / den, over the
-    atom table ``ring``."""
+    """sum(terms[k] * prod(atom_i^(e_i/unit))) / den over the atom table
+    ``ring``, where e_i is field i of the packed monomial k and every
+    field is at most ``bound`` in size."""
 
-    __slots__ = ("ring", "terms", "den")
+    __slots__ = ("ring", "terms", "den", "bound")
 
-    def __init__(self, ring: _Ring, terms: dict, den: int):
+    def __init__(self, ring: _Ring, terms: dict, den: int, bound: int):
         self.ring = ring
         self.terms = terms
         self.den = den
+        self.bound = bound
 
     def monomials(self) -> dict:
         """Canonical form: {((atom key, Fraction exponent), ...) sorted by
         atom key: Fraction coefficient}."""
-        atoms, unit = self.ring.atoms, self.ring.unit
+        ring = self.ring
+        atoms, unit = ring.atoms, ring.unit
         return {tuple(sorted((atoms[i]._key, Fraction(e, unit))
-                             for i, e in k)): Fraction(c, self.den)
+                             for i, e in ring.unpack(k))): Fraction(c, self.den)
                 for k, c in self.terms.items()}
 
     def to_expr(self) -> Expr:
         """The polynomial as a normal-form tree: a sum of monomials."""
-        atoms, unit = self.ring.atoms, self.ring.unit
+        ring = self.ring
+        atoms, unit = ring.atoms, ring.unit
         return add(*[mul(Fraction(c, self.den),
-                         *[pow_(atoms[i], Fraction(e, unit)) for i, e in k])
+                         *[pow_(atoms[i], Fraction(e, unit))
+                           for i, e in ring.unpack(k)])
                      for k, c in self.terms.items()])
 
 
 def expand_poly(e: Expr) -> Poly:
-    ring = _Ring(e)
-    terms, den = ring.expand(e)
-    return Poly(ring, terms, den)
+    ring = _Ring(*_survey(e))
+    while True:
+        try:
+            return Poly(ring, *ring.expand(e))
+        except _Overflow:
+            ring = ring.widened()
 
 
 def expand_monomials(e: Expr) -> dict:
@@ -378,7 +509,16 @@ def clear_denominators(p: Poly, rounds: int = CLEAR_ROUNDS):
     sum out past twice ``POW_EXPAND_LIMIT``; the result is then unusable
     for a symbolic zero verdict.
     """
-    ring, poly = p.ring, (p.terms, p.den)
+    ring, poly = p.ring, (p.terms, p.den, p.bound)
+    while True:
+        try:
+            return _clear(ring, poly, rounds)
+        except _Overflow:
+            wide = ring.widened()
+            ring, poly = wide, wide.repack(poly, ring)
+
+
+def _clear(ring: _Ring, poly: tuple, rounds: int) -> tuple:
     for _ in range(rounds):
         need = ring.denominators(poly[0])
         if not need:

@@ -48,9 +48,13 @@ class Expr:
 
     __slots__ = ("_key", "_hash")
 
-    def _seal(self, key) -> None:
+    def _seal(self, key, h=None) -> None:
+        """Fix the node's key and hash. A node with children passes ``h``
+        made from their cached hashes: ``hash`` of the nested key would
+        walk it as a tree, once per path, which is exponential in the
+        depth of shared subtrees."""
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_hash", hash(key) if h is None else h)
 
     def key(self):
         return self._key
@@ -161,7 +165,7 @@ class Ln(Expr):
 
     def __init__(self, arg: Expr):
         object.__setattr__(self, "arg", arg)
-        self._seal((4, arg._key))
+        self._seal((4, arg._key), hash((4, arg._hash)))
 
 
 class ExpF(Expr):
@@ -169,7 +173,7 @@ class ExpF(Expr):
 
     def __init__(self, arg: Expr):
         object.__setattr__(self, "arg", arg)
-        self._seal((5, arg._key))
+        self._seal((5, arg._key), hash((5, arg._hash)))
 
 
 class Atan(Expr):
@@ -177,7 +181,7 @@ class Atan(Expr):
 
     def __init__(self, arg: Expr):
         object.__setattr__(self, "arg", arg)
-        self._seal((6, arg._key))
+        self._seal((6, arg._key), hash((6, arg._hash)))
 
 
 class Pow(Expr):
@@ -192,7 +196,8 @@ class Pow(Expr):
     def __init__(self, base: Expr, exp: Fraction):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exp", exp)
-        self._seal((7, base._key, (exp.numerator, exp.denominator)))
+        e = exp.numerator, exp.denominator
+        self._seal((7, base._key, e), hash((7, base._hash, e)))
 
 
 class Prod(Expr):
@@ -203,8 +208,9 @@ class Prod(Expr):
     def __init__(self, coeff: Fraction, factors: tuple):
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "factors", factors)
-        self._seal((8, (coeff.numerator, coeff.denominator),
-                    tuple(f._key for f in factors)))
+        c = coeff.numerator, coeff.denominator
+        self._seal((8, c, tuple(f._key for f in factors)),
+                   hash((8, c, factors)))
 
 
 class Sum(Expr):
@@ -212,7 +218,7 @@ class Sum(Expr):
 
     def __init__(self, terms: tuple):
         object.__setattr__(self, "terms", terms)
-        self._seal((9, tuple(t._key for t in terms)))
+        self._seal((9, tuple(t._key for t in terms)), hash((9, terms)))
 
 
 ZERO = Num(0)
@@ -299,20 +305,22 @@ def _remake_term(coeff: Fraction, factors: tuple) -> Expr:
 
 @_memoized
 def add(*terms) -> Expr:
-    # Like terms share a bucket keyed by their factor keys (a product
-    # holds that tuple in its _key). A term alone in its bucket is already
-    # normal and is kept as it is; only merged buckets are remade.
+    # Like terms share a bucket keyed by their factors: the factor itself
+    # when there is one, else their tuple. A term alone in its bucket is
+    # already normal and is kept as it is; only merged buckets are remade.
     buckets: dict = {}
     for term in terms:
         parts = term.terms if type(term) is Sum else (to_expr(term),)
         for t in parts:
             tt = type(t)
             if tt is Prod:
-                k, cf = t._key[2], t.coeff
+                k, cf = t.factors, t.coeff
+                if len(k) == 1:
+                    k = k[0]
             elif tt is Num:
                 k, cf = (), t.value
             else:
-                k, cf = (t._key,), 1
+                k, cf = t, 1
             hit = buckets.get(k)
             if hit is None:
                 buckets[k] = [cf, t, False]
@@ -362,9 +370,9 @@ def mul(*factors) -> Expr:
             pending.extend(f.factors)
             continue
         if tf is Pow:
-            k, base, e = f._key[1], f.base, f.exp
+            base, e = f.base, f.exp
         elif isinstance(f, Expr):
-            k, base, e = f._key, f, 1
+            base, e = f, 1
         elif tf is Fraction or tf is int:
             cn *= f.numerator
             cd *= f.denominator
@@ -372,18 +380,18 @@ def mul(*factors) -> Expr:
         else:
             pending.append(to_expr(f))
             continue
-        hit = powers.get(k)
+        hit = powers.get(base)
         if hit is None:
-            powers[k] = [base, e, f]
+            powers[base] = [e, f]
         else:
-            hit[1] += e
-            hit[2] = None
+            hit[0] += e
+            hit[1] = None
     if cn == 0:
         return ZERO
 
     out = []
     redo = []
-    for base, e, node in powers.values():
+    for base, (e, node) in powers.items():
         if node is not None:
             out.append(node)
             continue
@@ -554,8 +562,16 @@ def ln(arg) -> Expr:
 
 
 def exp_(arg) -> Expr:
+    """exp(arg); exp(0) is 1, and exp(k*ln(u)) is u^k for an atom u
+    positive by convention."""
     arg = to_expr(arg)
-    return ONE if arg == ZERO else ExpF(arg)
+    if arg == ZERO:
+        return ONE
+    k, factors = _coeff_factors(arg)
+    if (len(factors) == 1 and type(factors[0]) is Ln
+            and _positive_atom(factors[0].arg)):
+        return pow_(factors[0].arg, k)
+    return ExpF(arg)
 
 
 def atan(arg) -> Expr:

@@ -8,6 +8,8 @@ and ``_unit`` walks a shared subtree once for each parent. The kernel's
 ``expand`` module is compared with it key for key on canonical
 monomials. It predates the sign normalization of an even power kept
 under a root, so inputs that hold ``(u^2)^(1/2)`` are outside its range.
+A sum atom takes the sign that makes its least term by factors positive,
+as in the kernel, so that x - t and t - x are one atom.
 """
 
 from fractions import Fraction
@@ -203,8 +205,10 @@ class _Ring:
         n = exp.numerator
         if 0 < n <= POW_EXPAND_LIMIT:
             return self.pow(self.expand(base), n)
-        # a sum atom is sign-normalized, so u and -u share one atom
-        flip = _coeff_factors(base.terms[0])[0] < 0
+        # a sum atom is sign-normalized, so u and -u share one atom: its
+        # least term by factors is positive
+        least = min(base.terms, key=lambda t: _coeff_factors(t)[1])
+        flip = _coeff_factors(least)[0] < 0
         if flip:
             hit = self.flips.get(base._key)
             if hit is None:

@@ -10,6 +10,7 @@ import pytest
 import walkerkit
 from walkerkit import catalog
 from walkerkit.cli import Report, _verify_entry, main
+from walkerkit.expr import NONZERO
 
 
 def run(capsys, *argv):
@@ -364,6 +365,25 @@ def test_verify_all_byte_oracle(capsys):
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == \
         VERIFY_ALL_SEED42_SHA256
+
+
+def test_verify_all_makes_no_numeric_zero_verdict(monkeypatch, capsys):
+    # every zero that verify --all finds cancels exactly; the float probe
+    # only ever finds nonzero residuals
+    from walkerkit.expr import numeric
+
+    verdicts = []
+    probe = numeric.probe_zero
+
+    def counting(e, **kw):
+        res = probe(e, **kw)
+        verdicts.append(res.verdict)
+        return res
+
+    monkeypatch.setattr(numeric, "probe_zero", counting)
+    code, _ = run(capsys, "verify", "--all", "--seed", "42")
+    assert code == 1
+    assert verdicts and set(verdicts) == {NONZERO}
 
 
 BRACKETS_SHA256 = (

@@ -20,7 +20,7 @@ from walkerkit.expr import (
 from walkerkit.expr import nodes
 
 from test_geometry import _to_sympy
-from test_zero import _fold, _oracle_extend
+from test_zero import ORACLE_DEADLINE, _fold, _oracle_extend
 
 CLOSED_FORMS = [
     "4*(t + c1)/(c2*x + c3)^2",
@@ -301,7 +301,7 @@ def _assert_same_value(sp, got, want, real=False):
         (got, want)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=ORACLE_DEADLINE)
 @given(KERNEL_TREES, st.sampled_from(("x", "t", "y")))
 def test_diff_matches_sympy(tree, var):
     sp = pytest.importorskip("sympy")
@@ -328,7 +328,7 @@ def _real_odd_roots(sp, s):
         lambda n: sp.real_root(n.base, n.exp.q) ** n.exp.p)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=ORACLE_DEADLINE)
 @given(KERNEL_TREES, KERNEL_TREES,
        st.fractions(min_value=Fraction(1, 4), max_value=5,
                     max_denominator=4))

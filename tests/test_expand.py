@@ -15,10 +15,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_expand as ref
 from walkerkit.expr import (
-    ExprError, Pow, Prod, Sum, add, clear_denominators, mul, num, parse,
-    pow_,
+    ExprError, Pow, Prod, Sum, add, clear_denominators, div, is_zero_symbolic,
+    mul, num, parse, pow_, sub,
 )
-from walkerkit.expr.expand import _Ring, expand_poly
+from walkerkit.expr.expand import WIDTH, Poly, _Ring, _survey, expand_poly
 
 # leaves: atoms, the sign symbol eps, two constant roots, small rationals,
 # and "S", which stands for one shared subtree drawn with the tree
@@ -90,6 +90,20 @@ def _same_as_reference(e):
 @example(("+", [("^", ("+", ["S", "t"]), -2), ("*", ["S", "eps"])]),
          ("*", ["eps", "x"]))
 @example(("+", [("*", ["S", "x"]), ("*", ["S", "t"])]), ("+", ["x", "a_1"]))
+@example(("+", [("^", "x", 4096), "S"]), ("^", "x", 4096))
+@example(("*", [("^", "x", Fraction(1, 4093)), ("^", "x", Fraction(1, 4091)),
+                ("^", ("+", ["x", "t"]), -3)]), "x")
+# merged powers multiply: x^(2^48) in units of 1/(4093*4091) outgrows
+# the first field width
+@example(("*", [("^", ("^", ("^", ("^", "x", 4096), 4096), 4096), 4096),
+                ("^", "x", Fraction(1, 4093)), ("^", "t", Fraction(1, 4091))]),
+         "t")
+@example(("*", [("^", "eps", 3), ("^", ("+", ["eps", "S"]), 2),
+                ("^", "eps", Fraction(-1, 2)), ("^", "epsp", -1)]),
+         ("+", ["x", "eps"]))
+# x - t and t - x: the sum atom takes the sign of its least term
+@example(("+", [("^", ("+", ["x", ("*", ["t", Fraction(-1)])]), -3),
+                ("^", ("+", ["t", ("*", ["x", Fraction(-1)])]), 9)]), "x")
 def test_expansion_matches_the_reference(tree, shared):
     try:
         s = _build(shared, None)
@@ -125,22 +139,80 @@ def test_repeated_subtree_is_expanded_once(monkeypatch):
     assert got == ref.expand_poly(e).monomials()
 
 
+def _counting_fixes(monkeypatch):
+    calls = []
+    fix = _Ring.fix
+
+    def counting(self, k, xa, xb):
+        calls.append((xa, xb))
+        return fix(self, k, xa, xb)
+
+    monkeypatch.setattr(_Ring, "fix", counting)
+    return calls
+
+
 def test_constant_factor_computes_no_monomial_product(monkeypatch):
     e = parse("(x + sqrt(3)*t)^2*(3/7)^(1/3) + eps*a_1")
-    ring = _Ring(e)
+    ring = _Ring(*_survey(e))
     poly = ring.expand(e)
-    assert ring.roots
-    products = []
-    mono_mul = _Ring.mono_mul
+    const, one = ring.expand(num(Fraction(5, 7))), ring.expand(num(1))
+    assert ring.roots and ring.signs
+    fixes = _counting_fixes(monkeypatch)
+    terms, den, bound = poly
+    scaled = ({k: 5 * c for k, c in terms.items()}, 7 * den, bound)
+    assert ring.mul(const, poly) == scaled
+    assert ring.mul(poly, const) == scaled
+    assert ring.mul(one, poly) == poly
+    assert fixes == []
 
-    def counting(self, ka, kb):
-        products.append((ka, kb))
-        return mono_mul(self, ka, kb)
 
-    monkeypatch.setattr(_Ring, "mono_mul", counting)
-    terms, den = poly
-    scaled = {k: 5 * c for k, c in terms.items()}
-    assert ring.mul(({(): 5}, 7), poly) == (scaled, 7 * den)
-    assert ring.mul(poly, ({(): 5}, 7)) == (scaled, 7 * den)
-    assert ring.mul(({(): 1}, 1), poly) == poly
-    assert products == []
+def test_fix_up_only_where_both_sides_carry_the_atom(monkeypatch):
+    e = parse("sqrt(3)*x + eps*t + y + sqrt(3)*eps")
+    ring = _Ring(*_survey(e))
+    root_x, eps_t, y, both = (ring.expand(parse(f)) for f in (
+        "sqrt(3)*x", "eps*t", "y", "sqrt(3)*eps"))
+    fixes = _counting_fixes(monkeypatch)
+
+    def product(a, b):
+        return Poly(ring, *ring.mul(a, b)).to_expr()
+
+    assert product(root_x, y) == parse("sqrt(3)*x*y")
+    assert product(y, both) == parse("sqrt(3)*eps*y")
+    assert product(eps_t, y) == parse("eps*t*y")
+    assert fixes == []
+    assert product(root_x, both) == parse("3*x*eps")
+    assert product(eps_t, both) == parse("sqrt(3)*t")
+    assert product(root_x, eps_t) == parse("sqrt(3)*x*eps*t")
+
+
+# --- field width --------------------------------------------------------------
+
+def _chain(levels):
+    """u_{k+1} = u_k*(u_k + 2) from u_0 = x - 1, which is x^(2^k) - 1; each
+    level holds the previous one twice."""
+    u = parse("x - 1")
+    for _ in range(levels):
+        u = mul(u, add(u, 2))
+    return u
+
+
+def test_exponents_past_the_field_width_widen_the_ring():
+    p = expand_poly(_chain(70))
+    x = parse("x")
+    assert p.ring.width > WIDTH
+    assert p.monomials() == {(): -1, ((x.key(), Fraction(2 ** 70)),): 1}
+    assert is_zero_symbolic(sub(_chain(70), pow_(x, 2 ** 70) - 1))
+
+
+def test_clearing_past_the_field_width_widens_the_ring():
+    # y*x^n/(x^n + t) fits the first width; clearing multiplies it by
+    # x^n + t, which does not
+    xn, t, y = pow_(parse("x"), 2 ** 62), parse("t"), parse("y")
+    s = add(xn, t)
+    e = add(div(mul(y, xn), s), div(mul(y, t), s), mul(-1, y))
+    p = expand_poly(e)
+    assert p.ring.width == WIDTH and p.terms
+    got, cleared = clear_denominators(p)
+    assert cleared and not got.terms and got.ring.width > WIDTH
+    # the input polynomial still reads in its own ring
+    assert p.monomials() == expand_poly(e).monomials()

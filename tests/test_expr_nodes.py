@@ -1,5 +1,6 @@
 """Normal-form construction invariants for the expression kernel."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_nodes as reference
 from walkerkit.expr import (
-    Expr, ExprError, Func, Num, Pow, Prod, Sum, add, coord, diff, div,
+    ExpF, Expr, ExprError, Func, Num, Pow, Prod, Sum, add, coord, diff, div,
     eval_expr, funcsym, mul, neg, num, param, parse, partial, pow_, render,
     sqrt, sub, substitute,
 )
@@ -138,6 +139,27 @@ def test_render_canonical_signs():
 def test_structural_equality_is_hashable():
     s = {add(x, t), add(t, x), mul(2, x)}
     assert len(s) == 2
+
+
+def test_shared_subtrees_build_in_linear_time():
+    # u_{k+1} = u_k*(u_k + 2) holds u_k twice, so its tree has 2^k paths;
+    # a node's hash and its like-term buckets read only its children
+    start = time.perf_counter()
+    u = parse("x - 1")
+    for _ in range(40):
+        u = mul(u, add(u, 2))
+        assert time.perf_counter() - start < 1.0
+    assert len(u.factors) == 41 and hash(u) == hash(u)
+
+
+def test_exp_of_a_multiple_of_ln_folds_to_a_power():
+    assert parse("exp(-ln(b5))") == parse("b5^(-1)")
+    assert parse("exp(ln(x)/2)") == sqrt(x)
+    assert parse("exp(2*ln(2))") == num(4)
+    assert parse("eps*b5*exp(-ln(b5)) - eps") == num(0)
+    # not positive by convention, or not a multiple of one ln
+    for text in ("exp(ln(x - 1))", "exp(3*ln(eps))", "exp(ln(x) + t)"):
+        assert isinstance(parse(text), ExpF)
 
 
 def test_prod_never_nested():

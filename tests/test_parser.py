@@ -104,7 +104,7 @@ def _grow(tree):
     return KERNELS[op](_grow(arg))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=timedelta(seconds=30))
 @given(RENDER_TREES)
 @example(("+", ["x", ("-", ("+", ["x", -1]))]))
 @example(("^", ("^", ("+", ["x", -1]), 2), Fraction(3, 2)))
