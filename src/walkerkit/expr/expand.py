@@ -23,8 +23,8 @@ size of its largest field: |e| for an atom's e; the sum of the factors'
 bounds for a product, since a field of ka + kb is the sum of theirs and a
 fix-up (below) only shrinks it; the largest of the terms' bounds for a
 sum, which makes no new monomial. While every bound stays below half the
-field range, 2^(width - 1), each field lies in [-half, half), the
-balanced digits of an int are unique, and no addition carries into a
+field range, 2^(width - 1), every field is smaller than half in size,
+the balanced digits of an int are unique, and no addition carries into a
 neighbouring field. An atom or a product whose bound reaches half stops
 the expansion, which starts again in a ring with twice the width and the
 same atom table. That costs two int operations per polynomial product,
@@ -122,12 +122,14 @@ def _add(polys: list) -> tuple:
     den = lcm(*[d for _, d, _ in polys])
     out: dict = {}
     get = out.get
-    for terms, d, _ in polys:
+    bound = 0
+    for terms, d, b in polys:
         s = den // d
         for k, c in terms.items():
             out[k] = get(k, 0) + c * s
-    return ({k: c for k, c in out.items() if c}, den,
-            max([b for _, _, b in polys], default=0))
+        if b > bound:
+            bound = b
+    return {k: c for k, c in out.items() if c}, den, bound
 
 
 class _Ring:
@@ -140,8 +142,8 @@ class _Ring:
     treated as read-only."""
 
     __slots__ = ("unit", "shared", "period", "width", "half", "mask",
-                 "offsets", "atoms", "index", "signs", "sums", "roots",
-                 "fixed", "carried", "flips", "memo")
+                 "atoms", "index", "signs", "sums", "roots", "fixed",
+                 "carried", "flips", "memo")
 
     def __init__(self, unit: int, shared: set, width: int = WIDTH):
         self.unit = unit
@@ -150,9 +152,6 @@ class _Ring:
         self.width = width
         self.half = 1 << (width - 1)
         self.mask = (1 << width) - 1
-        # offsets[i] adds half to every field up to i, so that field i
-        # reads off with no borrow from the signed fields below it
-        self.offsets: list = []
         self.atoms: list = []
         self.index: dict = {}
         self.signs: set = set()
@@ -175,19 +174,26 @@ class _Ring:
     def register(self, a: Expr) -> int:
         i = self.index[a] = len(self.atoms)
         self.atoms.append(a)
-        self.offsets.append((self.offsets[-1] if i else 0)
-                            + (self.half << (self.width * i)))
-        if isinstance(a, Param) and a.name in SIGN_PARAMS:
+        ta = type(a)
+        if ta is Param and a.name in SIGN_PARAMS:
             self.signs.add(i)
             self.fixed.append(i)
-        elif isinstance(a, Sum):
+        elif ta is Sum:
             self.sums.append(i)
             # every round of clearing that lifts it expands it
             self.shared.add(id(a))
-        elif isinstance(a, Num):
+        elif ta is Num:
             self.roots[i] = a.value
             self.fixed.append(i)
         return i
+
+    def field(self, i: int) -> tuple:
+        """(shift, offset): field i of a monomial k is
+        ((k + offset) >> shift & mask) - half. The offset biases the field
+        by half and rounds k at the field's lower edge, which cancels the
+        borrow of the signed fields below it."""
+        s = self.width * i
+        return s, (self.half << s) + (1 << s >> 1)
 
     def unpack(self, k: int) -> list:
         """[(atom index, exponent)] of the nonzero fields of ``k``."""
@@ -239,11 +245,11 @@ class _Ring:
         """{atom index: exponent} of the fix-up atoms that ``k`` holds."""
         hit = self.carried.get(k)
         if hit is None:
-            w, half, mask, offsets = (self.width, self.half, self.mask,
-                                      self.offsets)
+            half, mask = self.half, self.mask
             hit = {}
             for i in self.fixed:
-                d = ((k + offsets[i]) >> (w * i) & mask) - half
+                s, off = self.field(i)
+                d = ((k + off) >> s & mask) - half
                 if d:
                     hit[i] = d
             self.carried[k] = hit
@@ -425,10 +431,11 @@ class _Ring:
         """Sum atom index -> exponent (in units) needed to clear it. A sum
         atom only ever carries whole powers."""
         need: dict = {}
-        w, half, mask, offsets = self.width, self.half, self.mask, self.offsets
+        half, mask = self.half, self.mask
+        fields = [(i, *self.field(i)) for i in self.sums]
         for k in terms:
-            for i in self.sums:
-                e = ((k + offsets[i]) >> (w * i) & mask) - half
+            for i, s, off in fields:
+                e = ((k + off) >> s & mask) - half
                 if e < 0 and need.get(i, 0) < -e:
                     need[i] = -e
         return need
@@ -437,8 +444,7 @@ class _Ring:
         """poly times atom i^(m/unit), with that atom multiplied out; None
         when that would raise it past twice the expansion cap."""
         terms, den, bound = poly
-        s, off, half, mask = (self.width * i, self.offsets[i], self.half,
-                              self.mask)
+        (s, off), half, mask = self.field(i), self.half, self.mask
         groups: dict = {}
         for k, c in terms.items():
             e = ((k + off) >> s & mask) - half
