@@ -26,8 +26,8 @@ sum, which makes no new monomial. While every bound stays below half the
 field range, 2^(width - 1), every field is smaller than half in size,
 the balanced digits of an int are unique, and no addition carries into a
 neighbouring field. An atom or a product whose bound reaches half stops
-the expansion, which starts again in a ring with twice the width and the
-same atom table. That costs two int operations per polynomial product,
+the expansion, or the clearing, which starts again in a ring with twice
+the width and the same atom table. That costs two int operations per polynomial product,
 not per term; exponents are unbounded, and a chain such as
 u_{k+1} = u_k*(u_k + 2), which expands to x^(2^k) - 1, widens as far as
 it needs.

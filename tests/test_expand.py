@@ -1,11 +1,13 @@
 """The expansion behind the symbolic zero test, against its reference.
 
-``reference_expand`` is the plain loop version: it expands every
-occurrence of a subtree again and folds the constant roots of every
-product of two terms. The kernel's ``expand`` remembers subtrees within
-one expansion, scales instead of multiplying by a constant, and takes a
-whole power of a root out only where two factors share it; it must give
-the same canonical polynomial, before and after denominator clearing.
+``reference_expand`` is the plain loop version: it keeps monomials as
+tuples of (atom, exponent) pairs, expands every occurrence of a subtree
+again and folds the constant roots of every product of two terms. The
+kernel's ``expand`` packs a monomial into one int, remembers subtrees
+within one expansion, scales instead of multiplying by a constant, takes
+a whole power of a root out only where two factors share it, and widens
+its exponent fields when they could overflow; it must give the same
+canonical polynomial, before and after denominator clearing.
 """
 
 from collections import Counter
