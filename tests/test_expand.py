@@ -199,6 +199,8 @@ def _chain(levels):
 
 
 def test_exponents_past_the_field_width_widen_the_ring():
+    # against the closed form: the reference expands both copies of each
+    # level again, 2^70 paths
     p = expand_poly(_chain(70))
     x = parse("x")
     assert p.ring.width > WIDTH
