@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import catalog
 from .expr import (
     NONZERO, ZERO_SYMBOLIC, ExprError, is_zero, is_zero_symbolic,
-    parse, probe_zero, render, sub, substitute, substitute_all,
+    parse, render, sub, substitute, substitute_all,
 )
 from .geometry import (
     EINSTEIN_LABELS, abstract_curvature, einstein_verdicts,
@@ -36,7 +36,7 @@ from .pis import (
     reducibility_scan,
 )
 
-REPORT_SCHEMA = "walker-report/1"
+REPORT_SCHEMA = "walker-report/2"
 
 
 @dataclass
@@ -52,7 +52,6 @@ class Report:
     seed: int
     samples: int
     tol: float
-    mode: str = "auto"
     checks: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
     seconds: float = 0.0
@@ -75,7 +74,6 @@ class Report:
             "seed": self.seed,
             "samples": self.samples,
             "tol": self.tol,
-            "mode": self.mode,
             "checks": [{"id": c.id, "verdict": c.verdict,
                         "witness": c.witness} for c in ordered],
             "summary": {"pass": len(self.checks) - len(self.failures),
@@ -110,17 +108,17 @@ class Report:
         return "\n".join(lines)
 
 
-def _zero_note(e, ctx) -> tuple:
-    """(ok, exact, note) under the requested mode; ``exact`` says that
-    exact cancellation decided the verdict."""
-    if ctx.mode == "symbolic":
-        ok = is_zero_symbolic(e)
-        return ok, ok, ("zero_symbolic" if ok else "no symbolic cancellation")
-    if ctx.mode == "numeric":
-        res = probe_zero(e, samples=ctx.samples, tol=ctx.tol, seed=ctx.seed)
-    else:
-        res = is_zero(e, samples=ctx.samples, tol=ctx.tol, seed=ctx.seed)
-    return bool(res), res.verdict == ZERO_SYMBOLIC, res.describe()
+def _zero_tally(residuals, ctx, label: str) -> tuple:
+    """Zero-test each residual at the run's settings: (how many cancel
+    exactly, one note per residual that is not zero)."""
+    exact = 0
+    notes = []
+    for k, r in enumerate(residuals, start=1):
+        res = is_zero(r, samples=ctx.samples, tol=ctx.tol, seed=ctx.seed)
+        exact += res.verdict == ZERO_SYMBOLIC
+        if not res:
+            notes.append(f"{label} {k}: {res.describe()}")
+    return exact, notes
 
 
 # --- subcommands -------------------------------------------------------------
@@ -247,8 +245,7 @@ def cmd_einstein(args, rep: Report, parser) -> None:
         verdicts = [is_zero(e, samples=args.samples, tol=args.tol,
                             seed=args.seed) for e in comps[len(ricci):]]
         ricci_zero = all(
-            is_zero(r, samples=min(args.samples, 16), tol=args.tol,
-                    seed=args.seed)
+            is_zero(r, samples=args.samples, tol=args.tol, seed=args.seed)
             for r in comps[:len(ricci)])
     except ExprError as exc:
         parser.error(f"cannot evaluate the metric: {exc}")
@@ -296,27 +293,19 @@ def _check_reduction(entry, ctx, rep: Report) -> None:
 
 def _check_profile_family(entry, ctx, rep: Report) -> None:
     bindings = {k: entry.parse_expr(v) for k, v in entry.profile}
-    shipped = entry.reduced_exprs()
-    consistency = tuple(entry.parse_expr(s) for s in entry.consistency)
-    notes = []
-    ok = True
-    symbolic = 0
-    for k, r in enumerate(tuple(shipped) + consistency, start=1):
-        good, exact, note = _zero_note(substitute(r, bindings), ctx)
-        symbolic += exact
-        if not good:
-            ok = False
-            notes.append(f"residual {k}: {note}")
+    residuals = tuple(entry.reduced_exprs()) + tuple(
+        entry.parse_expr(s) for s in entry.consistency)
+    exact, notes = _zero_tally([substitute(r, bindings) for r in residuals],
+                               ctx, "residual")
     for q in entry.inequations:
         res = is_zero(substitute(entry.parse_expr(q), bindings),
                       samples=ctx.samples, tol=ctx.tol, seed=ctx.seed)
         if res.verdict != NONZERO:
-            ok = False
             notes.append(f"inequation {q!r} degenerated")
-    witness = (f"{len(shipped) + len(consistency)} residuals zero "
-               f"({symbolic} exact), inequations generic"
-               if ok else "; ".join(notes))
-    rep.add(f"{entry.id}.profile", ok, witness)
+    witness = "; ".join(notes) or (
+        f"{len(residuals)} residuals zero ({exact} exact),"
+        " inequations generic")
+    rep.add(f"{entry.id}.profile", not notes, witness)
 
 
 def _per_solution(entry, check: str):
@@ -329,19 +318,11 @@ def _per_solution(entry, check: str):
 def _check_solutions(entry, ctx, rep: Report) -> None:
     sys2 = system2()
     for cid, triple in _per_solution(entry, "solution"):
-        ok = True
-        symbolic = 0
-        notes = []
-        on_solution = substitute_all(sys2.residuals, triple.bindings())
-        for k, res in enumerate(on_solution, start=1):
-            good, exact, note = _zero_note(res, ctx)
-            symbolic += exact
-            if not good:
-                ok = False
-                notes.append(f"equation {k}: {note}")
-        witness = (f"6 residuals zero ({symbolic} exact)" if ok
-                   else "; ".join(notes))
-        rep.add(cid, ok, witness)
+        exact, notes = _zero_tally(
+            substitute_all(sys2.residuals, triple.bindings()), ctx,
+            "equation")
+        rep.add(cid, not notes,
+                "; ".join(notes) or f"6 residuals zero ({exact} exact)")
 
 
 def _check_defect(entry, ctx, rep: Report, expect=None) -> None:
@@ -427,18 +408,20 @@ def cmd_verify(args, rep: Report, parser) -> None:
         _verify_entry(entry, args, rep)
 
 
+def _span_entry_or_die(parser, entry_id):
+    """The entry, which must carry solutions and span two generators."""
+    entry = _entry_or_die(parser, entry_id)
+    if len(entry.generators) != 2:
+        parser.error(f"entry {entry_id!r} is not a two-generator span")
+    return entry
+
+
 def cmd_defect_cmd(args, rep: Report, parser) -> None:
-    entry = _entry_or_die(parser, args.entry)
-    if len(entry.generators) < 2:
-        parser.error(f"entry {args.entry!r} is not a two-generator span")
-    _check_defect(entry, args, rep)
+    _check_defect(_span_entry_or_die(parser, args.entry), args, rep)
 
 
 def cmd_reducibility(args, rep: Report, parser) -> None:
-    entry = _entry_or_die(parser, args.entry)
-    if len(entry.generators) != 2:
-        parser.error(f"entry {args.entry!r} is not a two-generator span")
-    _check_reducibility(entry, args, rep)
+    _check_reducibility(_span_entry_or_die(parser, args.entry), args, rep)
 
 
 def _equivalence_checks(ctx, rep: Report):
@@ -545,8 +528,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--entry")
     g.add_argument("--all", action="store_true")
-    p.add_argument("--mode", choices=("symbolic", "numeric", "auto"),
-                   default="auto")
 
     p = subs.add_parser("defect", parents=[common])
     p.set_defaults(run=cmd_defect_cmd)
@@ -569,11 +550,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "mode"):
-        args.mode = "auto"
 
     rep = Report(command=args.command, seed=args.seed,
-                 samples=args.samples, tol=args.tol, mode=args.mode)
+                 samples=args.samples, tol=args.tol)
     start = time.monotonic()
     # Handlers fill ``rep``; one that prints its own output returns the
     # exit code instead.

@@ -476,11 +476,11 @@ class Poly:
         self.bound = bound
 
     def monomials(self) -> dict:
-        """Canonical form: {((atom key, Fraction exponent), ...) sorted by
-        atom key: Fraction coefficient}."""
+        """Canonical form: {((atom, Fraction exponent), ...) sorted by atom:
+        Fraction coefficient}, keyed by nodes and their cached hashes."""
         ring = self.ring
         atoms, unit = ring.atoms, ring.unit
-        return {tuple(sorted((atoms[i]._key, Fraction(e, unit))
+        return {tuple(sorted((atoms[i], Fraction(e, unit))
                              for i, e in ring.unpack(k))): Fraction(c, self.den)
                 for k, c in self.terms.items()}
 

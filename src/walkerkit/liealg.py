@@ -478,7 +478,6 @@ class ReplayStep:
 @dataclass
 class ReplayCase:
     case_id: str
-    assumptions: dict
     steps: list
     expect_closed: bool
     closed: bool | None = None
@@ -562,7 +561,7 @@ def proof_case_replays(seed: int = 0) -> list:
                                     is_zero(resid, seed=seed).verdict))
             y = tuple(param("eps") if k == 4 else y[k] for k in range(DIM))
         report = subalgebra_closed([x1, y], seed=seed)
-        case = ReplayCase(case_id, dict(subs_text), steps, expect_closed,
+        case = ReplayCase(case_id, steps, expect_closed,
                           closed=report.closed, notes=notes)
         w = sc().bracket_coeffs(x1, y)
         case.bracket_witness = render_generator(w)

@@ -266,7 +266,7 @@ class Poly:
 
     def monomials(self) -> dict:
         atoms, unit = self.ring.atoms, self.ring.unit
-        return {tuple(sorted((atoms[i]._key, Fraction(e, unit))
+        return {tuple(sorted((atoms[i], Fraction(e, unit))
                              for i, e in k)): Fraction(c, self.den)
                 for k, c in self.terms.items()}
 

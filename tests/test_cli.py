@@ -33,7 +33,7 @@ def test_brackets_text_table(capsys):
 def test_brackets_json_schema(capsys):
     code, doc = run_json(capsys, "brackets")
     assert code == 0
-    assert doc["schema"] == "walker-report/1"
+    assert doc["schema"] == "walker-report/2"
     assert doc["summary"] == {"pass": 3, "fail": 0, "total": 3}
     ids = [c["id"] for c in doc["checks"]]
     assert ids == sorted(ids)
@@ -146,25 +146,33 @@ def test_verify_entry_subalgebra_only(capsys):
     assert doc["checks"][0]["id"] == "thm32.A1_1.closure"
 
 
-def test_verify_symbolic_mode(capsys):
-    code, doc = run_json(capsys, "verify", "--entry", "eq25.family1",
-                         "--mode", "symbolic")
-    assert code == 0
-
-
 def test_solution_witness_counts_exact_verdicts(capsys):
-    def witness(*mode):
-        code, doc = run_json(capsys, "verify", "--entry", "table1.row2",
-                             *mode)
-        assert code == 0
-        return {c["id"]: c["witness"] for c in doc["checks"]}[
-            "table1.row2.solution"]
-
+    code, doc = run_json(capsys, "verify", "--entry", "table1.row2")
+    assert code == 0
+    witness = {c["id"]: c["witness"] for c in doc["checks"]}
     # sqrt(3) occurs in this entry: its whole powers fold, so all six
     # residuals cancel exactly
-    assert witness() == "6 residuals zero (6 exact)"
-    assert witness("--mode", "symbolic") == "6 residuals zero (6 exact)"
-    assert witness("--mode", "numeric") == "6 residuals zero (0 exact)"
+    assert witness["table1.row2.solution"] == "6 residuals zero (6 exact)"
+
+
+def test_einstein_probes_at_the_requested_samples(monkeypatch, capsys):
+    # the Ricci and Einstein components of a metric that is not Einstein
+    # are probed at --samples, like every other zero test
+    from walkerkit.expr import numeric
+
+    asked = []
+    probe = numeric.probe_zero
+
+    def spying(e, **kw):
+        asked.append(kw["samples"])
+        return probe(e, **kw)
+
+    monkeypatch.setattr(numeric, "probe_zero", spying)
+    code, doc = run_json(capsys, "einstein", "--a", "x^3", "--b", "t^2",
+                         "--c", "x", "--samples", "40")
+    assert code == 1
+    assert doc["details"]["ricci_zero"] == "no"
+    assert asked and set(asked) == {40}
 
 
 def test_einstein_substitutes_the_metric_once(monkeypatch, capsys):
@@ -288,6 +296,10 @@ def test_usage_errors_exit_two(capsys):
         (["symmetries", "--tol", "nan"], "argument --tol:"),
         (["symmetries", "--tol", "inf"], "argument --tol:"),
         (["symmetries", "--tol", "0"], "argument --tol:"),
+        # every zero test tries exact cancellation first; no flag picks
+        # another test
+        (["verify", "--entry", "eq25.family1", "--mode", "symbolic"],
+         "unrecognized arguments: --mode"),
         # closure is checked for one or two generators only
         (["subalgebra", "--gens", "X1;X2;X3", "--check-closed"],
          "--check-closed"),
@@ -313,8 +325,7 @@ def test_subcommands_share_the_suite_checks(capsys):
 def test_entry_data_not_id_selects_checks():
     def suffixes(entry):
         rep = Report("verify", 42, 100, 1e-9)
-        ctx = argparse.Namespace(seed=42, samples=100, tol=1e-9,
-                                 mode="auto")
+        ctx = argparse.Namespace(seed=42, samples=100, tol=1e-9)
         _verify_entry(entry, ctx, rep)
         return sorted(c.id[len(entry.id):] for c in rep.checks)
 
@@ -352,7 +363,7 @@ def test_expected_failure_is_honest(capsys):
 # 3.12 and later sum floats with compensation and print other last
 # digits in a few witnesses, so only 3.10 and 3.11 are pinned.
 VERIFY_ALL_SEED42_SHA256 = (
-    "5ed283bb135a1462e63ac3ac1e5c37ca3d7ee7ed61b24b3dac18419249cfd5ca")
+    "8f44ff0b99faa3c68e3d70994882959e67d8893a9c5b3b90e0add2f91407fcfa")
 
 
 @pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
@@ -387,15 +398,15 @@ def test_verify_all_makes_no_numeric_zero_verdict(monkeypatch, capsys):
 
 
 BRACKETS_SHA256 = (
-    "f3c771258f01b740623c8fd0d29d95b3ed54e178143300289378194acaddaec9")
+    "b0fff485b6cefb7e678e132d2fa532e4c619f77d6cadb9c1e6388ffb3f0abbc1")
 ADJOINT_THIRD_SHA256 = {
-    1: "3aa5c7277086f3ba846de7db836a167f79126a093fc1e6a06aecacb09a0dcfa0",
-    2: "cdaf414fac3dbe5def92f6042896d1533c48cf020152045e9a8844936b0c4b36",
-    3: "c4102b3b725f42b059337671b0f5fdb1ce05bdb3e3e2d0f41476511953b27af2",
-    4: "8cc6fbedb7615aa7c9e26e161fb649d0cb561f197eaa155e623b1cd3cd4cd4b4",
-    5: "3b59b07074f0f7bcd090619537293d8da1fb61babf8230e25a73b3a0b3b231f8",
-    6: "5ac40fb085f085fa29197d650a920b9c1327d4b725a3601b9d3d4d9ef8496439",
-    7: "6bf926fff809c77f972db72709814200ddb656d269f140d54e40dd4224093762",
+    1: "9bfdc84e03493b45b59ff0deb80d3297f1cac6b47785d5cea6d70e9a4f1d9b68",
+    2: "2d8e5437e1bd7be981335535cc279e512533b5140ea34d79fe1f6fec676eedd8",
+    3: "bc5511e0f5eb99c0465482c207d9093c0576ebe000e14e9e5fe0852b743802d8",
+    4: "0f5aced565625f361e1df2b7f0a62fa2e15365fcdc1b49ccc08707cb154d7dd6",
+    5: "a694cb1bbb8b5e52bee3230aa5a573a1dd9df69e994273212992537e16878465",
+    6: "524cce0e988c2a1ce936d87e840e8756c9f04288075285bf125547e7cc87c8c5",
+    7: "18c285074c73816eea3febf5be085097d65f07064105775a2a650c8c08137aed",
 }
 
 
@@ -418,13 +429,13 @@ def test_exact_algebra_reports_are_byte_stable(capsys):
 # equivalence-probe digests when those checks became exact.
 SHARED_DERIVATIVE_SHA256 = {
     ("symmetries",):
-        "2d802bdc5bf813ce19eb9860edd3b8a354ad2467c1b809989898afb3dd037233",
+        "fb0f8adfed99e32892aef34f4437b796c3dbaeff60fbe735cc574393abee2931",
     ("symmetries", "--samples", "300", "--seed", "3"):
-        "1ae41e771ed1c4b2e8e49d516892a20c2b7bd0967dd4883bf0ef42d9a0f74c25",
+        "8a974775f8ae06e74d3df590d03bca421c07f0b7c31e09fcee13f6719cfd59d8",
     ("equivalence-probe",):
-        "a2ca27925b866d7999d26cabbdfb4494fbef0b449471c7d120d65a64ff75827b",
+        "4284b8c8c291c116e67e5349059327b0fc4d81ef0aed555d73dee42d27175071",
     ("subalgebra", "--gens", "X3+eps*X4;eps*X5+X6-2*X7", "--check-closed"):
-        "3a3151b84a87225695842d874d07019b03dbee9c06460f01e8cc9bacfafe66b7",
+        "cb08d747bea12a33b7ca2f15f034739b451d15602c931e32a31d6f7e0fd6e64a",
 }
 
 
@@ -441,29 +452,29 @@ def test_shared_derivative_reports_are_byte_stable(capsys):
 # einstein --entry reports, each naming its entry.
 EINSTEIN_ENTRY_SHA256 = {
     "eq25.family1":
-        "1c52a2911fe7100cd00de0561e0e450c8c068df05d26eef9584aa6201a90ae1d",
+        "d50475f4c03d7845bd18d9379b2604736953f67d6151df691506833aecedee75",
     "eq25.family2":
-        "c300f4928a230232271afc593ab6bb5ac897165fe63e6982cd9c667825c31b27",
+        "14f38fda2c6a5af955a41701c87543b07d9b9294807e61edf30e9060bd6b26fd",
     "eq25.family3":
-        "d4d8738edf3d984f2daaf522d3e85263e1801b35f22ef6d0b8cfae760cf43f8d",
+        "1be83940ebea88340ac135389a81129c4a9884cb58e239f7101d824dadba20f0",
     "eq25.family4":
-        "81f8fcbe8203400e6f7cdd5a4afd581412824311ff505ea2dbd65e59be585a25",
+        "ca7b864681ae0a7de1234f490110862fe2eff71a3a44c3b6dbf663fdb7532449",
     "eq26.family1":
-        "ebc80bef105de3ea0b3fe17d75ff3d8a80a6e081452c269454bc8cf007c25007",
+        "e05a7071c9b172a541e240b16c465244b71cea287ee30be0ab224f6345300fe5",
     "eq26.family2":
-        "80d4b71416aa9cc53d869f18ffacdc667f824a4e743e6d8f3316688d9917d2d2",
+        "036877a3518cd866d2b312918c943af8284e537272d087fe5781fbe1ca023eeb",
     "eq26.family3":
-        "d3d39036c88eb738c5476655a9b0f7982b15d29c48e289c221c087a55a87ecc9",
+        "172711db90e3b1c1fbc6dc0bbed91c7264b55d43e88efb14ad1f19e7b2c6367a",
     "table1.row1":
-        "3776adedfba935ff2f169651494e04e8b2866011d2e7a9a221e616b679cd2afa",
+        "635be7efcd453c167f545af5184dfcd9db4cdca806a4932c54b150909e24de44",
     "table1.row2":
-        "ee31c99cfa6ca4dc7e1e4a027fe05b616a72d04bda2d80ab7699c76778a8b17e",
+        "95fe2d5852ef81b4511b57db89108632e0b7248ab1f2fe0b8d750b6d99d9e704",
     "table1.row3":
-        "af7a58aa95a75e351072d09b12b9485bb7d41e1f451cc9741abdf944adbdb2bd",
+        "a798084d2a946862f99c8e721ef5482c828c979b4368c6109c4e1007f914a288",
     "table1.row4":
-        "3ebc79c679abafb06805fe7e449bb1b5408dcb7b7322643073a98052f6a0d171",
+        "b9617b5445e283199c15ffc29a0db276bfe220722af4ae8bb92b5a865af10b12",
     "eq27":
-        "10f78366867ca3e606d9982ffad3f1e59c9789f0f294d3d3366a3e888447b524",
+        "5b9b9b5af4bc44ed07df68c169a1e50f66847f4243c6f16be93aa46e3de60efe",
 }
 
 

@@ -10,6 +10,7 @@ its exponent fields when they could overflow; it must give the same
 canonical polynomial, before and after denominator clearing.
 """
 
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -17,8 +18,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_expand as ref
 from walkerkit.expr import (
-    ExprError, Pow, Prod, Sum, add, clear_denominators, div, is_zero_symbolic,
-    mul, num, parse, pow_, sub,
+    ExprError, Pow, Prod, Sum, add, clear_denominators, div, expand_monomials,
+    is_zero_symbolic, mul, num, parse, pow_, sub,
 )
 from walkerkit.expr.expand import WIDTH, Poly, _Ring, _survey, expand_poly
 
@@ -204,8 +205,18 @@ def test_exponents_past_the_field_width_widen_the_ring():
     p = expand_poly(_chain(70))
     x = parse("x")
     assert p.ring.width > WIDTH
-    assert p.monomials() == {(): -1, ((x.key(), Fraction(2 ** 70)),): 1}
+    assert p.monomials() == {(): -1, ((x, Fraction(2 ** 70)),): 1}
     assert is_zero_symbolic(sub(_chain(70), pow_(x, 2 ** 70) - 1))
+
+
+def test_monomials_of_a_deeply_shared_atom_take_linear_time():
+    # the atom (u_26 + 2) holds u_25 twice, u_24 four times, ...; keyed by
+    # its nested key tuple, each lookup hashed all 2^26 paths
+    e = pow_(add(_chain(26), 2), -1)
+    start = time.perf_counter()
+    monos = expand_monomials(e)
+    assert time.perf_counter() - start < 1.0
+    assert monos == {((e.base, Fraction(-1)),): 1}
 
 
 def test_clearing_past_the_field_width_widens_the_ring():

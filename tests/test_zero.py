@@ -353,18 +353,18 @@ def test_expansion_matches_sympy(tree):
     s = _fold(tree, lambda v: sp.Symbol(names[v]) if isinstance(v, str)
               else sp.Rational(v.numerator, v.denominator),
               sp.Add, sp.Mul, sp.Pow)
-    keys = [parse(n).key() for n in ORACLE_ATOMS]
+    atoms = [parse(n) for n in ORACLE_ATOMS]
     want = {}
     for exps, c in sp.Poly(s, *gens).as_dict().items():
         exps = list(exps)
         exps[ORACLE_ATOMS.index("eps")] %= 2
         c = Fraction(int(c.p), int(c.q))
-        mono = [(k, n) for k, n in zip(keys, exps) if n]
-        for (_, value, degree), n in zip(roots, exps[len(keys):]):
+        mono = [(a, n) for a, n in zip(atoms, exps) if n]
+        for (_, value, degree), n in zip(roots, exps[len(atoms):]):
             whole, n = divmod(n, degree)
             c *= value ** whole
             if n:
-                mono.append((num(value).key(), Fraction(n, degree)))
+                mono.append((num(value), Fraction(n, degree)))
         mono = tuple(sorted(mono))
         want[mono] = want.get(mono, 0) + c
     assert expand_monomials(e) == {m: c for m, c in want.items() if c}
