@@ -108,13 +108,18 @@ class Report:
         return "\n".join(lines)
 
 
-def _zero_tally(residuals, ctx, label: str) -> tuple:
+def _zero_test(e, rep: Report):
+    """The zero test at the run's settings, which the report records."""
+    return is_zero(e, samples=rep.samples, tol=rep.tol, seed=rep.seed)
+
+
+def _zero_tally(residuals, rep: Report, label: str) -> tuple:
     """Zero-test each residual at the run's settings: (how many cancel
     exactly, one note per residual that is not zero)."""
     exact = 0
     notes = []
     for k, r in enumerate(residuals, start=1):
-        res = is_zero(r, samples=ctx.samples, tol=ctx.tol, seed=ctx.seed)
+        res = _zero_test(r, rep)
         exact += res.verdict == ZERO_SYMBOLIC
         if not res:
             notes.append(f"{label} {k}: {res.describe()}")
@@ -123,25 +128,23 @@ def _zero_tally(residuals, ctx, label: str) -> tuple:
 
 # --- subcommands -------------------------------------------------------------
 
-def _table_checks(rep: Report, prefix: str, closure_id: str,
-                  closure_witness: str):
+def _table_checks(rep: Report):
     """Build the structure constants and report closure, antisymmetry and
     Jacobi. Building decomposes all 49 basis brackets, so closure fails
     exactly when it raises; returns the table, or None then."""
     try:
         table = sc()
     except NotClosed as exc:
-        rep.add(closure_id, False, str(exc))
+        rep.add("algebra.brackets", False, str(exc))
         return None
-    rep.add(closure_id, True, closure_witness)
-    rep.add(f"{prefix}.antisymmetry", table.antisymmetric())
-    rep.add(f"{prefix}.jacobi", table.jacobi_holds(), "35 triples")
+    rep.add("algebra.brackets", True, "49 ordered pairs decompose")
+    rep.add("algebra.antisymmetry", table.antisymmetric())
+    rep.add("algebra.jacobi", table.jacobi_holds(), "35 triples")
     return table
 
 
 def cmd_brackets(args, rep: Report, parser) -> None:
-    table = _table_checks(rep, "brackets", "brackets.decomposition",
-                          "49 ordered pairs")
+    table = _table_checks(rep)
     if table is None:
         return
     rep.details["table"] = [
@@ -179,29 +182,23 @@ def cmd_subalgebra(args, rep: Report, parser) -> None:
         parser.error("--check-closed expects 1 or 2 generators")
     rep.details["generators"] = [render_generator(v) for v in vectors]
     if args.check_closed:
-        closure = subalgebra_closed(vectors, seed=args.seed)
+        closure = _check_closure("subalgebra", vectors, rep)
         for n, case in enumerate(closure.cases, start=1):
-            witness = ""
-            if case.assignment:
-                witness = " ".join(f"{k}={v}"
-                                   for k, v in sorted(case.assignment.items()))
-            if case.closed:
-                witness += f" lambda={case.lam} mu={case.mu}"
-            elif case.reason:
-                witness += f" {case.reason}"
-            rep.add(f"subalgebra.case{n}", case.closed, witness.strip())
-        rep.add("subalgebra.closed", closure.closed,
-                "symbolic" if closure.symbolic else "")
+            words = [f"{k}={v}" for k, v in sorted(case.assignment.items())]
+            words.append(f"lambda={case.lam} mu={case.mu}" if case.closed
+                         else case.reason)
+            rep.add(f"subalgebra.case{n}", case.closed,
+                    " ".join(w for w in words if w))
 
 
-def _symmetry_checks(ctx, rep: Report) -> dict:
+def _symmetry_checks(rep: Report) -> dict:
     """One check per basis generator; returns the per-equation residuals."""
     sys2 = system2()
     residuals = {}
     for i in range(DIM):
         label = f"X{i + 1}"
-        srep = symmetry_check(BASIS[i], sys2, samples=ctx.samples,
-                              tol=ctx.tol, seed=ctx.seed, label=label)
+        srep = symmetry_check(BASIS[i], sys2, samples=rep.samples,
+                              tol=rep.tol, seed=rep.seed, label=label)
         residuals[label] = [f"{c.max_residual:.3e}" for c in srep.cells]
         zero = sum(c.passed for c in srep.cells)
         exact = sum(c.exact for c in srep.cells)
@@ -212,7 +209,7 @@ def _symmetry_checks(ctx, rep: Report) -> dict:
 
 
 def cmd_symmetries(args, rep: Report, parser) -> None:
-    rep.details["per_equation_residuals"] = _symmetry_checks(args, rep)
+    rep.details["per_equation_residuals"] = _symmetry_checks(rep)
 
 
 def _entry_or_die(parser, entry_id, solutions=True):
@@ -242,11 +239,8 @@ def cmd_einstein(args, rep: Report, parser) -> None:
         # one substitution over the Ricci and Einstein components together
         ricci, einstein = abstract_curvature()
         comps = on_metric(ricci + einstein, a, b, c)
-        verdicts = [is_zero(e, samples=args.samples, tol=args.tol,
-                            seed=args.seed) for e in comps[len(ricci):]]
-        ricci_zero = all(
-            is_zero(r, samples=args.samples, tol=args.tol, seed=args.seed)
-            for r in comps[:len(ricci)])
+        verdicts = [_zero_test(e, rep) for e in comps[len(ricci):]]
+        ricci_zero = all(_zero_test(r, rep) for r in comps[:len(ricci)])
     except ExprError as exc:
         parser.error(f"cannot evaluate the metric: {exc}")
     for label, res in zip(EINSTEIN_LABELS, verdicts):
@@ -256,50 +250,56 @@ def cmd_einstein(args, rep: Report, parser) -> None:
         "yes" if all(bool(r) for r in verdicts) else "no")
 
 
-def _check_closure(entry, ctx, rep: Report) -> None:
-    closure = subalgebra_closed(list(entry.coeff_vectors()), seed=ctx.seed)
-    if len(entry.generators) == 1:
-        rep.add(f"{entry.id}.closure", closure.closed, "single generator")
-        return
+def _check_closure(name: str, vectors: list, rep: Report):
+    """The ``<name>.closure`` check of span(vectors): a pair passes when
+    every case closes by exact cancellation. Returns the closure report."""
+    closure = subalgebra_closed(vectors, seed=rep.seed)
+    if len(vectors) == 1:
+        rep.add(f"{name}.closure", closure.closed, "single generator")
+        return closure
     ok = closure.closed and closure.symbolic
     cases = len(closure.cases)
     witness = (f"{cases} case(s), symbolic" if ok else
                "; ".join(c.reason for c in closure.cases if c.reason)
                or "numeric only")
-    rep.add(f"{entry.id}.closure", ok, witness)
+    rep.add(f"{name}.closure", ok, witness)
+    return closure
 
 
-def _check_invariants(entry, ctx, rep: Report) -> None:
+def _check_invariants(entry, rep: Report) -> None:
     inv = entry.invariant_set()
     gens = entry.coeff_vectors()
-    irep = invariant_check(list(gens), inv, seed=ctx.seed)
+    irep = invariant_check(list(gens), inv, seed=rep.seed)
     rep.add(f"{entry.id}.invariants", irep.passed,
             f"jacobian rank {irep.jacobian_rank}, "
             f"{len(irep.annihilation)} annihilation checks")
-    rank, delta = invariant_rank(inv, seed=ctx.seed)
-    arbitrary = entry.pis_ansatz().arbitrary
-    ok = delta == len(arbitrary) if arbitrary else rank <= 3
+    rank, delta = invariant_rank(inv, seed=rep.seed)
+    ok = delta == len(entry.pis_ansatz().arbitrary)
     rep.add(f"{entry.id}.rank", ok, f"rank={rank} delta={delta}")
 
 
-def _check_reduction(entry, ctx, rep: Report) -> None:
+def _check_reduction(entry, rep: Report) -> None:
     computed = ansatz_substitute(entry.pis_ansatz(), system2())
     shipped = entry.reduced_exprs()
-    ok = len(computed) == len(shipped) and all(
-        is_zero_symbolic(sub(c, s)) for c, s in zip(computed, shipped))
-    rep.add(f"{entry.id}.reduction", ok,
-            f"{len(shipped)} reduced residuals, exact")
+    if len(computed) != len(shipped):
+        fault = (f"{len(shipped)} reduced residuals shipped, "
+                 f"{len(computed)} derived")
+    else:
+        fault = next((f"reduced residual {k} differs from the derived one"
+                      for k, (c, s) in enumerate(zip(computed, shipped), 1)
+                      if not is_zero_symbolic(sub(c, s))), "")
+    rep.add(f"{entry.id}.reduction", not fault,
+            fault or f"{len(shipped)} reduced residuals, exact")
 
 
-def _check_profile_family(entry, ctx, rep: Report) -> None:
+def _check_profile_family(entry, rep: Report) -> None:
     bindings = {k: entry.parse_expr(v) for k, v in entry.profile}
     residuals = tuple(entry.reduced_exprs()) + tuple(
         entry.parse_expr(s) for s in entry.consistency)
     exact, notes = _zero_tally([substitute(r, bindings) for r in residuals],
-                               ctx, "residual")
+                               rep, "residual")
     for q in entry.inequations:
-        res = is_zero(substitute(entry.parse_expr(q), bindings),
-                      samples=ctx.samples, tol=ctx.tol, seed=ctx.seed)
+        res = _zero_test(substitute(entry.parse_expr(q), bindings), rep)
         if res.verdict != NONZERO:
             notes.append(f"inequation {q!r} degenerated")
     witness = "; ".join(notes) or (
@@ -315,28 +315,30 @@ def _per_solution(entry, check: str):
         yield f"{entry.id}.{check}{n if many else ''}", triple
 
 
-def _check_solutions(entry, ctx, rep: Report) -> None:
+def _check_solutions(entry, rep: Report) -> None:
     sys2 = system2()
     for cid, triple in _per_solution(entry, "solution"):
         exact, notes = _zero_tally(
-            substitute_all(sys2.residuals, triple.bindings()), ctx,
+            substitute_all(sys2.residuals, triple.bindings()), rep,
             "equation")
         rep.add(cid, not notes,
                 "; ".join(notes) or f"6 residuals zero ({exact} exact)")
 
 
-def _check_defect(entry, ctx, rep: Report, expect=None) -> None:
+def _check_defect(entry, rep: Report) -> None:
+    """A partially invariant solution's defect is the number of
+    coordinates its ansatz leaves arbitrary."""
     gens = list(entry.coeff_vectors())
+    expect = len(entry.pis_ansatz().arbitrary)
     for cid, triple in _per_solution(entry, "defect"):
-        d = defect(gens, triple, seed=ctx.seed)
-        ok = d == expect if expect is not None else True
-        rep.add(cid, ok, f"delta={d}")
+        d = defect(gens, triple, seed=rep.seed)
+        rep.add(cid, d == expect, f"delta={d}")
 
 
-def _check_reducibility(entry, ctx, rep: Report) -> None:
+def _check_reducibility(entry, rep: Report) -> None:
     gens = list(entry.coeff_vectors())
     for cid, triple in _per_solution(entry, "reducibility"):
-        scan = reducibility_scan(gens, triple, seed=ctx.seed)
+        scan = reducibility_scan(gens, triple, seed=rep.seed)
         if scan.directions:
             dirs = ", ".join(f"({d['alpha']}:{d['beta']})"
                              for d in scan.directions)
@@ -349,40 +351,37 @@ def _check_reducibility(entry, ctx, rep: Report) -> None:
         rep.add(cid, True, witness)
 
 
-def _check_einstein_entry(entry, ctx, rep: Report) -> None:
+def _check_einstein_entry(entry, rep: Report) -> None:
     triple = entry.triples()[0]
     verdicts = einstein_verdicts(triple.a, triple.b, triple.c,
-                                 samples=ctx.samples, tol=ctx.tol,
-                                 seed=ctx.seed)
+                                 samples=rep.samples, tol=rep.tol,
+                                 seed=rep.seed)
     ok = all(bool(r) for r in verdicts)
     worst = max(verdicts, key=lambda r: r.max_residual)
     rep.add(f"{entry.id}.einstein", ok,
             f"10 components, worst residual {worst.max_residual:.3e}")
 
 
-def _verify_entry(entry, ctx, rep: Report) -> None:
-    _check_closure(entry, ctx, rep)
+def _verify_entry(entry, rep: Report) -> None:
+    _check_closure(entry.id, list(entry.coeff_vectors()), rep)
     if entry.invariants:
-        _check_invariants(entry, ctx, rep)
+        _check_invariants(entry, rep)
     if entry.reduced:
-        _check_reduction(entry, ctx, rep)
+        _check_reduction(entry, rep)
     if entry.profile:
-        _check_profile_family(entry, ctx, rep)
+        _check_profile_family(entry, rep)
     if entry.solutions:
-        _check_solutions(entry, ctx, rep)
+        _check_solutions(entry, rep)
     if entry.reduced:
-        # a reduced entry is a partially invariant solution: its defect
-        # is the number of coordinates the ansatz leaves arbitrary
-        _check_defect(entry, ctx, rep,
-                      expect=len(entry.pis_ansatz().arbitrary))
-        _check_reducibility(entry, ctx, rep)
+        # a reduced entry is a partially invariant solution
+        _check_defect(entry, rep)
+        _check_reducibility(entry, rep)
     if entry.id == "eq27":
-        _check_einstein_entry(entry, ctx, rep)
+        _check_einstein_entry(entry, rep)
 
 
-def _verify_suite(ctx, rep: Report) -> None:
-    _table_checks(rep, "algebra", "algebra.brackets",
-                  "49 ordered pairs decompose")
+def _verify_suite(rep: Report) -> None:
+    _table_checks(rep)
 
     bad = [f"X{i}" for i in range(1, DIM + 1) if not adjoint_flow_holds(i)]
     rep.add("algebra.group_law", not bad,
@@ -390,22 +389,22 @@ def _verify_suite(ctx, rep: Report) -> None:
             else f"M(s) = exp(s*ad) for X1..X{DIM}: dM/ds = ad*M in "
                  f"{DIM ** 3} cells and M(0) = I, exact")
 
-    replays = proof_case_replays(seed=ctx.seed)
+    replays = proof_case_replays(seed=rep.seed)
     rep.add("algebra.replays", all(r.ok for r in replays),
             f"{len(replays)} normalization cases")
 
-    _symmetry_checks(ctx, rep)
-    _equivalence_checks(ctx, rep)
+    _symmetry_checks(rep)
+    _equivalence_checks(rep)
 
 
 def cmd_verify(args, rep: Report, parser) -> None:
     if args.all:
-        _verify_suite(args, rep)
+        _verify_suite(rep)
         for entry in catalog.builtin():
-            _verify_entry(entry, args, rep)
+            _verify_entry(entry, rep)
     else:
-        entry = _entry_or_die(parser, args.entry, solutions=False)
-        _verify_entry(entry, args, rep)
+        _verify_entry(_entry_or_die(parser, args.entry, solutions=False),
+                      rep)
 
 
 def _span_entry_or_die(parser, entry_id):
@@ -417,17 +416,17 @@ def _span_entry_or_die(parser, entry_id):
 
 
 def cmd_defect_cmd(args, rep: Report, parser) -> None:
-    _check_defect(_span_entry_or_die(parser, args.entry), args, rep)
+    _check_defect(_span_entry_or_die(parser, args.entry), rep)
 
 
 def cmd_reducibility(args, rep: Report, parser) -> None:
-    _check_reducibility(_span_entry_or_die(parser, args.entry), args, rep)
+    _check_reducibility(_span_entry_or_die(parser, args.entry), rep)
 
 
-def _equivalence_checks(ctx, rep: Report):
+def _equivalence_checks(rep: Report):
     """The three Einstein/PDE correspondence checks; returns the probe."""
-    probe = equivalence_probe(samples=ctx.samples, tol=ctx.tol,
-                              seed=ctx.seed)
+    probe = equivalence_probe(samples=rep.samples, tol=rep.tol,
+                              seed=rep.seed)
     exact = sum(r.verdict == ZERO_SYMBOLIC for r in probe.rows)
     bad = [f"{label}: {r.describe()}"
            for label, r in zip(EINSTEIN_LABELS, probe.rows) if not r]
@@ -445,7 +444,7 @@ def _equivalence_checks(ctx, rep: Report):
 
 
 def cmd_equivalence_probe(args, rep: Report, parser) -> None:
-    probe = _equivalence_checks(args, rep)
+    probe = _equivalence_checks(rep)
     rep.details["correspondence"] = {
         k: list(v) for k, v in probe.correspondence.items()}
 

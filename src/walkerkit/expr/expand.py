@@ -507,25 +507,25 @@ def expand_monomials(e: Expr) -> dict:
     return expand_poly(e).monomials()
 
 
-def clear_denominators(p: Poly, rounds: int = CLEAR_ROUNDS):
+def clear_denominators(p: Poly):
     """Multiply through by sum denominators until none remain.
 
     Returns (polynomial, cleared) where ``cleared`` is False when
-    denominators survive the round cap, or when clearing would multiply a
-    sum out past twice ``POW_EXPAND_LIMIT``; the result is then unusable
-    for a symbolic zero verdict.
+    denominators survive ``CLEAR_ROUNDS`` rounds, or when clearing would
+    multiply a sum out past twice ``POW_EXPAND_LIMIT``; the result is then
+    unusable for a symbolic zero verdict.
     """
     ring, poly = p.ring, (p.terms, p.den, p.bound)
     while True:
         try:
-            return _clear(ring, poly, rounds)
+            return _clear(ring, poly)
         except _Overflow:
             wide = ring.widened()
             ring, poly = wide, wide.repack(poly, ring)
 
 
-def _clear(ring: _Ring, poly: tuple, rounds: int) -> tuple:
-    for _ in range(rounds):
+def _clear(ring: _Ring, poly: tuple) -> tuple:
+    for _ in range(CLEAR_ROUNDS):
         need = ring.denominators(poly[0])
         if not need:
             return Poly(ring, *poly), True

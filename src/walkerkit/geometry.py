@@ -25,7 +25,7 @@ from .expr import (
     is_zero, mul, neg, num, parse, render, sub, substitute_all,
 )
 from .expr.expand import expand_poly
-from .pis import det
+from .liealg import det
 from . import jets
 
 N = 4

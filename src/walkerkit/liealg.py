@@ -96,7 +96,7 @@ def bracket(v: VectorField, w: VectorField) -> VectorField:
         for k in range(5)))
 
 
-# --- Gauss-Jordan elimination ----------------------------------------------
+# --- Gauss-Jordan elimination and ranks by minors --------------------------
 
 def rref(m: list, ncol: int) -> list:
     """Reduce ``m`` of Fractions in place to its unique reduced row echelon
@@ -143,6 +143,38 @@ def solve_many(rows: list, rhs_rows: list) -> list:
             x[col] = m[r][j]
         out.append(x)
     return out
+
+
+def det(m: list) -> Expr:
+    """Determinant of a square matrix of Exprs, by expansion along the
+    first row down to 2x2 blocks."""
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        (p, q), (r, s) = m
+        return add(mul(p, s), mul(-1, q, r))
+    return add(*(mul(-1 if j % 2 else 1, m[0][j],
+                     det([r[:j] + r[j + 1:] for r in m[1:]]))
+                 for j in range(len(m))))
+
+
+def exact_rank(rows, seed: int = 0) -> tuple:
+    """(rank, rows, cols) of a matrix of Exprs. The rank is the size of
+    the largest minor whose zero test is ``nonzero``; every larger minor
+    has tested zero or holds a row or column of ZERO entries, which no
+    minor is tried on. rows and cols index the first such minor tried,
+    larger minors first and each size in lexicographic order. A matrix
+    whose entries all test zero gives (0, (), ())."""
+    live = [i for i, r in enumerate(rows) if not all(map(_is_zero_entry, r))]
+    cols = [j for j in range(len(rows[0]) if rows else 0)
+            if not all(_is_zero_entry(rows[i][j]) for i in live)]
+    for k in range(min(len(live), len(cols)), 0, -1):
+        for ri in combinations(live, k):
+            for ci in combinations(cols, k):
+                minor = det([[rows[i][j] for j in ci] for i in ri])
+                if is_zero(minor, seed=seed).verdict == NONZERO:
+                    return k, ri, ci
+    return 0, (), ()
 
 
 # --- structure constants ----------------------------------------------------
@@ -363,21 +395,14 @@ def _closure_case(g1, g2, assignment, seed) -> ClosureCase:
         verdicts = [z.verdict for z in zeros]
         return ClosureCase(assignment, True, "0", "0", verdicts,
                            "bracket vanishes")
-    pivot = None
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            det = add(mul(g1[i], g2[j]), neg(mul(g1[j], g2[i])))
-            if is_zero(det, seed=seed).verdict == NONZERO:
-                pivot = (i, j, det)
-                break
-        if pivot:
-            break
-    if pivot is None:
+    rank, _, pivot = exact_rank([g1, g2], seed)
+    if rank < 2:
         return ClosureCase(assignment, False,
                            reason="generators not independent, no pivot pair")
-    i, j, det = pivot
-    lam = div(add(mul(w[i], g2[j]), neg(mul(w[j], g2[i]))), det)
-    mu = div(add(mul(g1[i], w[j]), neg(mul(g1[j], w[i]))), det)
+    # Cramer's rule for w = lam*g1 + mu*g2 on the pivot columns
+    p1, p2, pw = ([r[j] for j in pivot] for r in (g1, g2, w))
+    d = det([p1, p2])
+    lam, mu = div(det([pw, p2]), d), div(det([p1, pw]), d)
     verdicts = []
     for k in range(DIM):
         resid = add(w[k], neg(mul(lam, g1[k])), neg(mul(mu, g2[k])))

@@ -2,20 +2,19 @@
 characteristics, defect, reducibility.
 
 Everything goes through the exact kernel and its three-valued zero
-test. A rank is the size of the largest minor that tests nonzero; every
-larger minor has then tested zero.
+test. A rank is the size of the largest minor that tests nonzero
+(``liealg.exact_rank``); every larger minor is then zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .expr import (
-    Expr, ExprError, NONZERO, add, coord, diff, div, is_zero, mul, neg,
-    render, substitute, substitute_all,
+    Expr, ExprError, NONZERO, ZERO, add, coord, diff, div, is_zero, mul,
+    neg, render, substitute, substitute_all,
 )
-from .liealg import coeffs_to_field
+from .liealg import coeffs_to_field, exact_rank
 from .jets import PDESystem
 
 Q = 3  # number of dependent coordinates
@@ -64,29 +63,6 @@ class InvariantReport:
             v != NONZERO for _, _, v in self.annihilation)
 
 
-def det(m: list) -> Expr:
-    """Determinant by expansion along the first row."""
-    if len(m) == 1:
-        return m[0][0]
-    return add(*(mul(-1 if j % 2 else 1, m[0][j],
-                     det([r[:j] + r[j + 1:] for r in m[1:]]))
-                 for j in range(len(m))))
-
-
-def exact_rank(rows, seed: int = 0) -> int:
-    """Rank of a matrix of Exprs: the size of the largest minor whose
-    zero test is ``nonzero``, so every larger minor has tested zero."""
-    nrow = len(rows)
-    ncol = len(rows[0]) if rows else 0
-    for k in range(min(nrow, ncol), 0, -1):
-        for ri in combinations(range(nrow), k):
-            for ci in combinations(range(ncol), k):
-                minor = det([[rows[i][j] for j in ci] for i in ri])
-                if is_zero(minor, seed=seed).verdict == NONZERO:
-                    return k
-    return 0
-
-
 def invariant_check(gens: list, inv: InvariantSet,
                     seed: int = 0) -> InvariantReport:
     """Annihilation of every member by every generator, plus functional
@@ -98,7 +74,7 @@ def invariant_check(gens: list, inv: InvariantSet,
             res = is_zero(fld.apply(m), seed=seed)
             annihilation.append((gi, mi, res.verdict))
     jac = [[_formal(m, n) for n in _TOTAL_ATOMS] for m in inv.members]
-    rank = exact_rank(jac, seed)
+    rank = exact_rank(jac, seed)[0]
     independent = rank == len(inv.members)
     return InvariantReport(annihilation, rank, independent)
 
@@ -113,7 +89,7 @@ def _formal(m: Expr, name: str) -> Expr:
 def invariant_rank(inv: InvariantSet, seed: int = 0) -> tuple:
     """(rank of d(members)/d(a,b,c), defect q - rank)."""
     jac = [[_formal(m, n) for n in ("a", "b", "c")] for m in inv.members]
-    rank = exact_rank(jac, seed)
+    rank = exact_rank(jac, seed)[0]
     return rank, Q - rank
 
 
@@ -146,7 +122,7 @@ def characteristic_matrix(gens: list, triple: SolutionTriple) -> list:
 
 def defect(gens: list, triple: SolutionTriple, seed: int = 0) -> int:
     """Rank of the characteristic matrix on the solution, by minors."""
-    return exact_rank(characteristic_matrix(gens, triple), seed)
+    return exact_rank(characteristic_matrix(gens, triple), seed)[0]
 
 
 @dataclass
@@ -165,31 +141,27 @@ def reducibility_scan(gens: list, triple: SolutionTriple,
     if len(gens) != 2:
         raise ExprError("reducibility scan expects a two-generator span")
     r1, r2 = characteristic_matrix(gens, triple)
-    z1 = [bool(is_zero(e, seed=seed)) for e in r1]
-    z2 = [bool(is_zero(e, seed=seed)) for e in r2]
-    directions = []
-    notes = []
-    if all(z1) and all(z2):
+    rank, pivot_row, pivot_col = exact_rank([r1, r2], seed)
+    if rank == 0:
         return ReducibilityReport([{"alpha": "any", "beta": "any"}],
                                   True, False,
                                   ["solution invariant under the full span"])
-    if all(z1):
+    directions = []
+    notes = []
+    if pivot_row == (1,):
+        # rank 1 with its witness in the second row: the first is zero
         directions.append({"alpha": "1", "beta": "0"})
         notes.append("first generator annihilates the solution")
-    elif all(z2):
-        directions.append({"alpha": "0", "beta": "1"})
-        notes.append("second generator annihilates the solution")
-    else:
-        pivot = next((i for i in range(Q) if not z1[i]), None)
-        if pivot is not None:
-            rho = neg(div(r2[pivot], r1[pivot]))
-            consistent = all(
-                bool(is_zero(add(mul(rho, r1[i]), r2[i]), seed=seed))
-                for i in range(Q))
-            constant = (bool(is_zero(diff(rho, "x"), seed=seed))
-                        and bool(is_zero(diff(rho, "t"), seed=seed)))
-            if consistent and constant:
-                directions.append({"alpha": render(rho), "beta": "1"})
-                notes.append("proportional characteristics with a "
-                             "constant ratio")
+    elif rank == 1:
+        # the rows are proportional, r2 = -rho*r1; read rho at the pivot
+        (col,) = pivot_col
+        rho = neg(div(r2[col], r1[col]))
+        if rho == ZERO:
+            directions.append({"alpha": "0", "beta": "1"})
+            notes.append("second generator annihilates the solution")
+        elif (bool(is_zero(diff(rho, "x"), seed=seed))
+              and bool(is_zero(diff(rho, "t"), seed=seed))):
+            directions.append({"alpha": render(rho), "beta": "1"})
+            notes.append("proportional characteristics with a "
+                         "constant ratio")
     return ReducibilityReport(directions, False, not directions, notes)

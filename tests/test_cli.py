@@ -1,7 +1,7 @@
-import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +9,7 @@ import pytest
 
 import walkerkit
 from walkerkit import catalog
-from walkerkit.cli import Report, _verify_entry, main
+from walkerkit.cli import Report, _check_reduction, _verify_entry, main
 from walkerkit.expr import NONZERO
 
 
@@ -27,7 +27,7 @@ def test_brackets_text_table(capsys):
     code, out = run(capsys, "brackets")
     assert code == 0
     assert "X3 - X6 + 2*X7" in out
-    assert "PASS brackets.jacobi" in out
+    assert "PASS algebra.jacobi" in out
 
 
 def test_brackets_json_schema(capsys):
@@ -69,7 +69,7 @@ def test_subalgebra_closed(capsys):
     code, out = run(capsys, "subalgebra", "--gens", "X1; X7",
                     "--check-closed")
     assert code == 0
-    assert "PASS subalgebra.closed" in out
+    assert "PASS subalgebra.closure" in out
 
 
 def test_subalgebra_not_closed(capsys):
@@ -196,10 +196,42 @@ def test_einstein_substitutes_the_metric_once(monkeypatch, capsys):
     assert doc["details"]["einstein"] == "yes"
 
 
-def test_defect_command(capsys):
+def test_defect_command(monkeypatch, capsys):
     code, doc = run_json(capsys, "defect", "--entry", "eq25.family4")
     assert code == 0
     assert doc["checks"][0]["witness"] == "delta=1"
+    # defect --entry runs verify's check: a copy of eq25.family1 whose
+    # ansatz binds every coordinate expects delta = 0, and its solution
+    # has delta = 1
+    family = catalog.builtin_map()["eq25.family1"]
+    bound = dataclasses.replace(family, ansatz=tuple(
+        (name, text) for name, text in family.ansatz if name != text))
+    assert not bound.pis_ansatz().arbitrary
+    monkeypatch.setattr(catalog, "builtin_map", lambda: {family.id: bound})
+    code, doc = run_json(capsys, "defect", "--entry", family.id)
+    assert code == 1
+    assert doc["checks"] == [{"id": "eq25.family1.defect",
+                              "verdict": "fail", "witness": "delta=1"}]
+
+
+def _reduction_check(entry):
+    rep = Report("verify", 42, 100, 1e-9)
+    _check_reduction(entry, rep)
+    (check,) = rep.checks
+    return check.verdict, check.witness
+
+
+def test_failing_reduction_names_its_residual():
+    family = catalog.builtin_map()["eq25.family1"]
+    reduced = family.reduced
+    assert _reduction_check(family) == ("pass", "6 reduced residuals, exact")
+    bumped = dataclasses.replace(
+        family, reduced=(f"({reduced[0]}) + f",) + reduced[1:])
+    assert _reduction_check(bumped) == (
+        "fail", "reduced residual 1 differs from the derived one")
+    short = dataclasses.replace(family, reduced=reduced[:-1])
+    assert _reduction_check(short) == (
+        "fail", "5 reduced residuals shipped, 6 derived")
 
 
 def test_reducibility_flags_direction(capsys):
@@ -312,11 +344,12 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_subcommands_share_the_suite_checks(capsys):
-    # verify --all and the two subcommands run one implementation of the
-    # symmetry and equivalence checks, so verdicts and witnesses agree
+    # verify --all and the subcommands run one implementation of the
+    # table, symmetry and equivalence checks, so ids, verdicts and
+    # witnesses agree
     _, suite = run_json(capsys, "verify", "--all", "--seed", "42")
     by_id = {c["id"]: c for c in suite["checks"]}
-    for command in ("symmetries", "equivalence-probe"):
+    for command in ("brackets", "symmetries", "equivalence-probe"):
         _, doc = run_json(capsys, command, "--seed", "42")
         for check in doc["checks"]:
             assert by_id[check["id"]] == check
@@ -325,8 +358,7 @@ def test_subcommands_share_the_suite_checks(capsys):
 def test_entry_data_not_id_selects_checks():
     def suffixes(entry):
         rep = Report("verify", 42, 100, 1e-9)
-        ctx = argparse.Namespace(seed=42, samples=100, tol=1e-9)
-        _verify_entry(entry, ctx, rep)
+        _verify_entry(entry, rep)
         return sorted(c.id[len(entry.id):] for c in rep.checks)
 
     family = catalog.builtin_map()["eq25.family2"]
@@ -378,6 +410,17 @@ def test_verify_all_byte_oracle(capsys):
         VERIFY_ALL_SEED42_SHA256
 
 
+def test_readme_quotes_the_pinned_oracle():
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())  # joins the wrapped lines
+    quoted = re.findall(r"sha256 `([0-9a-f]{8})…([0-9a-f]{4})` for "
+                        r"`verify --all --seed 42 --report json`", text)
+    digest = VERIFY_ALL_SEED42_SHA256
+    assert quoted == [(digest[:8], digest[-4:])]
+
+
 def test_verify_all_makes_no_numeric_zero_verdict(monkeypatch, capsys):
     # every zero that verify --all finds cancels exactly; the float probe
     # only ever finds nonzero residuals
@@ -398,7 +441,7 @@ def test_verify_all_makes_no_numeric_zero_verdict(monkeypatch, capsys):
 
 
 BRACKETS_SHA256 = (
-    "b0fff485b6cefb7e678e132d2fa532e4c619f77d6cadb9c1e6388ffb3f0abbc1")
+    "41a3caa41ba8fd7a4bf59029d17f9a80d3512716ef23c2cb57e586b3b9edc4fc")
 ADJOINT_THIRD_SHA256 = {
     1: "9bfdc84e03493b45b59ff0deb80d3297f1cac6b47785d5cea6d70e9a4f1d9b68",
     2: "2d8e5437e1bd7be981335535cc279e512533b5140ea34d79fe1f6fec676eedd8",
@@ -424,9 +467,9 @@ def test_exact_algebra_reports_are_byte_stable(capsys):
 
 
 # Reports the shared derivatives must leave byte-identical, with
-# --report json. The subalgebra digest was captured before the partials
-# and parsed generator vectors were shared; the symmetries and
-# equivalence-probe digests when those checks became exact.
+# --report json. The symmetries and equivalence-probe digests were
+# captured when those checks became exact; the subalgebra digest when
+# --check-closed came to report verify's closure check.
 SHARED_DERIVATIVE_SHA256 = {
     ("symmetries",):
         "fb0f8adfed99e32892aef34f4437b796c3dbaeff60fbe735cc574393abee2931",
@@ -435,7 +478,7 @@ SHARED_DERIVATIVE_SHA256 = {
     ("equivalence-probe",):
         "4284b8c8c291c116e67e5349059327b0fc4d81ef0aed555d73dee42d27175071",
     ("subalgebra", "--gens", "X3+eps*X4;eps*X5+X6-2*X7", "--check-closed"):
-        "cb08d747bea12a33b7ca2f15f034739b451d15602c931e32a31d6f7e0fd6e64a",
+        "22fa8deafa7cbd3549e9f556e45e9682d6d0a58227e7ca9e4cf4fd974fde8aac",
 }
 
 

@@ -381,7 +381,7 @@ def _built(run):
 
 
 def test_repeated_determinant_builds_no_node():
-    from walkerkit.pis import det
+    from walkerkit.liealg import det
 
     m = [[parse(s) for s in row] for row in (
         ("x", "t + 1", "a_1"), ("c1", "x*t", "2"), ("t^2", "1/x", "b"))]

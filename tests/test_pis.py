@@ -18,10 +18,11 @@ from walkerkit.expr import (
     num, parse, render, sub, substitute,
 )
 from walkerkit.jets import system2
+from walkerkit.liealg import det, exact_rank
 from walkerkit.pis import (
-    InvariantSet, PISAnsatz, SolutionTriple, det, _formal,
-    ansatz_substitute, characteristic_matrix, defect, exact_rank,
-    invariant_check, invariant_rank, reducibility_scan,
+    InvariantSet, PISAnsatz, SolutionTriple, _formal, ansatz_substitute,
+    characteristic_matrix, defect, invariant_check, invariant_rank,
+    reducibility_scan,
 )
 
 E1 = (1, 0, 0, 0, 0, 0, 0)
@@ -174,10 +175,15 @@ def test_reducibility_first_direction_flagged():
 
 
 def test_reducibility_generic_pair_empty():
-    triple = SolutionTriple(parse("x*t"), parse("x^2"), parse("t^2"))
-    rep = reducibility_scan([E1, E4], triple)
-    assert rep.non_reducible
-    assert rep.directions == []
+    for gens, texts in (
+            ([E1, E4], ("x*t", "x^2", "t^2")),
+            # X1 and X2 give -t and -x in every column: rank 1, but the
+            # ratio x/t of the characteristics is no constant
+            ([E1, E2], ("x*t", "x*t", "x*t"))):
+        triple = SolutionTriple(*map(parse, texts))
+        rep = reducibility_scan(gens, triple)
+        assert rep.non_reducible
+        assert rep.directions == [] and rep.notes == []
 
 
 def test_reducibility_full_pencil():
@@ -188,10 +194,17 @@ def test_reducibility_full_pencil():
 
 
 def test_reducibility_mixed_direction():
-    triple = SolutionTriple(parse("(x - t)^2"), parse("x - t"),
-                            parse("x - t + 1"))
-    rep = reducibility_scan([E1, E2], triple)
-    assert rep.directions == [{"alpha": "1", "beta": "1"}]
+    for gens, texts, direction, note in (
+            ([E1, E2], ("(x - t)^2", "x - t", "x - t + 1"), ("1", "1"),
+             "proportional characteristics with a constant ratio"),
+            # X1 annihilates a solution free of x, X2 does not
+            ([E2, E1], ("t", "t^2", "t + 1"), ("0", "1"),
+             "second generator annihilates the solution")):
+        triple = SolutionTriple(*map(parse, texts))
+        rep = reducibility_scan(gens, triple)
+        assert rep.directions == [dict(zip(("alpha", "beta"), direction))]
+        assert rep.notes == [note]
+        assert not rep.non_reducible
 
 
 def test_defect_rejects_one_generator_misuse():
@@ -217,7 +230,7 @@ def test_every_minor_above_the_catalog_ranks_cancels_exactly():
     # the defect and the invariant ranks are certificates, not probes
     matrices = above = 0
     for rows in _catalog_rank_matrices():
-        r = exact_rank(rows)
+        r = exact_rank(rows)[0]
         nrow, ncol = len(rows), len(rows[0])
         for k in range(r + 1, min(nrow, ncol) + 1):
             for ri in combinations(range(nrow), k):
@@ -236,13 +249,15 @@ def test_exact_rank_of_a_symbolic_dependent_row():
     w = [parse(s) for s in ("1", "x*t", "b", "c", "0")]
     dep = [add(mul(exp_(parse("x")), p), mul(parse("t"), q))
            for p, q in zip(u, w)]
-    assert exact_rank([u, w, dep]) == 2
+    assert exact_rank([u, w, dep])[0] == 2
     assert all(is_zero_symbolic(det([[r[j] for j in ci]
                                       for r in (u, w, dep)]))
                for ci in combinations(range(5), 3))
-    # one perturbed entry makes the third row independent
+    # one perturbed entry makes the third row independent; the minors on
+    # columns 0, 1, 2 and 0, 1, 3 still cancel, so the witness is the
+    # third one tried
     bumped = dep[:4] + [add(dep[4], num(1))]
-    assert exact_rank([u, w, bumped]) == 3
+    assert exact_rank([u, w, bumped]) == (3, (0, 1, 2), (0, 1, 4))
 
 
 @st.composite
@@ -263,4 +278,4 @@ def test_exact_rank_matches_fraction_elimination(m):
     rows = [[num(v) for v in row] for row in m]
     want = len(reference.rref([list(map(Fraction, r)) for r in m],
                               len(m[0])))
-    assert exact_rank(rows) == want
+    assert exact_rank(rows)[0] == want
