@@ -494,7 +494,8 @@ def _from_dict(d, text: str, where: str) -> CatalogEntry:
 def load(path) -> tuple:
     """The entries of a saved catalog. A document that is not UTF-8
     JSON, or breaks the schema, raises SchemaError; an expression that
-    does not parse raises ParseError."""
+    does not parse raises ParseError, and a generator that is not a
+    combination of X1..X7 with constant coefficients raises ExprError."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

@@ -82,6 +82,11 @@ def ricci(g: Metric4) -> CurvatureBundle:
     gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     R_ij = d_k gamma^k_ij - d_j gamma^k_ik
            + gamma^k_kl gamma^l_ij - gamma^k_jl gamma^l_ik
+
+    The Levi-Civita Ricci tensor is symmetric, so R_ij is built for
+    i <= j only and ricci[j][i] is the same node as ricci[i][j]. A
+    product of Christoffel symbols with a ZERO factor is ZERO, which
+    ``add`` drops, so it is never built.
     """
     inv = inverse_metric(g)
     half = num(Fraction(1, 2))
@@ -106,16 +111,20 @@ def ricci(g: Metric4) -> CurvatureBundle:
 
     ric = [[ZERO] * N for _ in range(N)]
     for i in range(N):
-        for j in range(N):
+        for j in range(i, N):
             terms = []
             for k in range(N):
                 terms.append(d(k, gamma[k][i][j]))
                 terms.append(neg(d(j, gamma[k][i][k])))
             for k in range(N):
                 for l in range(N):
-                    terms.append(mul(gamma[k][k][l], gamma[l][i][j]))
-                    terms.append(neg(mul(gamma[k][j][l], gamma[l][i][k])))
-            ric[i][j] = add(*terms)
+                    p, q = gamma[k][k][l], gamma[l][i][j]
+                    if p != ZERO and q != ZERO:
+                        terms.append(mul(p, q))
+                    p, q = gamma[k][j][l], gamma[l][i][k]
+                    if p != ZERO and q != ZERO:
+                        terms.append(neg(mul(p, q)))
+            ric[i][j] = ric[j][i] = add(*terms)
 
     tau = add(*[mul(inv.rows[i][j], ric[i][j])
                 for i in range(N) for j in range(N)

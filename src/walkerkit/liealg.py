@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations, takewhile
 
 from .expr import (
-    Expr, ExprError, NONZERO, Num, Param, ZERO, ONE, ZERO_NUMERIC,
+    Coord, Expr, ExprError, NONZERO, Num, Param, ZERO, ONE, ZERO_NUMERIC,
     ZERO_SYMBOLIC, add, coord, div, exp_, free_atoms, funcsym, is_zero,
     is_zero_symbolic, mul, neg, num, param, parse, partial, pow_, render,
     sub, substitute,
@@ -147,15 +147,18 @@ def solve_many(rows: list, rhs_rows: list) -> list:
 
 def det(m: list) -> Expr:
     """Determinant of a square matrix of Exprs, by expansion along the
-    first row down to 2x2 blocks."""
+    first row down to 2x2 blocks. Only the row's nonzero entries are
+    expanded: a ZERO entry's term is ZERO, which ``add`` drops anyway,
+    so its cofactor is never built. A lower-triangular block costs one
+    call per row, and a ZERO first row gives ZERO at once."""
     if len(m) == 1:
         return m[0][0]
     if len(m) == 2:
         (p, q), (r, s) = m
         return add(mul(p, s), mul(-1, q, r))
-    return add(*(mul(-1 if j % 2 else 1, m[0][j],
+    return add(*(mul(-1 if j % 2 else 1, e,
                      det([r[:j] + r[j + 1:] for r in m[1:]]))
-                 for j in range(len(m))))
+                 for j, e in enumerate(m[0]) if e != ZERO))
 
 
 def exact_rank(rows, seed: int = 0) -> tuple:
@@ -280,6 +283,8 @@ def sc() -> StructureConstants:
 @cache
 def parse_generator(text: str) -> tuple:
     """Parse "eps*X2 + X5" style text into a 7-tuple of Expr coefficients.
+    A coefficient is a constant: one that holds a coordinate, as in
+    x*X2, raises ExprError, since closure would take it as a constant.
 
     The tuple of immutable Expr is kept per text, so the checks that
     re-read a catalog entry's generators parse each text once; a text
@@ -288,9 +293,13 @@ def parse_generator(text: str) -> tuple:
     coeffs = []
     for name in GENERATOR_NAMES:
         cf = partial(e, param(name))
+        atoms = free_atoms(cf)
         if any(isinstance(a, Param) and a.name in GENERATOR_NAMES
-               for a in free_atoms(cf)):
+               for a in atoms):
             raise ExprError(f"{text!r} is not linear in the generators")
+        if any(isinstance(a, Coord) for a in atoms):
+            raise ExprError(f"{text!r} has a coordinate in the coefficient "
+                            f"of {name}; coefficients are constants")
         coeffs.append(cf)
     rebuilt = add(*[mul(cf, param(name))
                     for cf, name in zip(coeffs, GENERATOR_NAMES)])

@@ -1,10 +1,18 @@
-"""Reference exact solver: Gauss-Jordan elimination of one augmented
-system [A | b] over Fractions, one right-hand side at a time, against
-which ``liealg.solve_many`` (all right-hand sides in one elimination) is
+"""Reference exact linear algebra.
+
+``solve_exact``: Gauss-Jordan elimination of one augmented system
+[A | b] over Fractions, one right-hand side at a time, against which
+``liealg.solve_many`` (all right-hand sides in one elimination) is
 compared column by column.
+
+``laplace_det``: the full Laplace expansion along the first row, which
+builds the cofactor of every entry, zero or not, against which
+``liealg.det`` (which skips the cofactors of zero entries) is compared.
 """
 
 from fractions import Fraction
+
+from walkerkit.expr import add, mul
 
 
 def rref(m, ncol):
@@ -39,3 +47,15 @@ def solve_exact(rows, rhs):
     for r, col in enumerate(pivots):
         x[col] = m[r][ncol]
     return x
+
+
+def laplace_det(m):
+    """Determinant of a square matrix of Exprs, every cofactor built."""
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        (p, q), (r, s) = m
+        return add(mul(p, s), mul(-1, q, r))
+    return add(*(mul(-1 if j % 2 else 1, m[0][j],
+                     laplace_det([r[:j] + r[j + 1:] for r in m[1:]]))
+                 for j in range(len(m))))

@@ -184,6 +184,14 @@ def _subalgebra_with(key, value) -> dict:
     return doc
 
 
+def test_generator_with_a_coordinate_coefficient_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    doc = _subalgebra_with("generators", ["X1", "x*X2"])
+    path.write_text(json.dumps(doc, indent=2))
+    with pytest.raises(ExprError, match="coordinate"):
+        load(path)
+
+
 MALFORMED = {
     "truncated": b'{"schema": "walker-catalog/1", "entries": [',
     "array-document": b"[]",

@@ -313,6 +313,9 @@ def test_usage_errors_exit_two(capsys):
         (["einstein", "--a", "0", "--b", "ln(1-1)", "--c", "0"],
          "cannot evaluate the metric: division by exact zero"),
         (["subalgebra", "--gens", "X1*X2"], "argument --gens:"),
+        # a coefficient is a constant; closure would take x as one
+        (["subalgebra", "--gens", "X1; x*X2", "--check-closed"],
+         "argument --gens: 'x*X2' has a coordinate"),
         (["adjoint", "--gen", "1", "--s", "abc"], "argument --s:"),
         # the flow parameter is exact only
         (["adjoint", "--gen", "1", "--s", "inf"], "argument --s:"),

@@ -140,6 +140,16 @@ def test_parse_generator_rejects_nonlinear():
         la.parse_generator("X1 + 3")
 
 
+def test_parse_generator_rejects_a_coordinate_coefficient():
+    # closure would take x as a constant, but the field bracket
+    # [X1, x*X2] is X2, which the span of X1 and x*X2 does not hold
+    x_x2 = la.BASIS[1].scale(la.BASE_ATOMS[0])
+    assert la.bracket(la.BASIS[0], x_x2) == la.BASIS[1]
+    for text in ("x*X2", "X1 + t*X3", "X4 - (y + 1)*X5", "z^2*X7"):
+        with pytest.raises(ExprError, match="coordinate"):
+            la.parse_generator(text)
+
+
 def test_parse_generator_keeps_vectors_but_not_errors():
     assert la.parse_generator("X3 + eps*X4") is la.parse_generator(
         "X3 + eps*X4")
@@ -336,6 +346,43 @@ def test_solve_many_matches_column_by_column_reference(system):
     rhs_rows = [list(r) for r in zip(*cols)]
     assert la.solve_many(rows, rhs_rows) == \
         [reference.solve_exact(rows, col) for col in cols]
+
+
+# Entries of the determinant oracle: mostly zero, so zero rows and
+# columns are common, and otherwise small expressions of every kind.
+_DET_TEXTS = ("0",) * 6 + ("1", "-2", "1/3", "x", "t", "a", "x*t - 1",
+                           "exp(t)", "b + c")
+
+
+@st.composite
+def sparse_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return [[parse(draw(st.sampled_from(_DET_TEXTS))) for _ in range(n)]
+            for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_det_matches_full_laplace_expansion(m):
+    assert la.det(m) == reference.laplace_det(m)
+
+
+def test_det_matches_laplace_on_zero_rows_and_columns():
+    def matrix(*rows):
+        return [[parse(e) for e in row.split(",")] for row in rows]
+
+    cases = {
+        "zero first row": matrix("0,0,0", "x,1,a", "t,2,b"),
+        "zero middle row": matrix("x,1,a", "0,0,0", "t,2,b"),
+        "zero column": matrix("x,0,a,1", "t,0,b,2", "c,0,1,x", "1,0,t,a"),
+        "all zero": matrix("0,0,0,0", "0,0,0,0", "0,0,0,0", "0,0,0,0"),
+    }
+    for name, m in cases.items():
+        assert la.det(m) == reference.laplace_det(m) == ZERO, name
+    # zeros in the first row, a nonzero determinant
+    m = matrix("0,x,0", "1,t,a", "b,0,2")
+    assert la.det(m) == reference.laplace_det(m)
+    assert is_zero_symbolic(add(la.det(m), neg(parse("x*a*b - 2*x"))))
 
 
 def test_decompose_all_raises_when_one_field_leaves_the_span():
