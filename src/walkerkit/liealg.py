@@ -150,7 +150,8 @@ def det(m: list) -> Expr:
     first row down to 2x2 blocks. Only the row's nonzero entries are
     expanded: a ZERO entry's term is ZERO, which ``add`` drops anyway,
     so its cofactor is never built. A lower-triangular block costs one
-    call per row, and a ZERO first row gives ZERO at once."""
+    call per size down to the 2x2 base, and a ZERO first row gives ZERO
+    at once."""
     if len(m) == 1:
         return m[0][0]
     if len(m) == 2:
@@ -283,8 +284,9 @@ def sc() -> StructureConstants:
 @cache
 def parse_generator(text: str) -> tuple:
     """Parse "eps*X2 + X5" style text into a 7-tuple of Expr coefficients.
-    A coefficient is a constant: one that holds a coordinate, as in
-    x*X2, raises ExprError, since closure would take it as a constant.
+    Coefficients are constants: one that holds a coordinate, as in
+    x*X2, raises ExprError, because closure would treat it as a constant
+    and pass a span that is not closed.
 
     The tuple of immutable Expr is kept per text, so the checks that
     re-read a catalog entry's generators parse each text once; a text

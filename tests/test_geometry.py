@@ -206,8 +206,8 @@ def test_equivalence_probe_report():
 
 def test_determinant_of_m_block_skips_zero_cofactors(monkeypatch):
     # M's block is lower triangular: expanding along the first row over
-    # its nonzero entries takes one call per row down to the 2x2 base,
-    # where the full Laplace expansion made 517
+    # its nonzero entries takes one call per size down to the 2x2 base,
+    # 5 in all; the full Laplace expansion made 517
     calls = []
     real = la.det
 
