@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .expr import PLANE_DEPS, Expr, ExprError, parse
 from .liealg import parse_generator
-from .pis import InvariantSet, PISAnsatz, SolutionTriple
+from .pis import PISAnsatz, SolutionTriple
 
 SCHEMA = "walker-catalog/1"
 
@@ -86,9 +86,8 @@ class CatalogEntry:
     def parse_expr(self, text: str) -> Expr:
         return parse(text, functions=self._functions())
 
-    def invariant_set(self) -> InvariantSet:
-        return InvariantSet(tuple(self.parse_expr(s)
-                                  for s in self.invariants))
+    def invariant_set(self) -> tuple:
+        return tuple(self.parse_expr(s) for s in self.invariants)
 
     def pis_ansatz(self) -> PISAnsatz:
         bindings = {}

@@ -21,6 +21,7 @@ from .expr import (
     NONZERO, ZERO_SYMBOLIC, ExprError, is_zero, is_zero_symbolic,
     parse, render, sub, substitute, substitute_all,
 )
+from .expr.parser import MAX_POWER_BITS
 from .geometry import (
     EINSTEIN_LABELS, abstract_curvature, einstein_verdicts,
     equivalence_probe, metric_latex, metric_matrix_strings, on_metric,
@@ -163,10 +164,26 @@ def _user_value(parser, flag: str, convert, text):
         parser.error(f"argument {flag}: {exc}")
 
 
+def _bounded_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, its size bounded from the text first, since
+    building 1e9999999 alone takes seconds. A decimal digit is more than
+    3 bits, so past MAX_POWER_BITS // 3 digits, those of the exponent's
+    value included, the value is past MAX_POWER_BITS."""
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "")
+    digits = sum(ch.isdigit() for ch in mantissa.lstrip("+-0"))
+    if exponent.isdecimal():
+        digits += int(exponent)
+    if digits > MAX_POWER_BITS // 3:
+        raise ValueError(f"more than {MAX_POWER_BITS // 3} digits, "
+                         f"exponent included: past {MAX_POWER_BITS} bits")
+    return Fraction(text)
+
+
 def cmd_adjoint(args, rep: Report, parser) -> None:
     if not 1 <= args.gen <= DIM:
         parser.error(f"--gen must be 1..{DIM}")
-    s = _user_value(parser, "--s", Fraction, args.s)
+    s = _user_value(parser, "--s", _bounded_fraction, args.s)
     mat = adjoint_matrix(args.gen, s)
     rep.details["matrix"] = [[render(e) for e in row] for row in mat]
     rep.details["generator"] = f"X{args.gen}"
@@ -554,8 +571,12 @@ def main(argv=None) -> int:
                  samples=args.samples, tol=args.tol)
     start = time.monotonic()
     # Handlers fill ``rep``; one that prints its own output returns the
-    # exit code instead.
-    code = args.run(args, rep, parser)
+    # exit code instead. An input the kernel cannot carry through, such
+    # as a constant too long to render, is a usage error.
+    try:
+        code = args.run(args, rep, parser)
+    except ExprError as exc:
+        parser.error(str(exc))
     if code is not None:
         return code
     rep.seconds = time.monotonic() - start

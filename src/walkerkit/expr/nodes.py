@@ -782,9 +782,12 @@ def atom_name(a: Expr) -> str:
 # --- rendering ------------------------------------------------------------
 
 def _frac_text(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise ExprError(f"cannot render a constant: {exc}") from None
 
 
 def _pow_text(e: Pow) -> str:

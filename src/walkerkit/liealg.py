@@ -346,7 +346,6 @@ class ClosureCase:
 
 @dataclass
 class ClosureReport:
-    generators: list
     cases: list
 
     @property
@@ -358,45 +357,29 @@ class ClosureReport:
         return all(c.symbolic for c in self.cases)
 
 
-_TERNARY_VALUES = (-1, 0, 1)
-
-
-def _ternary_params(exprs) -> list:
-    names = set()
-    for e in exprs:
-        for a in free_atoms(e):
-            if isinstance(a, Param) and a.name == "epz":
-                names.add(a.name)
-    return sorted(names)
-
-
 def subalgebra_closed(gens: list, seed: int = 0) -> ClosureReport:
     """Closure of span(gens) under the bracket, symbolic in parameters.
 
     eps and epsp stay symbolic (their squares rewrite to 1); the ternary
-    symbol is split over its three values. Each case carries a (lam, mu)
-    witness with per-component residual verdicts.
+    symbol epz is split over its three values. Each case carries a
+    (lam, mu) witness with per-component residual verdicts.
     """
     if len(gens) == 1:
-        return ClosureReport([list(g) for g in gens],
-                             [ClosureCase({}, True, "0", "0",
+        return ClosureReport([ClosureCase({}, True, "0", "0",
                                           [ZERO_SYMBOLIC] * DIM,
                                           "self-bracket vanishes")])
     if len(gens) != 2:
         raise ExprError("closure check expects 1 or 2 generators")
     g1, g2 = gens
-    splits = _ternary_params(list(g1) + list(g2))
+    if not any(param("epz") in free_atoms(e) for e in (*g1, *g2)):
+        return ClosureReport([_closure_case(g1, g2, {}, seed)])
     cases = []
-    if not splits:
-        cases.append(_closure_case(g1, g2, {}, seed))
-    else:
-        name = splits[0]
-        for val in _TERNARY_VALUES:
-            sub = {name: num(val)}
-            h1 = tuple(substitute(e, sub) for e in g1)
-            h2 = tuple(substitute(e, sub) for e in g2)
-            cases.append(_closure_case(h1, h2, {name: val}, seed))
-    return ClosureReport([list(g1), list(g2)], cases)
+    for val in (-1, 0, 1):
+        point = {"epz": num(val)}
+        h1 = tuple(substitute(e, point) for e in g1)
+        h2 = tuple(substitute(e, point) for e in g2)
+        cases.append(_closure_case(h1, h2, {"epz": val}, seed))
+    return ClosureReport(cases)
 
 
 def _closure_case(g1, g2, assignment, seed) -> ClosureCase:

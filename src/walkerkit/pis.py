@@ -11,22 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .expr import (
-    Expr, ExprError, NONZERO, ZERO, add, coord, diff, div, is_zero, mul,
-    neg, render, substitute, substitute_all,
+    Expr, ExprError, NONZERO, ZERO, add, diff, div, is_zero, mul, neg,
+    partial, render, substitute, substitute_all,
 )
-from .liealg import coeffs_to_field, exact_rank
+from .liealg import BASE_ATOMS, coeffs_to_field, exact_rank
 from .jets import PDESystem
-
-Q = 3  # number of dependent coordinates
-
-_TOTAL_ATOMS = ("x", "t", "a", "b", "c")
-
-
-@dataclass(frozen=True)
-class InvariantSet:
-    """Functions on the (x, t, a, b, c) total space."""
-
-    members: tuple
 
 
 @dataclass(frozen=True)
@@ -63,34 +52,28 @@ class InvariantReport:
             v != NONZERO for _, _, v in self.annihilation)
 
 
-def invariant_check(gens: list, inv: InvariantSet,
+def invariant_check(gens: list, members: tuple,
                     seed: int = 0) -> InvariantReport:
     """Annihilation of every member by every generator, plus functional
     independence via the full Jacobian over (x, t, a, b, c)."""
     annihilation = []
     for gi, cv in enumerate(gens):
         fld = coeffs_to_field(cv)
-        for mi, m in enumerate(inv.members):
+        for mi, m in enumerate(members):
             res = is_zero(fld.apply(m), seed=seed)
             annihilation.append((gi, mi, res.verdict))
-    jac = [[_formal(m, n) for n in _TOTAL_ATOMS] for m in inv.members]
+    jac = [[partial(m, u) for u in BASE_ATOMS] for m in members]
     rank = exact_rank(jac, seed)[0]
-    independent = rank == len(inv.members)
+    independent = rank == len(members)
     return InvariantReport(annihilation, rank, independent)
 
 
-def _formal(m: Expr, name: str) -> Expr:
-    from .expr import funcsym, partial, PLANE_DEPS
-    if name in ("x", "t"):
-        return partial(m, coord(name))
-    return partial(m, funcsym(name, (), PLANE_DEPS))
-
-
-def invariant_rank(inv: InvariantSet, seed: int = 0) -> tuple:
-    """(rank of d(members)/d(a,b,c), defect q - rank)."""
-    jac = [[_formal(m, n) for n in ("a", "b", "c")] for m in inv.members]
+def invariant_rank(members: tuple, seed: int = 0) -> tuple:
+    """(rank of d(members)/d(a,b,c), defect 3 - rank)."""
+    fiber = BASE_ATOMS[2:]
+    jac = [[partial(m, u) for u in fiber] for m in members]
     rank = exact_rank(jac, seed)[0]
-    return rank, Q - rank
+    return rank, len(fiber) - rank
 
 
 # --- ansatz and reduced systems ----------------------------------------------
@@ -128,8 +111,6 @@ def defect(gens: list, triple: SolutionTriple, seed: int = 0) -> int:
 @dataclass
 class ReducibilityReport:
     directions: list      # {"alpha": str, "beta": str}
-    full_pencil: bool
-    non_reducible: bool
     notes: list = field(default_factory=list)
 
 
@@ -137,14 +118,14 @@ def reducibility_scan(gens: list, triple: SolutionTriple,
                       seed: int = 0) -> ReducibilityReport:
     """Directions alpha*g1 + beta*g2 whose characteristics all vanish on
     the solution. Empty set means no 1-parameter subgroup of the pair
-    leaves the solution invariant."""
+    leaves the solution invariant; the full pencil is the one direction
+    alpha = beta = "any"."""
     if len(gens) != 2:
         raise ExprError("reducibility scan expects a two-generator span")
     r1, r2 = characteristic_matrix(gens, triple)
     rank, pivot_row, pivot_col = exact_rank([r1, r2], seed)
     if rank == 0:
         return ReducibilityReport([{"alpha": "any", "beta": "any"}],
-                                  True, False,
                                   ["solution invariant under the full span"])
     directions = []
     notes = []
@@ -164,4 +145,4 @@ def reducibility_scan(gens: list, triple: SolutionTriple,
             directions.append({"alpha": render(rho), "beta": "1"})
             notes.append("proportional characteristics with a "
                          "constant ratio")
-    return ReducibilityReport(directions, False, not directions, notes)
+    return ReducibilityReport(directions, notes)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -322,6 +323,15 @@ def test_usage_errors_exit_two(capsys):
         (["adjoint", "--gen", "1", "--s", "nan"], "argument --s:"),
         (["adjoint", "--gen", "1", "--s", "1/0"],
          "argument --s: division by zero in '1/0'"),
+        # a flow parameter past MAX_POWER_BITS is refused from its text,
+        # before it is built or rendered
+        (["adjoint", "--gen", "4", "--s", "1e2500"],
+         "argument --s: more than 1365 digits"),
+        (["adjoint", "--gen", "7", "--s", "1e9999999"],
+         "argument --s: more than 1365 digits"),
+        # each literal power is in bounds, their product too long to render
+        (["subalgebra", "--gens", "2^4000*2^4000*2^4000*2^4000*X1"],
+         "cannot render a constant"),
         # no check may pass on zero samples or a non-finite tolerance
         (["symmetries", "--samples", "0"], "argument --samples:"),
         (["einstein", "--entry", "eq27", "--samples", "0"],
@@ -344,6 +354,11 @@ def test_usage_errors_exit_two(capsys):
         assert exc.value.code == 2, argv
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert "error: " in last and says in last, (argv, last)
+    # building 10^9999999 alone took seconds
+    start = time.monotonic()
+    with pytest.raises(SystemExit):
+        main(["adjoint", "--gen", "7", "--s", "1e9999999"])
+    assert time.monotonic() - start < 1
 
 
 def test_subcommands_share_the_suite_checks(capsys):
@@ -534,6 +549,73 @@ def test_einstein_entry_reports_are_byte_stable(capsys):
     for eid, want in EINSTEIN_ENTRY_SHA256.items():
         _, out = run(capsys, "einstein", "--entry", eid, "--report", "json")
         assert hashlib.sha256(out.encode()).hexdigest() == want, eid
+
+
+# defect and reducibility --entry reports of each two-generator entry
+# with solutions, and closure reports of a pair with epz, of pairs
+# without it and of a single generator.
+SPAN_REPORT_SHA256 = {
+    ("defect", "--entry", "eq25.family1"):
+        "24dbcaf838ce205c778ce041e671df812ddbbd16d4987cc3720d7db211fe8028",
+    ("defect", "--entry", "eq25.family2"):
+        "1c8a9358364b21a67fa9e66513613b965e7c91adf3b22df79a6ff288204482bb",
+    ("defect", "--entry", "eq25.family3"):
+        "51b34d1997a771ed1043ed24707ec1da41a1f6761e4ee9a4e4b7c80cdc31873b",
+    ("defect", "--entry", "eq25.family4"):
+        "b662b7d422f4dac33ed0458ec2fa145d99ab43e98f3d5db665bd596b1f4d5171",
+    ("defect", "--entry", "eq27"):
+        "0959fcc63fdb757c0e836a30fe3b15071af9f3bd87b9270f508180614316b5cc",
+    ("defect", "--entry", "table1.row1"):
+        "8be96addba0a0fc50451c387cde546937b9573e4aeb1a904a34bf0397cad18f7",
+    ("defect", "--entry", "table1.row2"):
+        "a7d6eb06e200ef5405719228d817e7aebd050d3b64463df7790374d8e2a09afd",
+    ("defect", "--entry", "table1.row3"):
+        "101547a67b99eb7dc88f59b7a9ade236b3c1fa581151e14639f33bdcb6c0a0b8",
+    ("defect", "--entry", "table1.row4"):
+        "e301a5974b1996ef3aa38c3cc4f4fc5f1673266c3f802fafd02fbff6347881a9",
+    ("reducibility", "--entry", "eq25.family1"):
+        "c1ccb635a9dea6d49197c0dfb152b3a955ca940ce0b0c2e3ffee36fe2d639770",
+    ("reducibility", "--entry", "eq25.family2"):
+        "627835a047121716a32ee0fc790d76e5f6efd72f1f4f8c6d94fca1a3ed399215",
+    ("reducibility", "--entry", "eq25.family3"):
+        "d9209e8bcb4e3ebe6faa7ddf0a0a2a2e27c94ac3f7287a0e9acc7bc4e92289ee",
+    ("reducibility", "--entry", "eq25.family4"):
+        "1c1808a244797ae12d79780baf33e3106ac518bc874e0eb1d963c803cee7ea81",
+    ("reducibility", "--entry", "eq27"):
+        "8bec722ae652cc4fe797a1a85656973533f195203a264d1b191bf0502a9546a1",
+    ("reducibility", "--entry", "table1.row1"):
+        "a5f501fbd0e20679da458101fc1125da824b8d901ed80015384084742f09ab37",
+    ("reducibility", "--entry", "table1.row2"):
+        "0e88298ff68cf834159127caa7eb949e0f635244a9861011f5b827c848c2610d",
+    ("reducibility", "--entry", "table1.row3"):
+        "4ad75205d810105635a18a9b0044f31e5c5dfa94de60ef9fdd2c0056f297e462",
+    ("reducibility", "--entry", "table1.row4"):
+        "e18eac44cf6564464ced47641a4087c81fb97a412cc660319f4f872b1005448c",
+    ("subalgebra", "--gens", "X1; X3 + epz*X5 + X6 + alpha*X7",
+     "--check-closed"):
+        "da15408c829070b71a73666aff0aa5199fceebe52b36a35066d7518f59dfe993",
+    ("subalgebra", "--gens", "X4", "--check-closed"):
+        "7fc28cd006851ee7580657324d3842ed1045771f80c703ef307ee29ebba0708e",
+    ("subalgebra", "--gens", "X1; X7", "--check-closed"):
+        "038db73e2ccf36c79351e5bc1b3d519e69d754f77572bf9213105eeaf3cd8785",
+    ("subalgebra", "--gens", "X1; X1", "--check-closed"):
+        "29631cee56c153ac24c3d2327b8434172b4b69be4d091e49ebdb78f9a6d969ab",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
+                    reason="the oracle bytes are pinned for Python 3.10/3.11")
+def test_span_reports_are_byte_stable(capsys):
+    import hashlib
+
+    pairs = {e.id for e in catalog.builtin()
+             if e.solutions and len(e.generators) == 2}
+    for cmd in ("defect", "reducibility"):
+        assert {argv[2] for argv in SPAN_REPORT_SHA256
+                if argv[0] == cmd} == pairs, cmd
+    for argv, want in SPAN_REPORT_SHA256.items():
+        _, out = run(capsys, *argv, "--report", "json")
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
 def test_verify_all_parses_each_generator_text_once(monkeypatch, capsys):

@@ -272,6 +272,27 @@ def test_closure_ternary_split():
     assert rep.closed and rep.symbolic
 
 
+def test_closure_substitutes_only_to_split_epz(monkeypatch):
+    calls = []
+    real = la.substitute
+
+    def counting(e, values):
+        calls.append(values)
+        return real(e, values)
+
+    monkeypatch.setattr(la, "substitute", counting)
+    rep = la.subalgebra_closed([la.parse_generator("X1"),
+                                la.parse_generator("X7")])
+    assert rep.closed and len(rep.cases) == 1
+    assert calls == []
+    rep = la.subalgebra_closed([la.parse_generator("X1"),
+                                la.parse_generator("X3 + epz*X5 + X6")])
+    assert rep.closed and len(rep.cases) == 3
+    # each of the three values, into the seven coefficients of each
+    # generator
+    assert len(calls) == 3 * 2 * la.DIM
+
+
 def test_not_closed_pair():
     rep = la.subalgebra_closed([la.parse_generator("X1"),
                                 la.parse_generator("X4")])

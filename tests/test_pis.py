@@ -15,14 +15,13 @@ import reference_linalg as reference
 from walkerkit import catalog
 from walkerkit.expr import (
     NONZERO, ZERO_SYMBOLIC, add, exp_, is_zero, is_zero_symbolic, mul,
-    num, parse, render, sub, substitute,
+    num, parse, partial, render, sub, substitute,
 )
 from walkerkit.jets import system2
-from walkerkit.liealg import det, exact_rank
+from walkerkit.liealg import BASE_ATOMS, det, exact_rank
 from walkerkit.pis import (
-    InvariantSet, PISAnsatz, SolutionTriple, _formal, ansatz_substitute,
-    characteristic_matrix, defect, invariant_check, invariant_rank,
-    reducibility_scan,
+    PISAnsatz, SolutionTriple, ansatz_substitute, characteristic_matrix,
+    defect, invariant_check, invariant_rank, reducibility_scan,
 )
 
 E1 = (1, 0, 0, 0, 0, 0, 0)
@@ -30,7 +29,7 @@ E2 = (0, 1, 0, 0, 0, 0, 0)
 E4 = (0, 0, 0, 1, 0, 0, 0)
 E7 = (0, 0, 0, 0, 0, 0, 1)
 
-RATIO_INVARIANTS = InvariantSet(tuple(parse(s) for s in ("t", "b/a", "c/a")))
+RATIO_INVARIANTS = tuple(parse(s) for s in ("t", "b/a", "c/a"))
 
 # Hand-derived reduction of the six second-order equations under
 # b = a*f(t), c = a*g(t), a left free. Frozen before implementation.
@@ -98,7 +97,7 @@ def test_invariants_annihilated_and_independent():
 
 
 def test_non_invariant_detected():
-    bad = InvariantSet(tuple(parse(s) for s in ("t", "b/a", "c")))
+    bad = tuple(parse(s) for s in ("t", "b/a", "c"))
     rep = invariant_check([E1, E7], bad)
     assert not rep.passed
     verdicts = {(g, m): v for g, m, v in rep.annihilation}
@@ -170,8 +169,6 @@ def test_reducibility_first_direction_flagged():
     for triple in FULL_TRIPLES:
         rep = reducibility_scan([E1, E7], triple)
         assert rep.directions == [{"alpha": "1", "beta": "0"}]
-        assert not rep.non_reducible
-        assert not rep.full_pencil
 
 
 def test_reducibility_generic_pair_empty():
@@ -182,15 +179,13 @@ def test_reducibility_generic_pair_empty():
             ([E1, E2], ("x*t", "x*t", "x*t"))):
         triple = SolutionTriple(*map(parse, texts))
         rep = reducibility_scan(gens, triple)
-        assert rep.non_reducible
         assert rep.directions == [] and rep.notes == []
 
 
 def test_reducibility_full_pencil():
     triple = SolutionTriple(parse("c1"), parse("c2"), parse("c3"))
     rep = reducibility_scan([E1, E2], triple)
-    assert rep.full_pencil
-    assert not rep.non_reducible
+    assert rep.directions == [{"alpha": "any", "beta": "any"}]
 
 
 def test_reducibility_mixed_direction():
@@ -204,7 +199,6 @@ def test_reducibility_mixed_direction():
         rep = reducibility_scan(gens, triple)
         assert rep.directions == [dict(zip(("alpha", "beta"), direction))]
         assert rep.notes == [note]
-        assert not rep.non_reducible
 
 
 def test_defect_rejects_one_generator_misuse():
@@ -216,9 +210,9 @@ def _catalog_rank_matrices():
     """Every invariant Jacobian and characteristic matrix in the catalog."""
     for entry in catalog.builtin():
         if entry.invariants:
-            members = entry.invariant_set().members
-            for names in (("x", "t", "a", "b", "c"), ("a", "b", "c")):
-                yield [[_formal(m, n) for n in names] for m in members]
+            members = entry.invariant_set()
+            for atoms in (BASE_ATOMS, BASE_ATOMS[2:]):
+                yield [[partial(m, u) for u in atoms] for m in members]
         gens = list(entry.coeff_vectors())
         for triple in entry.triples():
             yield characteristic_matrix(gens, triple)
