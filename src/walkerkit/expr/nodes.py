@@ -252,16 +252,16 @@ def funcsym(name: str, idx=(), deps=ALL_DEPS) -> Func:
 # Entries of the derivative cache shared by ``diff`` and ``partial``. The
 # Einstein checks of a metric and of its twin re-derive the same b and c
 # subtrees, and ``verify --all`` re-takes the basis fields' partials. At
-# 512, perfbench's curvature workload at seed 7 derives 4868 nodes where
-# it derived 33 601 uncached (5229 at 256, 4062 with no bound), and peak
+# 512, perfbench's curvature workload at seed 7 derives 4854 nodes where
+# it derived 33 263 uncached (5214 at 256, 4048 with no bound), and peak
 # memory stays flat; it grows about 1.7 MB from 4096 entries.
 DERIVE_CACHE = 512
 
 # Entries of each constructor cache (``add``, ``mul``, ``pow_``). Vector
 # fields, bracket cases and minors rebuild the same normal forms. At 256,
-# perfbench's verify_all workload at seed 1 finds 11 871 of its 14 339
-# ``mul`` calls and 5852 of its 7129 ``add`` calls in the caches (12 024
-# and 5868 at 512, 12 083 and 5894 at 4096), and peak memory grows about
+# perfbench's verify_all workload at seed 1 finds 8746 of its 10 855
+# ``mul`` calls and 4933 of its 6168 ``add`` calls in the caches (8859
+# and 4946 at 512, 8911 and 4971 at 4096), and peak memory grows about
 # 0.45 MB; 512 entries run no faster and add 0.1 to 0.3 MB more, 4096 up
 # to 2.5 MB more.
 BUILD_CACHE = 256
@@ -703,7 +703,13 @@ def substitute_all(exprs, bindings: dict) -> tuple:
 
     The expressions share one derivative memo, so each distinct
     derivative of a binding (a_1, a_11, ...) is differentiated once for
-    the whole batch.
+    the whole batch. A term of a sum that substitutes to zero is dropped
+    before ``add``, and a product with a factor that substitutes to zero
+    is ZERO without a ``mul`` call; its other factors are still
+    substituted, so one that raises (a zero to a negative power) still
+    raises. On a metric that depends on x and t alone, most jets of a, b
+    and c are zero, so most monomials of the collected curvature
+    components build nothing.
     """
     fmap, pmap, jmap = _norm_bindings(bindings)
     memo: dict = {}
@@ -719,23 +725,30 @@ def substitute_all(exprs, bindings: dict) -> tuple:
         return hit
 
     def walk(e: Expr) -> Expr:
-        if isinstance(e, (Num, Coord)):
-            return e
-        if isinstance(e, Param):
-            return pmap.get(e.name, e)
-        if isinstance(e, Func):
+        te = type(e)
+        if te is Func:
             return bound(e.name, e.idx) if e.name in fmap else jmap.get(e, e)
-        if isinstance(e, Sum):
-            return add(*[walk(t) for t in e.terms])
-        if isinstance(e, Prod):
-            return mul(e.coeff, *[walk(f) for f in e.factors])
-        if isinstance(e, Pow):
+        if te is Prod:
+            factors = [walk(f) for f in e.factors]
+            for f in factors:
+                if type(f) is Num and not f.value:
+                    return ZERO
+            return mul(e.coeff, *factors)
+        if te is Sum:
+            terms = [w for w in map(walk, e.terms)
+                     if type(w) is not Num or w.value]
+            return add(*terms) if terms else ZERO
+        if te is Num or te is Coord:
+            return e
+        if te is Param:
+            return pmap.get(e.name, e)
+        if te is Pow:
             return pow_(walk(e.base), e.exp)
-        if isinstance(e, Ln):
+        if te is Ln:
             return ln(walk(e.arg))
-        if isinstance(e, ExpF):
+        if te is ExpF:
             return exp_(walk(e.arg))
-        if isinstance(e, Atan):
+        if te is Atan:
             return atan(walk(e.arg))
         raise ExprError(f"cannot substitute into {e!r}")
 
@@ -743,29 +756,34 @@ def substitute_all(exprs, bindings: dict) -> tuple:
 
 
 def free_atoms(e: Expr) -> set:
-    """All coordinate, parameter and function-symbol leaves."""
+    """All coordinate, parameter and function-symbol leaves. Each distinct
+    node object is visited once, so a subtree reached along several paths
+    costs one visit."""
     out: set = set()
-    _collect_atoms(e, out)
+    seen: set = set()
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        tn = type(n)
+        if tn is Coord or tn is Param or tn is Func:
+            out.add(n)
+            continue
+        if tn is Num:
+            continue
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if tn is Sum:
+            stack.extend(n.terms)
+        elif tn is Prod:
+            stack.extend(n.factors)
+        elif tn is Pow:
+            stack.append(n.base)
+        elif tn is Ln or tn is ExpF or tn is Atan:
+            stack.append(n.arg)
+        else:
+            raise ExprError(f"unexpected node {n!r}")
     return out
-
-
-def _collect_atoms(e: Expr, out: set) -> None:
-    if isinstance(e, (Coord, Param, Func)):
-        out.add(e)
-    elif isinstance(e, Num):
-        pass
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            _collect_atoms(t, out)
-    elif isinstance(e, Prod):
-        for f in e.factors:
-            _collect_atoms(f, out)
-    elif isinstance(e, Pow):
-        _collect_atoms(e.base, out)
-    elif isinstance(e, (Ln, ExpF, Atan)):
-        _collect_atoms(e.arg, out)
-    else:
-        raise ExprError(f"unexpected node {e!r}")
 
 
 def atom_name(a: Expr) -> str:

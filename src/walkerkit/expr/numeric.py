@@ -48,53 +48,75 @@ def _float(q) -> float:
                         "range") from None
 
 
-def eval_expr(e: Expr, point: dict) -> float:
+def eval_expr(e: Expr, point: dict, memo: dict | None = None) -> float:
     """Evaluate at ``point`` (atom name -> float). Raises EvalGuard near
-    singularities and outside real-root domains."""
-    if isinstance(e, Num):
+    singularities and outside real-root domains.
+
+    Each distinct node is evaluated once: a subtree object reached along
+    several paths is looked up in ``memo`` (node id -> value) after its
+    first visit, so the floats and the arithmetic order are those of a
+    walk of the whole tree, and a guard raises on the first visit.
+    ``memo`` is internal: ``eval_scaled`` passes one across the terms of
+    a sum, and a memo must not outlive the expression it was filled on,
+    since ids of dead nodes are reused.
+    """
+    return _eval(e, point, {} if memo is None else memo)
+
+
+def _eval(e: Expr, point: dict, memo: dict) -> float:
+    te = type(e)
+    if te is Num:
         return _float(e.value)
-    if isinstance(e, (Coord, Param, Func)):
-        name = atom_name(e)
-        try:
-            return point[name]
-        except KeyError:
-            raise EvalError(f"no value for {name!r}") from None
-    if isinstance(e, Sum):
-        return sum(eval_expr(t, point) for t in e.terms)
-    if isinstance(e, Prod):
+    key = id(e)
+    v = memo.get(key)
+    if v is not None:
+        return v
+    if te is Sum:
+        v = sum(_eval(t, point, memo) for t in e.terms)
+    elif te is Prod:
         v = _float(e.coeff)
         for f in e.factors:
-            v *= eval_expr(f, point)
-        return v
-    if isinstance(e, Pow):
-        base = eval_expr(e.base, point)
-        exp = e.exp
-        if exp < 0 and abs(base) < DENOM_GUARD:
-            raise EvalGuard("denominator too small")
+            v *= _eval(f, point, memo)
+    elif te is Pow:
+        v = _eval_pow(_eval(e.base, point, memo), e.exp)
+    elif te is Coord or te is Param or te is Func:
+        name = atom_name(e)
         try:
-            if exp.denominator == 1:
-                return base ** exp.numerator
-            if base < 0:
-                if exp.denominator % 2 == 1:
-                    r = -((-base) ** (1.0 / exp.denominator))
-                    return r ** exp.numerator
-                raise EvalGuard("even root of a negative value")
-            return base ** _float(exp)
-        except OverflowError:
-            raise EvalGuard(POWER_OVERFLOW) from None
-    if isinstance(e, Ln):
-        arg = eval_expr(e.arg, point)
+            v = point[name]
+        except KeyError:
+            raise EvalError(f"no value for {name!r}") from None
+    elif te is Ln:
+        arg = _eval(e.arg, point, memo)
         if arg < DENOM_GUARD:
             raise EvalGuard("log argument not positive")
-        return math.log(arg)
-    if isinstance(e, ExpF):
-        arg = eval_expr(e.arg, point)
+        v = math.log(arg)
+    elif te is ExpF:
+        arg = _eval(e.arg, point, memo)
         if arg > EXP_GUARD:
             raise EvalGuard("exponential overflow")
-        return math.exp(arg)
-    if isinstance(e, Atan):
-        return math.atan(eval_expr(e.arg, point))
-    raise ExprError(f"cannot evaluate {e!r}")
+        v = math.exp(arg)
+    elif te is Atan:
+        v = math.atan(_eval(e.arg, point, memo))
+    else:
+        raise ExprError(f"cannot evaluate {e!r}")
+    memo[key] = v
+    return v
+
+
+def _eval_pow(base: float, exp) -> float:
+    if exp < 0 and abs(base) < DENOM_GUARD:
+        raise EvalGuard("denominator too small")
+    try:
+        if exp.denominator == 1:
+            return base ** exp.numerator
+        if base < 0:
+            if exp.denominator % 2 == 1:
+                r = -((-base) ** (1.0 / exp.denominator))
+                return r ** exp.numerator
+            raise EvalGuard("even root of a negative value")
+        return base ** _float(exp)
+    except OverflowError:
+        raise EvalGuard(POWER_OVERFLOW) from None
 
 
 def sample_point(atoms, rng: random.Random) -> dict:
@@ -116,9 +138,12 @@ def eval_scaled(e: Expr, point: dict) -> tuple:
 
     ``scale`` is max(1, largest |term|) for a sum and 1 otherwise, so
     value / scale is a residual relative to the size of its own terms.
+    The terms share one ``eval_expr`` memo, so a subtree common to
+    several terms is evaluated once per point.
     """
     if isinstance(e, Sum):
-        values = [eval_expr(t, point) for t in e.terms]
+        memo: dict = {}
+        values = [eval_expr(t, point, memo) for t in e.terms]
         return sum(values), max(1.0, max(map(abs, values)))
     return eval_expr(e, point), 1.0
 

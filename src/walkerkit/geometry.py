@@ -85,14 +85,15 @@ def ricci(g: Metric4) -> CurvatureBundle:
 
     The Levi-Civita Ricci tensor is symmetric, so R_ij is built for
     i <= j only and ricci[j][i] is the same node as ricci[i][j]. A
-    product of Christoffel symbols with a ZERO factor is ZERO, which
-    ``add`` drops, so it is never built.
+    constant metric entry or a ZERO Christoffel symbol is never
+    differentiated, and no product with a ZERO factor is built: ``add``
+    would drop it.
     """
     inv = inverse_metric(g)
     half = num(Fraction(1, 2))
 
     def d(i, e):
-        return diff(e, COORDS[i])
+        return ZERO if type(e) is Num else diff(e, COORDS[i])
 
     gamma = [[[ZERO] * N for _ in range(N)] for _ in range(N)]
     for k in range(N):
@@ -104,8 +105,11 @@ def ricci(g: Metric4) -> CurvatureBundle:
                         continue
                     inner = add(d(i, g.rows[j][l]), d(j, g.rows[i][l]),
                                 neg(d(l, g.rows[i][j])))
-                    terms.append(mul(inv.rows[k][l], inner))
-                val = mul(half, add(*terms)) if terms else ZERO
+                    if inner != ZERO:
+                        terms.append(mul(inv.rows[k][l], inner))
+                val = add(*terms)
+                if val != ZERO:
+                    val = mul(half, val)
                 gamma[k][i][j] = val
                 gamma[k][j][i] = val
 
@@ -114,8 +118,10 @@ def ricci(g: Metric4) -> CurvatureBundle:
         for j in range(i, N):
             terms = []
             for k in range(N):
-                terms.append(d(k, gamma[k][i][j]))
-                terms.append(neg(d(j, gamma[k][i][k])))
+                if gamma[k][i][j] != ZERO:
+                    terms.append(d(k, gamma[k][i][j]))
+                if gamma[k][i][k] != ZERO:
+                    terms.append(neg(d(j, gamma[k][i][k])))
             for k in range(N):
                 for l in range(N):
                     p, q = gamma[k][k][l], gamma[l][i][j]
@@ -128,7 +134,7 @@ def ricci(g: Metric4) -> CurvatureBundle:
 
     tau = add(*[mul(inv.rows[i][j], ric[i][j])
                 for i in range(N) for j in range(N)
-                if inv.rows[i][j] != ZERO])
+                if inv.rows[i][j] != ZERO and ric[i][j] != ZERO])
     freeze = tuple(tuple(tuple(row) for row in plane) for plane in gamma)
     return CurvatureBundle(freeze, tuple(tuple(r) for r in ric), tau)
 

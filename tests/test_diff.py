@@ -152,6 +152,14 @@ def test_substitute_all_differentiates_each_derivative_once(monkeypatch):
     assert len(set(calls)) == 4
 
 
+@pytest.mark.parametrize("text", ["a_1*c^(-1)", "a_1*c^(-1) + t"])
+def test_zero_factor_does_not_hide_a_division_by_zero(text):
+    # a_1 of a = t is zero, which makes the product zero; the factor
+    # c^(-1) is still substituted, and c = 0 makes it an exact 1/0
+    with pytest.raises(ExprError, match="division by exact zero"):
+        substitute(parse(text), {"a": coord("t"), "c": 0})
+
+
 # --- the derivative cache shared by diff and partial --------------------------
 
 def _derived(run):

@@ -17,12 +17,13 @@ from walkerkit.expr import (
     ALL_DEPS, NONZERO, ZERO, ZERO_SYMBOLIC, Atan, Coord, ExpF, Func, Ln, Num,
     Param, Pow, Prod, Sum, add, coord, diff, eval_expr, eval_scaled,
     expand_monomials, funcsym, is_zero, is_zero_symbolic, mul, neg, num,
-    parse, render, sub,
+    parse, render, sub, substitute,
 )
 from walkerkit import catalog, cli
 from walkerkit import geometry as geo
 from walkerkit import jets
 from walkerkit import liealg as la
+from walkerkit.expr import nodes
 
 
 def riemann_ricci_oracle(g):
@@ -125,6 +126,52 @@ def test_ricci_builds_the_upper_triangle_only():
     for i in range(4):
         for j in range(i, 4):
             assert bundle.ricci[j][i] is bundle.ricci[i][j], (i, j)
+
+
+def _zero_argument_calls(monkeypatch, module, run):
+    """(calls, calls with a ZERO argument) of ``module.mul`` and of
+    ``module.diff`` during ``run()``."""
+    counts = {}
+    for name in ("mul", "diff"):
+        real = getattr(module, name)
+        seen = counts[name] = [0, 0]
+
+        def counting(*args, real=real, seen=seen):
+            seen[0] += 1
+            seen[1] += any(isinstance(a, Num) and a == ZERO for a in args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    run()
+    monkeypatch.undo()
+    return {name: tuple(c) for name, c in counts.items()}
+
+
+def test_ricci_builds_and_derives_no_known_zero(monkeypatch):
+    # 72 of 176 products and 188 of 320 derivatives had a ZERO argument
+    # before ricci skipped constant entries and ZERO Christoffel symbols
+    g = geo.build_metric(*geo.abstract_functions())
+    want = geo.ricci(g)
+    got = []
+    counts = _zero_argument_calls(monkeypatch, geo,
+                                  lambda: got.append(geo.ricci(g)))
+    assert counts["mul"][1] == 0 and counts["diff"][1] == 0, counts
+    assert got[0] == want
+
+
+def test_on_metric_builds_no_product_with_a_zero_factor(monkeypatch):
+    # most jets of a metric on x and t are zero; 39 of 41 products of
+    # eq25.family1 had a ZERO factor before substitution skipped them
+    triple = catalog.builtin_map()["eq25.family1"].triples()[0]
+    values = {f"c{i}": num(i + 1) for i in range(1, 10)}
+    a, b, c = (substitute(e, values) for e in (triple.a, triple.b, triple.c))
+    _, einstein = geo.abstract_curvature()
+    counts = _zero_argument_calls(
+        monkeypatch, nodes, lambda: geo.on_metric(einstein, a, b, c))
+    assert counts["mul"][0] > 0 and counts["mul"][1] == 0, counts
+    counts = _zero_argument_calls(
+        monkeypatch, nodes, lambda: geo.on_metric(einstein, ZERO, ZERO, ZERO))
+    assert counts["mul"][0] == 0, counts
 
 
 def test_ricci_matches_riemann_contraction():
