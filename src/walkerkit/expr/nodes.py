@@ -70,8 +70,11 @@ class Expr:
         return self._key == other._key
 
     def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        if self is other:
+            return False
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return self._key != other._key
 
     def __lt__(self, other):
         return self._key < other._key
@@ -755,13 +758,13 @@ def substitute_all(exprs, bindings: dict) -> tuple:
     return tuple(walk(e) for e in exprs)
 
 
-def free_atoms(e: Expr) -> set:
-    """All coordinate, parameter and function-symbol leaves. Each distinct
-    node object is visited once, so a subtree reached along several paths
-    costs one visit."""
+def free_atoms(*exprs: Expr) -> set:
+    """All coordinate, parameter and function-symbol leaves of the given
+    expressions. Each distinct node object is visited once, so a subtree
+    reached along several paths costs one visit."""
     out: set = set()
     seen: set = set()
-    stack = [e]
+    stack = list(exprs)
     while stack:
         n = stack.pop()
         tn = type(n)

@@ -18,13 +18,13 @@ ADJOINT_SIGN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, takewhile
+from itertools import combinations
 
 from .expr import (
-    Coord, Expr, ExprError, NONZERO, Num, Param, ZERO, ONE, ZERO_NUMERIC,
+    Coord, Expr, ExprError, NONZERO, Param, ZERO, ONE, ZERO_NUMERIC,
     ZERO_SYMBOLIC, add, coord, div, exp_, free_atoms, funcsym, is_zero,
     is_zero_symbolic, mul, neg, num, param, parse, partial, pow_, render,
     sub, substitute,
@@ -169,9 +169,9 @@ def exact_rank(rows, seed: int = 0) -> tuple:
     minor is tried on. rows and cols index the first such minor tried,
     larger minors first and each size in lexicographic order. A matrix
     whose entries all test zero gives (0, (), ())."""
-    live = [i for i, r in enumerate(rows) if not all(map(_is_zero_entry, r))]
-    cols = [j for j in range(len(rows[0]) if rows else 0)
-            if not all(_is_zero_entry(rows[i][j]) for i in live)]
+    supports = [[j for j, e in enumerate(r) if e != ZERO] for r in rows]
+    live = [i for i, s in enumerate(supports) if s]
+    cols = sorted(set().union(*supports))
     for k in range(min(len(live), len(cols)), 0, -1):
         for ri in combinations(live, k):
             for ci in combinations(cols, k):
@@ -227,13 +227,16 @@ class StructureConstants:
     nonzero: dict
 
     def bracket_coeffs(self, u: tuple, v: tuple) -> tuple:
-        """Bracket of two coefficient vectors (entries Expr or Fraction)."""
+        """Bracket of two coefficient vectors of Exprs. Only the basis
+        pairs in the supports of u and v are visited."""
         out = [ZERO] * DIM
-        for (j, k), row in self.nonzero.items():
-            if _is_zero_entry(u[j]) or _is_zero_entry(v[k]):
+        support_v = [k for k in range(DIM) if v[k] != ZERO]
+        for j in range(DIM):
+            if u[j] == ZERO:
                 continue
-            for i, cf in row.items():
-                out[i] = add(out[i], mul(num(cf), u[j], v[k]))
+            for k in support_v:
+                for i, cf in self.nonzero.get((j, k), {}).items():
+                    out[i] = add(out[i], mul(num(cf), u[j], v[k]))
         return tuple(out)
 
     def ad_matrix(self, i: int) -> list:
@@ -253,10 +256,6 @@ class StructureConstants:
                    for x, y, z in combinations(map(unit, range(DIM)), 3)
                    for cyclic in zip(br(br(x, y), z), br(br(y, z), x),
                                      br(br(z, x), y)))
-
-
-def _is_zero_entry(e) -> bool:
-    return isinstance(e, Num) and e.value == 0
 
 
 def structure_constants() -> StructureConstants:
@@ -330,18 +329,16 @@ def coeffs_to_field(coeffs: tuple) -> VectorField:
 
 # --- subalgebra closure -----------------------------------------------------
 
+_EPZ = param("epz")
+
+
 @dataclass
 class ClosureCase:
     assignment: dict
     closed: bool
     lam: str | None = None
     mu: str | None = None
-    verdicts: list = field(default_factory=list)
     reason: str = ""
-
-    @property
-    def symbolic(self) -> bool:
-        return self.closed and all(v == ZERO_SYMBOLIC for v in self.verdicts)
 
 
 @dataclass
@@ -352,26 +349,22 @@ class ClosureReport:
     def closed(self) -> bool:
         return all(c.closed for c in self.cases)
 
-    @property
-    def symbolic(self) -> bool:
-        return all(c.symbolic for c in self.cases)
-
 
 def subalgebra_closed(gens: list, seed: int = 0) -> ClosureReport:
     """Closure of span(gens) under the bracket, symbolic in parameters.
 
     eps and epsp stay symbolic (their squares rewrite to 1); the ternary
-    symbol epz is split over its three values. Each case carries a
-    (lam, mu) witness with per-component residual verdicts.
+    symbol epz, found in one walk over both generators, is split over
+    its three values. A pair is closed when every case is: see
+    ``_closure_case``.
     """
     if len(gens) == 1:
         return ClosureReport([ClosureCase({}, True, "0", "0",
-                                          [ZERO_SYMBOLIC] * DIM,
                                           "self-bracket vanishes")])
     if len(gens) != 2:
         raise ExprError("closure check expects 1 or 2 generators")
     g1, g2 = gens
-    if not any(param("epz") in free_atoms(e) for e in (*g1, *g2)):
+    if _EPZ not in free_atoms(*g1, *g2):
         return ClosureReport([_closure_case(g1, g2, {}, seed)])
     cases = []
     for val in (-1, 0, 1):
@@ -383,28 +376,28 @@ def subalgebra_closed(gens: list, seed: int = 0) -> ClosureReport:
 
 
 def _closure_case(g1, g2, assignment, seed) -> ClosureCase:
-    w = sc().bracket_coeffs(g1, g2)
-    zeros = list(takewhile(bool, (is_zero(e, seed=seed) for e in w)))
-    if len(zeros) == DIM:
-        verdicts = [z.verdict for z in zeros]
-        return ClosureCase(assignment, True, "0", "0", verdicts,
-                           "bracket vanishes")
+    """One case of a pair: g1 and g2 must be independent (a nonzero 2x2
+    minor from ``exact_rank``), and their bracket w must equal
+    lam*g1 + mu*g2, with lam and mu from Cramer's rule on that minor's
+    columns. The case is closed only when every residual w - lam*g1 -
+    mu*g2 cancels exactly; a column where w, g1 and g2 are all ZERO has
+    none. A residual that is only ``zero_numeric`` fails the case."""
     rank, _, pivot = exact_rank([g1, g2], seed)
     if rank < 2:
         return ClosureCase(assignment, False,
                            reason="generators not independent, no pivot pair")
-    # Cramer's rule for w = lam*g1 + mu*g2 on the pivot columns
+    w = sc().bracket_coeffs(g1, g2)
     p1, p2, pw = ([r[j] for j in pivot] for r in (g1, g2, w))
     d = det([p1, p2])
     lam, mu = div(det([pw, p2]), d), div(det([p1, pw]), d)
-    verdicts = []
-    for k in range(DIM):
-        resid = add(w[k], neg(mul(lam, g1[k])), neg(mul(mu, g2[k])))
-        verdicts.append(is_zero(resid, seed=seed).verdict)
-    closed = all(v != NONZERO for v in verdicts)
-    reason = "" if closed else "bracket leaves the span"
-    return ClosureCase(assignment, closed, render(lam), render(mu),
-                       verdicts, reason)
+    verdicts = {is_zero(add(w[k], neg(mul(lam, g1[k])), neg(mul(mu, g2[k]))),
+                        seed=seed).verdict
+                for k in range(DIM)
+                if w[k] != ZERO or g1[k] != ZERO or g2[k] != ZERO}
+    reason = ("bracket leaves the span" if NONZERO in verdicts else
+              "numeric only" if ZERO_NUMERIC in verdicts else "")
+    return ClosureCase(assignment, not reason, render(lam), render(mu),
+                       reason)
 
 
 # --- adjoint matrices -------------------------------------------------------
@@ -500,12 +493,11 @@ class ReplayCase:
     steps: list
     expect_closed: bool
     closed: bool | None = None
-    bracket_witness: str = ""
     notes: str = ""
 
     @property
     def ok(self) -> bool:
-        steps_ok = all(s.verdict in (None, ZERO_SYMBOLIC, ZERO_NUMERIC)
+        steps_ok = all(s.verdict in (None, ZERO_SYMBOLIC)
                        for s in self.steps)
         return steps_ok and self.closed == self.expect_closed
 
@@ -580,9 +572,6 @@ def proof_case_replays(seed: int = 0) -> list:
                                     is_zero(resid, seed=seed).verdict))
             y = tuple(param("eps") if k == 4 else y[k] for k in range(DIM))
         report = subalgebra_closed([x1, y], seed=seed)
-        case = ReplayCase(case_id, steps, expect_closed,
-                          closed=report.closed, notes=notes)
-        w = sc().bracket_coeffs(x1, y)
-        case.bracket_witness = render_generator(w)
-        out.append(case)
+        out.append(ReplayCase(case_id, steps, expect_closed,
+                              closed=report.closed, notes=notes))
     return out

@@ -80,6 +80,20 @@ def test_subalgebra_not_closed(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("gens", ["X1; X1", "X1; 2*X1",
+                                  "X3 + alpha*X6; 2*X3 + 2*alpha*X6"])
+def test_subalgebra_dependent_pair_fails(capsys, gens):
+    # a vanishing bracket does not make a dependent pair two-dimensional
+    code, out = run(capsys, "subalgebra", "--gens", gens, "--check-closed")
+    assert code == 1
+    lines = [ln for ln in out.splitlines()
+             if ln.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 2
+    for line in lines:
+        assert line.startswith("FAIL")
+        assert "generators not independent" in line
+
+
 def test_symmetries_all_pass(capsys):
     code, doc = run_json(capsys, "symmetries", "--samples", "30")
     assert code == 0
@@ -553,7 +567,7 @@ def test_einstein_entry_reports_are_byte_stable(capsys):
 
 # defect and reducibility --entry reports of each two-generator entry
 # with solutions, and closure reports of a pair with epz, of pairs
-# without it and of a single generator.
+# without it, of a dependent pair and of a single generator.
 SPAN_REPORT_SHA256 = {
     ("defect", "--entry", "eq25.family1"):
         "24dbcaf838ce205c778ce041e671df812ddbbd16d4987cc3720d7db211fe8028",
@@ -599,7 +613,7 @@ SPAN_REPORT_SHA256 = {
     ("subalgebra", "--gens", "X1; X7", "--check-closed"):
         "038db73e2ccf36c79351e5bc1b3d519e69d754f77572bf9213105eeaf3cd8785",
     ("subalgebra", "--gens", "X1; X1", "--check-closed"):
-        "29631cee56c153ac24c3d2327b8434172b4b69be4d091e49ebdb78f9a6d969ab",
+        "35de0eb964bb489b415281abeb8ea5d83965e2cfc71231f856a32ab44fe107f7",
 }
 
 
@@ -637,3 +651,42 @@ def test_verify_all_parses_each_generator_text_once(monkeypatch, capsys):
     assert code == 1
     # the catalog's checks re-read each entry's generators many times
     assert sorted(parsed) == sorted(texts)
+
+
+# sha256 over the concatenated `subalgebra --check-closed --report json`
+# bytes of every two-generator catalog entry, in catalog order: it pins
+# the lambda and mu witnesses, which the verify oracle does not print.
+CATALOG_PAIRS_CLOSURE_SHA256 = (
+    "2e4a16ab7beb73104f5e535952143a77a5a55b354ae20932efca14df356e47a4")
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
+                    reason="the oracle bytes are pinned for Python 3.10/3.11")
+def test_catalog_pair_closure_witnesses_are_byte_stable(capsys):
+    import hashlib
+
+    pairs = [e for e in catalog.builtin() if len(e.generators) == 2]
+    assert len(pairs) == 63
+    digest = hashlib.sha256()
+    for e in pairs:
+        code, out = run(capsys, "subalgebra", "--gens",
+                        "; ".join(e.generators), "--check-closed",
+                        "--report", "json")
+        assert code == 0, e.id
+        digest.update(out.encode())
+    assert digest.hexdigest() == CATALOG_PAIRS_CLOSURE_SHA256
+
+
+def test_closure_cases_agree_with_the_closure_check(capsys):
+    texts = ["; ".join(e.generators) for e in catalog.builtin()
+             if len(e.generators) == 2]
+    texts += ["X1; X4", "X4, X5", "X1; X1", "X1; X3 + epz*X4"]
+    for gens in texts:
+        code, doc = run_json(capsys, "subalgebra", "--gens", gens,
+                             "--check-closed")
+        ok = {c["id"]: c["verdict"] == "pass" for c in doc["checks"]}
+        cases = [v for cid, v in ok.items()
+                 if cid.startswith("subalgebra.case")]
+        assert cases, gens
+        assert ok["subalgebra.closure"] == all(cases), gens
+        assert code == (0 if all(cases) else 1), gens

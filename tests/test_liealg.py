@@ -5,6 +5,7 @@ The bracket table below was computed by hand from the coefficient rule
 frozen here as the oracle the derived structure constants must match.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -237,14 +238,14 @@ def test_adjoint_flow_fails_with_the_other_sign(monkeypatch):
 
 def test_closure_single_generator():
     rep = la.subalgebra_closed([la.parse_generator("X4")])
-    assert rep.closed and rep.symbolic
+    assert rep.closed
 
 
 def test_closure_two_generator_with_sign_squares():
     g1 = la.parse_generator("X3 + eps*X4")
     g2 = la.parse_generator("eps*X5 + X6 - 2*X7")
     rep = la.subalgebra_closed([g1, g2])
-    assert rep.closed and rep.symbolic
+    assert rep.closed
     case = rep.cases[0]
     lam = eval_expr(parse(case.lam, functions={}), {"eps": 1.0})
     mu = eval_expr(parse(case.mu, functions={}), {"eps": 1.0})
@@ -256,7 +257,7 @@ def test_closure_with_free_parameters():
     g1 = la.parse_generator("X1")
     g2 = la.parse_generator("X3 + alpha*X6 + beta*X7")
     rep = la.subalgebra_closed([g1, g2])
-    assert rep.closed and rep.symbolic
+    assert rep.closed
     lam = eval_expr(parse(rep.cases[0].lam, functions={}),
                     {"alpha": 0.3, "beta": 1.7})
     assert abs(lam - 1.0) < 1e-12
@@ -269,7 +270,7 @@ def test_closure_ternary_split():
     assert len(rep.cases) == 3
     assert {tuple(c.assignment.items()) for c in rep.cases} == {
         (("epz", -1),), (("epz", 0),), (("epz", 1),)}
-    assert rep.closed and rep.symbolic
+    assert rep.closed
 
 
 def test_closure_substitutes_only_to_split_epz(monkeypatch):
@@ -297,6 +298,55 @@ def test_not_closed_pair():
     rep = la.subalgebra_closed([la.parse_generator("X1"),
                                 la.parse_generator("X4")])
     assert not rep.closed
+    assert rep.cases[0].reason == "bracket leaves the span"
+
+
+@pytest.mark.parametrize("texts", [("X1", "X1"), ("X1", "2*X1"),
+                                   ("X3 + alpha*X6", "2*X3 + 2*alpha*X6"),
+                                   ("X1", "0")])
+def test_dependent_pair_is_not_closed(texts):
+    # the bracket of dependent generators vanishes, but their span is not
+    # two-dimensional
+    rep = la.subalgebra_closed([la.parse_generator(t) for t in texts])
+    assert not rep.closed
+    assert [c.reason for c in rep.cases] == [
+        "generators not independent, no pivot pair"]
+
+
+def test_numeric_only_residual_fails_the_case(monkeypatch):
+    real = la.is_zero
+
+    def numeric_only(e, **kwargs):
+        res = real(e, **kwargs)
+        if res.verdict == ZERO_SYMBOLIC:
+            return dataclasses.replace(res, verdict=ZERO_NUMERIC)
+        return res
+
+    monkeypatch.setattr(la, "is_zero", numeric_only)
+    rep = la.subalgebra_closed([la.parse_generator("X1"),
+                                la.parse_generator("X3")])
+    assert not rep.closed
+    assert rep.cases[0].reason == "numeric only"
+
+
+def test_closure_tests_one_minor_and_the_live_columns(monkeypatch):
+    tested = []
+    real = la.is_zero
+
+    def counting(e, **kwargs):
+        tested.append(e)
+        return real(e, **kwargs)
+
+    monkeypatch.setattr(la, "is_zero", counting)
+    rep = la.subalgebra_closed([la.parse_generator("X1"),
+                                la.parse_generator("X7")])
+    # a vanishing bracket gets the zero witness from Cramer's rule
+    assert rep.closed
+    assert (rep.cases[0].lam, rep.cases[0].mu) == ("0", "0")
+    # the minor on columns X1, X7, then one residual for each of them;
+    # the five columns where both generators and the bracket are ZERO
+    # get none
+    assert tested == [ONE, ZERO, ZERO]
 
 
 def test_closure_invariant_under_basis_change():
@@ -448,11 +498,20 @@ def test_replay_shear_kill_is_exact():
 def test_replay_open_case_not_closed():
     cases = {c.case_id: c for c in la.proof_case_replays()}
     assert cases["e"].closed is False
-    assert "X2" in cases["e"].bracket_witness
+    # case e keeps b4..b7, so [X1, Y] = b4*X2 leaves span(X1, Y)
+    y = la.parse_generator("b4*X4 + b5*X5 + b6*X6 + b7*X7")
+    w = la.sc().bracket_coeffs(la.unit(0), y)
+    assert la.render_generator(w) == "X2*b4"
 
 
 def test_replay_sign_normalizations_numeric():
     cases = {c.case_id: c for c in la.proof_case_replays()}
     for cid in ("g", "j"):
         last = cases[cid].steps[-1]
-        assert last.verdict in (ZERO_SYMBOLIC, ZERO_NUMERIC)
+        assert last.verdict == ZERO_SYMBOLIC
+
+
+def test_replay_step_passes_only_on_exact_cancellation():
+    for verdict, ok in ((ZERO_SYMBOLIC, True), (ZERO_NUMERIC, False)):
+        step = la.ReplayStep(6, "sign normalization", 5, verdict)
+        assert la.ReplayCase("x", [step], True, closed=True).ok is ok

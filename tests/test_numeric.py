@@ -169,10 +169,12 @@ def _same_outcome(got, want):
     {name: VALUES for name in LEAVES}))
 def test_evaluation_matches_the_tree_walk(tree, shared, point):
     try:
-        e = _build(tree, _build(shared, None))
+        s = _build(shared, None)
+        e = _build(tree, s)
     except ExprError:  # 0^-1, an even root of a negative rational
         return
     assert free_atoms(e) == ref.free_atoms(e)
+    assert free_atoms(e, s) == ref.free_atoms(e) | ref.free_atoms(s)
     for evaluate, reference in ((eval_expr, ref.eval_expr),
                                 (eval_scaled, ref.eval_scaled)):
         got = _outcome(evaluate, e, point)
