@@ -11,7 +11,7 @@ derives that dependency from the invariant list.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .expr import PLANE_DEPS, Expr, ExprError, parse
 from .liealg import parse_generator
@@ -40,31 +40,28 @@ class SchemaError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class Solution:
-    a: str
-    b: str
-    c: str
-    params: tuple = ()
+class Solution(namedtuple("Solution", "a b c params", defaults=((),))):
+    __slots__ = ()
 
     def triple(self) -> SolutionTriple:
         return SolutionTriple(parse(self.a), parse(self.b), parse(self.c),
                               tuple(self.params))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    generators: tuple
-    params: tuple = ()
-    invariants: tuple = ()
-    ansatz: tuple = ()        # ordered (name, text) pairs
-    reduced: tuple = ()
-    profile: tuple = ()       # (name, text) pairs solving ``reduced``
-    consistency: tuple = ()   # conditions the profile must also satisfy
-    inequations: tuple = ()   # expressions the profile must keep nonzero
-    solutions: tuple = ()
-    provenance: str = ""
+class CatalogEntry(namedtuple(
+        "CatalogEntry",
+        "id generators params invariants ansatz reduced profile"
+        " consistency inequations solutions provenance",
+        defaults=((),) * 8 + ("",))):
+    """One catalog entry; every field but ``id`` and ``provenance`` is
+    a tuple.
+
+    ansatz: ordered (name, text) pairs. profile: (name, text) pairs
+    solving ``reduced``. consistency: conditions the profile must also
+    satisfy. inequations: expressions the profile must keep nonzero.
+    """
+
+    __slots__ = ()
 
     # -- parsed views ---------------------------------------------------
 

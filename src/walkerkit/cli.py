@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import catalog
@@ -40,22 +39,29 @@ from .pis import (
 REPORT_SCHEMA = "walker-report/2"
 
 
-@dataclass
 class Check:
-    id: str
-    verdict: str
-    witness: str = ""
+    """One check's verdict, slotted like ``ZeroResult``."""
+
+    __slots__ = ("id", "verdict", "witness")
+
+    def __init__(self, id: str, verdict: str, witness: str = ""):
+        self.id = id
+        self.verdict = verdict
+        self.witness = witness
 
 
-@dataclass
 class Report:
-    command: str
-    seed: int
-    samples: int
-    tol: float
-    checks: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    """The checks of one run, with its settings; ``main`` sets
+    ``seconds`` when the run ends."""
+
+    def __init__(self, command: str, seed: int, samples: int, tol: float):
+        self.command = command
+        self.seed = seed
+        self.samples = samples
+        self.tol = tol
+        self.checks = []
+        self.details = {}
+        self.seconds = 0.0
 
     def add(self, cid: str, ok: bool, witness: str = "") -> None:
         self.checks.append(Check(cid, "pass" if ok else "fail", witness))
@@ -268,15 +274,17 @@ def cmd_einstein(args, rep: Report, parser) -> None:
 
 
 def _check_closure(name: str, vectors: list, rep: Report):
-    """The ``<name>.closure`` check of span(vectors): a pair passes when
-    every case is closed, that is independent with every residual
-    cancelling exactly. Returns the closure report."""
+    """The ``<name>.closure`` check of span(vectors): a single generator
+    passes when it is not zero, a pair when every case is closed, that
+    is independent with every residual cancelling exactly. Returns the
+    closure report."""
     closure = subalgebra_closed(vectors, seed=rep.seed)
-    if len(vectors) == 1:
-        rep.add(f"{name}.closure", closure.closed, "single generator")
-        return closure
-    witness = (f"{len(closure.cases)} case(s), symbolic" if closure.closed
-               else "; ".join(c.reason for c in closure.cases if c.reason))
+    if not closure.closed:
+        witness = "; ".join(c.reason for c in closure.cases if c.reason)
+    elif len(vectors) == 1:
+        witness = "single generator"
+    else:
+        witness = f"{len(closure.cases)} case(s), symbolic"
     rep.add(f"{name}.closure", closure.closed, witness)
     return closure
 

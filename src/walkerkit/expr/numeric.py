@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .expand import is_zero_symbolic
 from .nodes import (
@@ -148,12 +147,18 @@ def eval_scaled(e: Expr, point: dict) -> tuple:
     return eval_expr(e, point), 1.0
 
 
-@dataclass
 class ZeroResult:
-    verdict: str
-    max_residual: float = 0.0
-    witness: dict | None = None
-    samples: int = 0
+    """One zero test's verdict; a slotted class, not a tuple, because
+    every zero test builds one and a tuple's ``__new__`` costs more."""
+
+    __slots__ = ("verdict", "max_residual", "witness", "samples")
+
+    def __init__(self, verdict: str, max_residual: float = 0.0,
+                 witness: dict | None = None, samples: int = 0):
+        self.verdict = verdict
+        self.max_residual = max_residual
+        self.witness = witness
+        self.samples = samples
 
     def __bool__(self) -> bool:
         return self.verdict in (ZERO_SYMBOLIC, ZERO_NUMERIC)

@@ -16,7 +16,7 @@ function symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -35,16 +35,16 @@ EINSTEIN_LABELS = tuple(
     COORDS[i] + COORDS[j] for i in range(N) for j in range(i, N))
 
 
-@dataclass(frozen=True)
-class Metric4:
-    rows: tuple  # 4x4 nested tuples of Expr
+class Metric4(namedtuple("Metric4", "rows")):
+    """rows: 4x4 nested tuples of Expr."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CurvatureBundle:
-    gamma: tuple   # gamma[k][i][j]
-    ricci: tuple   # ricci[i][j]
-    tau: Expr
+class CurvatureBundle(namedtuple("CurvatureBundle", "gamma ricci tau")):
+    """gamma[k][i][j], ricci[i][j] and the scalar curvature tau."""
+
+    __slots__ = ()
 
 
 def abstract_functions() -> tuple:
@@ -197,12 +197,14 @@ def einstein_verdicts(a, b, c, samples: int = 64, tol: float = 1e-9,
 
 # --- correspondence ---------------------------------------------------------
 
-@dataclass
-class EquivalenceReport:
-    rows: tuple           # zero verdict of E - M r per EINSTEIN_LABELS row
-    block: tuple          # labels of the rows of M that decide ``generic``
-    determinant: Expr     # det of M on those rows
-    correspondence: dict  # residual_k -> labels of the rows it enters
+class EquivalenceReport(namedtuple(
+        "EquivalenceReport", "rows block determinant correspondence")):
+    """rows: zero verdict of E - M r per EINSTEIN_LABELS row. block:
+    labels of the rows of M that decide ``generic``. determinant: det of
+    M on those rows. correspondence: residual_k -> labels of the rows
+    it enters."""
+
+    __slots__ = ()
 
     @property
     def on_shell(self) -> bool:

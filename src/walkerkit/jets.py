@@ -15,7 +15,7 @@ Equations, 1986, Thm 2.31).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from types import MappingProxyType
 
@@ -30,14 +30,12 @@ from .liealg import VectorField
 FIBER = ("a", "b", "c")
 
 
-@dataclass(frozen=True)
-class PDESystem:
-    """Residual expressions plus the designated-solve recipe."""
+class PDESystem(namedtuple("PDESystem", "name residuals deps designated")):
+    """Residual expressions plus the designated-solve recipe:
+    ``designated`` is ((atom name, residual index), ...) in solve order.
 
-    name: str
-    residuals: tuple
-    deps: tuple
-    designated: tuple  # ((atom name, residual index), ...) in solve order
+    No ``__slots__``: the cached properties below live in the instance
+    ``__dict__``."""
 
     @cached_property
     def on_shell(self) -> MappingProxyType:
@@ -135,9 +133,10 @@ def system_a7() -> PDESystem:
     return PDESystem("full", residuals, ALL_DEPS, designated)
 
 
-@dataclass(frozen=True)
-class JetPoint:
-    values: dict  # atom name -> float
+class JetPoint(namedtuple("JetPoint", "values")):
+    """values: atom name -> float."""
+
+    __slots__ = ()
 
     def residuals(self, sys: PDESystem) -> list:
         return [eval_expr(r, self.values) for r in sys.residuals]
@@ -183,12 +182,10 @@ _JET_SLOTS = tuple((f, j) for f in FIBER
                    for j in ((), (1,), (2,), (1, 1), (1, 2), (2, 2)))
 
 
-@dataclass(frozen=True)
-class Prolongation:
+class Prolongation(namedtuple("Prolongation", "xi phi")):
     """xi: base coefficients on (x, t); phi: (func, index tuple) -> Expr."""
 
-    xi: tuple
-    phi: dict
+    __slots__ = ()
 
 
 def _step(phi_j: Expr, xi: tuple, fname: str, j: tuple, i: int,
@@ -236,22 +233,15 @@ def prolonged_action(pro: Prolongation, residual: Expr,
 
 # --- on-shell symmetry verification ----------------------------------------
 
-@dataclass
-class SymmetryCell:
-    generator: str
-    equation: int
-    max_residual: float
-    passed: bool
-    witness: dict | None = None
-    exact: bool = False
+class SymmetryCell(namedtuple(
+        "SymmetryCell", "generator equation max_residual passed witness exact",
+        defaults=(None, False))):
+    __slots__ = ()
 
 
-@dataclass
-class SymmetryReport:
-    generator: str
-    cells: list
-    samples: int
-    tol: float
+class SymmetryReport(namedtuple("SymmetryReport",
+                                "generator cells samples tol")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -18,13 +18,13 @@ ADJOINT_SIGN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
 from .expr import (
-    Coord, Expr, ExprError, NONZERO, Param, ZERO, ONE, ZERO_NUMERIC,
+    Coord, Expr, ExprError, NONZERO, Num, Param, ZERO, ONE, ZERO_NUMERIC,
     ZERO_SYMBOLIC, add, coord, div, exp_, free_atoms, funcsym, is_zero,
     is_zero_symbolic, mul, neg, num, param, parse, partial, pow_, render,
     sub, substitute,
@@ -49,15 +49,15 @@ class NotClosed(ExprError):
     """A bracket left the span it was expected to lie in."""
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(namedtuple("VectorField", "coeffs")):
     """First-order operator sum(coeffs[i] * d/d(atom_i)) on (x,t,a,b,c)."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) != 5:
+    def __new__(cls, coeffs: tuple):
+        if len(coeffs) != 5:
             raise ExprError("vector field needs 5 coefficients")
+        return tuple.__new__(cls, (coeffs,))
 
     def apply(self, e: Expr) -> Expr:
         """Directional derivative of a function of (x,t,a,b,c)."""
@@ -218,13 +218,12 @@ def decompose(v: VectorField) -> list:
     return decompose_all([v])[0]
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(namedtuple("StructureConstants", "nonzero")):
     """The nonzero structure constants, indices 0-based: nonzero[(j, k)]
     = {i: C} says [X_{j+1}, X_{k+1}] has the nonzero integer coefficient
     C on X_{i+1}. Pairs that commute have no key."""
 
-    nonzero: dict
+    __slots__ = ()
 
     def bracket_coeffs(self, u: tuple, v: tuple) -> tuple:
         """Bracket of two coefficient vectors of Exprs. Only the basis
@@ -332,18 +331,13 @@ def coeffs_to_field(coeffs: tuple) -> VectorField:
 _EPZ = param("epz")
 
 
-@dataclass
-class ClosureCase:
-    assignment: dict
-    closed: bool
-    lam: str | None = None
-    mu: str | None = None
-    reason: str = ""
+class ClosureCase(namedtuple("ClosureCase", "assignment closed lam mu reason",
+                             defaults=(None, None, ""))):
+    __slots__ = ()
 
 
-@dataclass
-class ClosureReport:
-    cases: list
+class ClosureReport(namedtuple("ClosureReport", "cases")):
+    __slots__ = ()
 
     @property
     def closed(self) -> bool:
@@ -356,9 +350,16 @@ def subalgebra_closed(gens: list, seed: int = 0) -> ClosureReport:
     eps and epsp stay symbolic (their squares rewrite to 1); the ternary
     symbol epz, found in one walk over both generators, is split over
     its three values. A pair is closed when every case is: see
-    ``_closure_case``.
+    ``_closure_case``. A single generator spans a one-dimensional
+    subalgebra when it is not zero: a nonzero number coefficient shows
+    that without a zero test, and otherwise ``exact_rank`` must find
+    rank 1.
     """
     if len(gens) == 1:
+        if (not any(isinstance(c, Num) and c != ZERO for c in gens[0])
+                and exact_rank(gens, seed)[0] == 0):
+            return ClosureReport([ClosureCase(
+                {}, False, reason="generator is zero, no pivot")])
         return ClosureReport([ClosureCase({}, True, "0", "0",
                                           "self-bracket vanishes")])
     if len(gens) != 2:
@@ -479,21 +480,18 @@ def apply_matrix(mat: list, coeffs: tuple) -> tuple:
 
 # --- proof-case replays -----------------------------------------------------
 
-@dataclass
-class ReplayStep:
-    gen: int
-    s_text: str
-    killed: int | None  # basis index the step is meant to annihilate
-    verdict: str | None = None
+class ReplayStep(namedtuple("ReplayStep", "gen s_text killed verdict",
+                            defaults=(None,))):
+    """killed: the basis index the step is meant to annihilate, or None;
+    verdict: the zero test of that component after the step."""
+
+    __slots__ = ()
 
 
-@dataclass
-class ReplayCase:
-    case_id: str
-    steps: list
-    expect_closed: bool
-    closed: bool | None = None
-    notes: str = ""
+class ReplayCase(namedtuple("ReplayCase",
+                            "case_id steps expect_closed closed notes",
+                            defaults=(None, ""))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -560,10 +558,9 @@ def proof_case_replays(seed: int = 0) -> list:
             s = substitute(parse(s_text, functions={}), subs)
             mat = adjoint_matrix(gen, s)
             y = apply_matrix(mat, y)
-            step = ReplayStep(gen, s_text, killed)
-            if killed is not None:
-                step.verdict = is_zero(y[killed - 1], seed=seed).verdict
-            steps.append(step)
+            verdict = (None if killed is None
+                       else is_zero(y[killed - 1], seed=seed).verdict)
+            steps.append(ReplayStep(gen, s_text, killed, verdict))
         # absorb any X1 component into the span of the fixed generator
         y = tuple([ZERO] + list(y[1:]))
         if sign_split:

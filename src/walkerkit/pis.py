@@ -8,31 +8,27 @@ test. A rank is the size of the largest minor that tests nonzero
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .expr import (
-    Expr, ExprError, NONZERO, ZERO, add, diff, div, is_zero, mul, neg,
-    partial, render, substitute, substitute_all,
+    ExprError, NONZERO, ZERO, add, diff, div, is_zero, mul, neg, partial,
+    render, substitute, substitute_all,
 )
 from .liealg import BASE_ATOMS, coeffs_to_field, exact_rank
 from .jets import PDESystem
 
 
-@dataclass(frozen=True)
-class PISAnsatz:
+class PISAnsatz(namedtuple("PISAnsatz", "bindings arbitrary",
+                           defaults=((),))):
     """Dependent-coordinate bindings in terms of reduced functions; the
     names in ``arbitrary`` stay unconstrained."""
 
-    bindings: dict
-    arbitrary: tuple = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SolutionTriple:
-    a: Expr
-    b: Expr
-    c: Expr
-    params: tuple = ()
+class SolutionTriple(namedtuple("SolutionTriple", "a b c params",
+                                defaults=((),))):
+    __slots__ = ()
 
     def bindings(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c}
@@ -40,11 +36,11 @@ class SolutionTriple:
 
 # --- invariants --------------------------------------------------------------
 
-@dataclass
-class InvariantReport:
-    annihilation: list  # (generator index, member index, verdict)
-    jacobian_rank: int
-    independent: bool
+class InvariantReport(namedtuple(
+        "InvariantReport", "annihilation jacobian_rank independent")):
+    """annihilation: (generator index, member index, verdict) triples."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -108,10 +104,12 @@ def defect(gens: list, triple: SolutionTriple, seed: int = 0) -> int:
     return exact_rank(characteristic_matrix(gens, triple), seed)[0]
 
 
-@dataclass
-class ReducibilityReport:
-    directions: list      # {"alpha": str, "beta": str}
-    notes: list = field(default_factory=list)
+class ReducibilityReport(namedtuple("ReducibilityReport",
+                                    "directions notes")):
+    """directions: list of {"alpha": str, "beta": str}; notes: list of
+    str."""
+
+    __slots__ = ()
 
 
 def reducibility_scan(gens: list, triple: SolutionTriple,

@@ -111,6 +111,13 @@ def test_save_load_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_entries_are_immutable():
+    entry = builtin()[0]
+    with pytest.raises(AttributeError):
+        entry.id = "other"
+    assert entry._replace(id="other").id == "other" != entry.id
+
+
 def test_empty_catalog_is_valid(tmp_path):
     path = tmp_path / "empty.json"
     save((), path)

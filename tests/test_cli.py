@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -92,6 +91,15 @@ def test_subalgebra_dependent_pair_fails(capsys, gens):
     for line in lines:
         assert line.startswith("FAIL")
         assert "generators not independent" in line
+
+
+@pytest.mark.parametrize("gens", ["0*X1", "X1 - X1"])
+def test_subalgebra_zero_generator_fails(capsys, gens):
+    code, out = run(capsys, "subalgebra", "--gens", gens, "--check-closed")
+    assert code == 1
+    lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert lines == [f"FAIL subalgebra.{c}  [generator is zero, no pivot]"
+                     for c in ("case1", "closure")]
 
 
 def test_symmetries_all_pass(capsys):
@@ -219,7 +227,7 @@ def test_defect_command(monkeypatch, capsys):
     # ansatz binds every coordinate expects delta = 0, and its solution
     # has delta = 1
     family = catalog.builtin_map()["eq25.family1"]
-    bound = dataclasses.replace(family, ansatz=tuple(
+    bound = family._replace(ansatz=tuple(
         (name, text) for name, text in family.ansatz if name != text))
     assert not bound.pis_ansatz().arbitrary
     monkeypatch.setattr(catalog, "builtin_map", lambda: {family.id: bound})
@@ -227,6 +235,13 @@ def test_defect_command(monkeypatch, capsys):
     assert code == 1
     assert doc["checks"] == [{"id": "eq25.family1.defect",
                               "verdict": "fail", "witness": "delta=1"}]
+
+
+def test_reports_share_no_list():
+    first, second = (Report("verify", 42, 100, 1e-9) for _ in range(2))
+    first.add("x.closure", True)
+    first.details["generators"] = ["X1"]
+    assert second.checks == [] and second.details == {}
 
 
 def _reduction_check(entry):
@@ -240,11 +255,10 @@ def test_failing_reduction_names_its_residual():
     family = catalog.builtin_map()["eq25.family1"]
     reduced = family.reduced
     assert _reduction_check(family) == ("pass", "6 reduced residuals, exact")
-    bumped = dataclasses.replace(
-        family, reduced=(f"({reduced[0]}) + f",) + reduced[1:])
+    bumped = family._replace(reduced=(f"({reduced[0]}) + f",) + reduced[1:])
     assert _reduction_check(bumped) == (
         "fail", "reduced residual 1 differs from the derived one")
-    short = dataclasses.replace(family, reduced=reduced[:-1])
+    short = family._replace(reduced=reduced[:-1])
     assert _reduction_check(short) == (
         "fail", "5 reduced residuals shipped, 6 derived")
 
@@ -396,7 +410,7 @@ def test_entry_data_not_id_selects_checks():
     family = catalog.builtin_map()["eq25.family2"]
     expected = suffixes(family)
     assert {".profile", ".defect", ".reducibility"} <= set(expected)
-    assert suffixes(dataclasses.replace(family, id="copy")) == expected
+    assert suffixes(family._replace(id="copy")) == expected
 
 
 def test_defect_runs_without_numpy():

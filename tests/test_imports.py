@@ -7,9 +7,16 @@ or ``from ... import`` must be read somewhere in the module. The package
 bind nothing, so neither is checked. A private name (one leading
 underscore) that a module defines at top level, by ``def``, ``class``
 or assignment, must be read somewhere in the package.
+
+Importing the CLI loads neither ``dataclasses`` nor ``inspect``: the
+package's records are tuples or slotted classes, so no import pays for
+generated methods or for the ``inspect``/``ast``/``dis`` chain.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import walkerkit
@@ -121,3 +128,13 @@ def test_the_check_sees_an_unused_private_name():
     }
     assert unused_private_names(sources) == {
         "a.py": [(3, "_OVER"), (6, "_gone")], "b.py": [(3, "_gone")]}
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    script = ("import sys, walkerkit.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["[]"]

@@ -182,6 +182,15 @@ def test_reducibility_generic_pair_empty():
         assert rep.directions == [] and rep.notes == []
 
 
+def test_reducibility_reports_share_no_list():
+    triple = SolutionTriple(parse("c1"), parse("c2"), parse("c3"))
+    first, second = (reducibility_scan([E1, E2], triple) for _ in range(2))
+    first.notes.append("changed")
+    first.directions.clear()
+    assert second.notes == ["solution invariant under the full span"]
+    assert second.directions == [{"alpha": "any", "beta": "any"}]
+
+
 def test_reducibility_full_pencil():
     triple = SolutionTriple(parse("c1"), parse("c2"), parse("c3"))
     rep = reducibility_scan([E1, E2], triple)
