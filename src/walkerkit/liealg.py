@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations
 
 from .expr import (
-    Coord, Expr, ExprError, NONZERO, Num, Param, ZERO, ONE, ZERO_NUMERIC,
+    Coord, Expr, ExprError, NONZERO, Num, ZERO, ONE, ZERO_NUMERIC,
     ZERO_SYMBOLIC, add, coord, div, exp_, free_atoms, funcsym, is_zero,
     is_zero_symbolic, mul, neg, num, param, parse, partial, pow_, render,
     sub, substitute,
@@ -279,33 +279,49 @@ def sc() -> StructureConstants:
 
 # --- coefficient vectors ----------------------------------------------------
 
+_GENERATORS = tuple(param(name) for name in GENERATOR_NAMES)
+
+
 @cache
 def parse_generator(text: str) -> tuple:
     """Parse "eps*X2 + X5" style text into a 7-tuple of Expr coefficients.
-    Coefficients are constants: one that holds a coordinate, as in
-    x*X2, raises ExprError, because closure would treat it as a constant
-    and pass a span that is not closed.
+
+    The coefficient of Xi is the partial derivative of the text by Xi. It
+    is taken only for the generators the text names; every other
+    coefficient is ZERO. Three rules reject a text, each with ExprError:
+    a coefficient that holds a generator (the text is not linear); one
+    that holds a coordinate, as in x*X2, because closure would treat it
+    as a constant and pass a span that is not closed; and a text that
+    is not the sum of its coefficients times their generators. That sum
+    is compared structurally first, and expanded only when it differs.
 
     The tuple of immutable Expr is kept per text, so the checks that
     re-read a catalog entry's generators parse each text once; a text
     that raises ExprError is not kept and raises again on every call."""
     e = parse(text, functions={}, extra_params=set(GENERATOR_NAMES))
+    named = free_atoms(e)
     coeffs = []
-    for name in GENERATOR_NAMES:
-        cf = partial(e, param(name))
+    for name, gen in zip(GENERATOR_NAMES, _GENERATORS):
+        if gen not in named:
+            coeffs.append(ZERO)
+            continue
+        cf = partial(e, gen)
         atoms = free_atoms(cf)
-        if any(isinstance(a, Param) and a.name in GENERATOR_NAMES
-               for a in atoms):
+        if not atoms.isdisjoint(_GENERATORS):
             raise ExprError(f"{text!r} is not linear in the generators")
         if any(isinstance(a, Coord) for a in atoms):
             raise ExprError(f"{text!r} has a coordinate in the coefficient "
                             f"of {name}; coefficients are constants")
         coeffs.append(cf)
-    rebuilt = add(*[mul(cf, param(name))
-                    for cf, name in zip(coeffs, GENERATOR_NAMES)])
-    if not is_zero_symbolic(add(e, neg(rebuilt))):
+    rebuilt = _combination(coeffs)
+    if rebuilt != e and not is_zero_symbolic(sub(e, rebuilt)):
         raise ExprError(f"{text!r} has terms outside the generator span")
     return tuple(coeffs)
+
+
+def _combination(coeffs) -> Expr:
+    """The sum of coeffs[i] * X(i+1)."""
+    return add(*map(mul, coeffs, _GENERATORS))
 
 
 def unit(i: int) -> tuple:
@@ -314,8 +330,7 @@ def unit(i: int) -> tuple:
 
 
 def render_generator(coeffs: tuple) -> str:
-    e = add(*[mul(cf, param(name))
-              for cf, name in zip(coeffs, GENERATOR_NAMES)])
+    e = _combination(coeffs)
     return render(e) if e != ZERO else "0"
 
 
@@ -348,32 +363,33 @@ def subalgebra_closed(gens: list, seed: int = 0) -> ClosureReport:
     """Closure of span(gens) under the bracket, symbolic in parameters.
 
     eps and epsp stay symbolic (their squares rewrite to 1); the ternary
-    symbol epz, found in one walk over both generators, is split over
-    its three values. A pair is closed when every case is: see
-    ``_closure_case``. A single generator spans a one-dimensional
-    subalgebra when it is not zero: a nonzero number coefficient shows
-    that without a zero test, and otherwise ``exact_rank`` must find
-    rank 1.
+    symbol epz, found in one walk over the generators, is split over its
+    three values, for a single generator as for a pair. The span is
+    closed when every case is. A pair's case: see ``_closure_case``. A
+    single generator's case spans a one-dimensional subalgebra when it
+    is not zero: a nonzero number coefficient shows that without a zero
+    test, and otherwise ``exact_rank`` must find rank 1.
     """
-    if len(gens) == 1:
-        if (not any(isinstance(c, Num) and c != ZERO for c in gens[0])
-                and exact_rank(gens, seed)[0] == 0):
-            return ClosureReport([ClosureCase(
-                {}, False, reason="generator is zero, no pivot")])
-        return ClosureReport([ClosureCase({}, True, "0", "0",
-                                          "self-bracket vanishes")])
-    if len(gens) != 2:
+    if len(gens) not in (1, 2):
         raise ExprError("closure check expects 1 or 2 generators")
-    g1, g2 = gens
-    if _EPZ not in free_atoms(*g1, *g2):
-        return ClosureReport([_closure_case(g1, g2, {}, seed)])
+    case = _single_case if len(gens) == 1 else _closure_case
+    if _EPZ not in free_atoms(*(e for g in gens for e in g)):
+        return ClosureReport([case(*gens, {}, seed)])
     cases = []
     for val in (-1, 0, 1):
         point = {"epz": num(val)}
-        h1 = tuple(substitute(e, point) for e in g1)
-        h2 = tuple(substitute(e, point) for e in g2)
-        cases.append(_closure_case(h1, h2, {"epz": val}, seed))
+        hs = [tuple(substitute(e, point) for e in g) for g in gens]
+        cases.append(case(*hs, {"epz": val}, seed))
     return ClosureReport(cases)
+
+
+def _single_case(g, assignment, seed) -> ClosureCase:
+    """One case of a single generator: closed unless g is zero."""
+    if (not any(isinstance(c, Num) and c != ZERO for c in g)
+            and exact_rank([g], seed)[0] == 0):
+        return ClosureCase(assignment, False,
+                           reason="generator is zero, no pivot")
+    return ClosureCase(assignment, True, "0", "0")
 
 
 def _closure_case(g1, g2, assignment, seed) -> ClosureCase:

@@ -102,6 +102,24 @@ def test_subalgebra_zero_generator_fails(capsys, gens):
                      for c in ("case1", "closure")]
 
 
+def test_subalgebra_single_generator_splits_epz(capsys):
+    # at epz = 0 the generator epz*X1 is zero
+    code, out = run(capsys, "subalgebra", "--gens", "epz*X1",
+                    "--check-closed")
+    assert code == 1
+    lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert lines == [
+        "PASS subalgebra.case1  [epz=-1 lambda=0 mu=0]",
+        "FAIL subalgebra.case2  [epz=0 generator is zero, no pivot]",
+        "PASS subalgebra.case3  [epz=1 lambda=0 mu=0]",
+        "FAIL subalgebra.closure  [generator is zero, no pivot]",
+    ]
+    code, out = run(capsys, "subalgebra", "--gens", "X1 + epz*X2",
+                    "--check-closed")
+    assert code == 0
+    assert "PASS subalgebra.closure  [single generator]" in out
+
+
 def test_symmetries_all_pass(capsys):
     code, doc = run_json(capsys, "symmetries", "--samples", "30")
     assert code == 0

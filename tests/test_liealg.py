@@ -5,17 +5,20 @@ The bracket table below was computed by hand from the coefficient rule
 frozen here as the oracle the derived structure constants must match.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_generator
 import reference_linalg as reference
+from walkerkit import catalog
 from walkerkit.expr import (
     ExprError, ONE, ZERO, ZERO_NUMERIC, ZERO_SYMBOLIC, ZeroResult, add,
-    eval_expr, is_zero, is_zero_symbolic, mul, neg, num, param, parse,
-    partial, substitute,
+    eval_expr, free_atoms, is_zero, is_zero_symbolic, mul, neg, num, param,
+    parse, partial, substitute,
 )
 from walkerkit import liealg as la
 
@@ -165,6 +168,143 @@ def test_render_generator_round_trip():
         assert again == coeffs
 
 
+# sha256 over "<text>\t<render_generator(parse_generator(text))>" lines,
+# one per distinct catalog generator text in sorted order, computed with
+# the reference parse, which derives every generator and expands every span
+CATALOG_GENERATORS_SHA256 = (
+    "931167ef699cb43af5a443b5a70407f961f5a9e308b1571cc431cbaaa0ba9c76")
+
+BAD_GENERATOR_MESSAGES = {
+    "X1*X2": "'X1*X2' is not linear in the generators",
+    "X1^2": "'X1^2' is not linear in the generators",
+    "x*X1": "'x*X1' has a coordinate in the coefficient of X1; "
+            "coefficients are constants",
+    "t*X3 + X4": "'t*X3 + X4' has a coordinate in the coefficient of X3; "
+                 "coefficients are constants",
+    "X1 + 3": "'X1 + 3' has terms outside the generator span",
+    "X1 + t": "'X1 + t' has terms outside the generator span",
+    "alpha": "'alpha' has terms outside the generator span",
+    "exp(X1)": "'exp(X1)' is not linear in the generators",
+    "X2/X3": "'X2/X3' is not linear in the generators",
+    "sqrt(X4)": "'sqrt(X4)' is not linear in the generators",
+    "X3 + X7^2": "'X3 + X7^2' is not linear in the generators",
+    "X1 + ln(0)": "division by exact zero",
+    # the one text whose message differs from the reference's: it names
+    # no generator, so no derivative is taken and ln(0) is never divided
+    "ln(0)": "'ln(0)' has terms outside the generator span",
+}
+
+
+def test_catalog_generators_parse_as_before():
+    texts = sorted({g for e in catalog.builtin() for g in e.generators})
+    assert len(texts) == 47
+    for text in texts:
+        assert la.parse_generator(text) == \
+            reference_generator.parse_generator(text), text
+    lines = "\n".join(f"{t}\t{la.render_generator(la.parse_generator(t))}"
+                      for t in texts)
+    assert hashlib.sha256(lines.encode()).hexdigest() == \
+        CATALOG_GENERATORS_SHA256
+
+
+@pytest.mark.parametrize("text", sorted(BAD_GENERATOR_MESSAGES))
+def test_bad_generator_messages_are_pinned(text):
+    with pytest.raises(ExprError) as err:
+        la.parse_generator(text)
+    assert str(err.value) == BAD_GENERATOR_MESSAGES[text]
+
+
+def test_parse_generator_derives_only_the_named_generators(monkeypatch):
+    calls = {"partial": 0, "zero test": 0}
+    real_partial, real_zero = la.partial, la.is_zero_symbolic
+
+    def counting_partial(e, atom):
+        calls["partial"] += 1
+        return real_partial(e, atom)
+
+    def counting_zero(e):
+        calls["zero test"] += 1
+        return real_zero(e)
+
+    monkeypatch.setattr(la, "partial", counting_partial)
+    monkeypatch.setattr(la, "is_zero_symbolic", counting_zero)
+    la.parse_generator.cache_clear()
+    la.parse_generator("X3 + alpha*X7")
+    # the rebuilt combination equals the text, so nothing is expanded
+    assert calls == {"partial": 2, "zero test": 0}
+    la.parse_generator.cache_clear()
+    # "X1 + X1" parses to 2*X1, which the rebuild matches; "X1 - X1"
+    # parses to 0 and names no generator
+    assert la.parse_generator("X1 + X1")[0] == num(2)
+    assert la.parse_generator("X1 - X1") == (ZERO,) * 7
+    assert calls == {"partial": 3, "zero test": 0}
+
+
+_COEFFS = st.sampled_from([
+    "2", "-3/4", "0", "1", "alpha", "beta", "c1", "eps", "epsp", "epz",
+    "(alpha + 1)", "(eps - beta)", "alpha^2", "(beta + 2)^(1/3)",
+    "sqrt(c2)", "2^(1/2)", "exp(alpha)", "alpha*beta", "1/c1",
+    "(alpha + beta)^2", "ln(2)", "atan(c1)",
+])
+_GEN = st.integers(1, 7).map(lambda i: f"X{i}")
+
+
+@st.composite
+def _good_terms(draw):
+    cf, g = draw(_COEFFS), draw(_GEN)
+    form = draw(st.sampled_from(["{c}*{g}", "{g}*{c}", "{g}",
+                                 "({c})*{g}", "{g}/{c}"]))
+    return form.format(c=cf, g=g)
+
+
+@st.composite
+def _bad_terms(draw):
+    g, h, cf = draw(_GEN), draw(_GEN), draw(_COEFFS)
+    return draw(st.sampled_from([
+        f"{g}*{h}", f"{g}^2", f"x*{g}", f"t*{g}", f"(x + {cf})*{g}",
+        cf, "3", "ln(0)", f"exp({g})", f"{cf}*{g}^2", f"ln({g})",
+        f"{g}^{cf}",
+    ]))
+
+
+@st.composite
+def _generator_texts(draw):
+    terms = draw(st.lists(st.one_of(_good_terms(), _good_terms(),
+                                    _bad_terms()), min_size=1, max_size=5))
+    signs = draw(st.lists(st.sampled_from([" + ", " - "]),
+                          min_size=len(terms), max_size=len(terms)))
+    text = terms[0]
+    for sign, term in zip(signs[1:], terms[1:]):
+        text += sign + term
+    return text
+
+
+def _names_a_generator(text):
+    e = parse(text, functions={}, extra_params=set(la.GENERATOR_NAMES))
+    return not free_atoms(e).isdisjoint(map(param, la.GENERATOR_NAMES))
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except ExprError as err:
+        return f"ExprError: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_texts())
+def test_parse_generator_matches_the_reference(text):
+    got = _outcome(la.parse_generator, text)
+    want = _outcome(reference_generator.parse_generator, text)
+    if got != want and not _names_a_generator(text):
+        # a text that names no generator is checked by the span test
+        # alone; the reference took derivatives first, which can raise
+        assert got == f"ExprError: {text!r} has terms outside the " \
+            "generator span", (text, want)
+        return
+    assert got == want, text
+
+
 def test_adjoint_identity_at_zero():
     identity = [[ONE if a == b else ZERO for b in range(7)]
                 for a in range(7)]
@@ -246,6 +386,17 @@ def test_closure_fails_a_zero_generator(text):
     rep = la.subalgebra_closed([la.parse_generator(text)])
     assert not rep.closed
     assert [c.reason for c in rep.cases] == ["generator is zero, no pivot"]
+
+
+def test_closure_splits_epz_in_a_single_generator():
+    rep = la.subalgebra_closed([la.parse_generator("epz*X1")])
+    assert [c.assignment for c in rep.cases] == [
+        {"epz": -1}, {"epz": 0}, {"epz": 1}]
+    assert [c.closed for c in rep.cases] == [True, False, True]
+    assert rep.cases[1].reason == "generator is zero, no pivot"
+    assert not rep.closed
+    rep = la.subalgebra_closed([la.parse_generator("X1 + epz*X2")])
+    assert len(rep.cases) == 3 and rep.closed
 
 
 def test_vector_field_is_an_immutable_five_vector():
