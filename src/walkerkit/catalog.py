@@ -22,8 +22,10 @@ SCHEMA = "walker-catalog/1"
 # Entry fields holding a list of expression texts or a name -> text map.
 _TEXT_LISTS = ("invariants", "reduced", "consistency", "inequations")
 _TEXT_MAPS = ("ansatz", "profile")
-_ENTRY_KEYS = {"id", "subalgebra", "solutions", "provenance",
+_ENTRY_KEYS = {"id", "subalgebra", "solutions", "provenance", "checks",
                *_TEXT_LISTS, *_TEXT_MAPS}
+# Checks an entry can ask for beyond those its fields imply.
+CHECKS = frozenset({"einstein"})
 _SUBALGEBRA_KEYS = {"generators", "params"}
 _SOLUTION_KEYS = {"a", "b", "c", "params"}
 
@@ -51,14 +53,17 @@ class Solution(namedtuple("Solution", "a b c params", defaults=((),))):
 class CatalogEntry(namedtuple(
         "CatalogEntry",
         "id generators params invariants ansatz reduced profile"
-        " consistency inequations solutions provenance",
-        defaults=((),) * 8 + ("",))):
+        " consistency inequations solutions provenance checks",
+        defaults=((),) * 8 + ("", ()))):
     """One catalog entry; every field but ``id`` and ``provenance`` is
     a tuple.
 
     ansatz: ordered (name, text) pairs. profile: (name, text) pairs
     solving ``reduced``. consistency: conditions the profile must also
     satisfy. inequations: expressions the profile must keep nonzero.
+    checks: names from CHECKS of the checks ``verify`` runs on the
+    entry beyond those its other fields imply ("einstein": its first
+    solution is an Einstein metric).
     """
 
     __slots__ = ()
@@ -382,6 +387,7 @@ def builtin() -> tuple:
         solutions=(row3["solution"],),
         provenance="equation (27); closed metric form, equation (28);"
                    " same data as table 1, row 3",
+        checks=("einstein",),
         extra_param_texts=row3["solution"].params))
     return tuple(entries)
 
@@ -408,6 +414,8 @@ def _to_dict(e: CatalogEntry) -> dict:
     if e.solutions:
         d["solutions"] = [{"a": s.a, "b": s.b, "c": s.c,
                            "params": list(s.params)} for s in e.solutions]
+    if e.checks:
+        d["checks"] = list(e.checks)
     return d
 
 
@@ -473,13 +481,17 @@ def _from_dict(d, text: str, where: str) -> CatalogEntry:
              for key in _TEXT_LISTS}
     texts |= {key: _string_map(d.get(key, {}), f"{where}.{key}")
               for key in _TEXT_MAPS}
+    checks = _strings(d.get("checks", []), f"{where}.checks")
+    for name in checks:
+        if name not in CHECKS:
+            raise SchemaError(f"unknown check {name!r} in {where}.checks")
     entry = CatalogEntry(
         id=_typed(d["id"], str, f"{where}.id"),
         generators=_strings(sub["generators"], f"{subwhere}.generators"),
         params=_strings(sub.get("params", []), f"{subwhere}.params"),
         solutions=tuple(solutions),
         provenance=_typed(d["provenance"], str, f"{where}.provenance"),
-        **texts)
+        checks=checks, **texts)
     for t in entry.generators:
         parse_generator(t)
     for t in entry.all_expr_texts()[len(entry.generators):]:

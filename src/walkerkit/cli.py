@@ -22,8 +22,8 @@ from .expr import (
 )
 from .expr.parser import MAX_POWER_BITS
 from .geometry import (
-    EINSTEIN_LABELS, abstract_curvature, einstein_verdicts,
-    equivalence_probe, metric_latex, metric_matrix_strings, on_metric,
+    EINSTEIN_LABELS, curvature_tables, curvature_verdicts, einstein_verdicts,
+    equivalence_probe, metric_latex, metric_matrix_strings,
 )
 from .jets import symmetry_check, system2
 from .liealg import (
@@ -259,13 +259,16 @@ def cmd_einstein(args, rep: Report, parser) -> None:
         parser.error("provide --entry ID or all of --a --b --c")
         return
     try:
-        # one substitution over the Ricci and Einstein components together
-        ricci, einstein = abstract_curvature()
-        comps = on_metric(ricci + einstein, a, b, c)
-        verdicts = [_zero_test(e, rep) for e in comps[len(ricci):]]
-        ricci_zero = all(_zero_test(r, rep) for r in comps[:len(ricci)])
+        # the Ricci and Einstein components share each derivative of the
+        # metric and one ring
+        _, ricci, einstein = curvature_tables()
+        verdicts = curvature_verdicts(ricci + einstein, a, b, c,
+                                      samples=rep.samples, tol=rep.tol,
+                                      seed=rep.seed)
     except ExprError as exc:
         parser.error(f"cannot evaluate the metric: {exc}")
+    ricci_zero = all(verdicts[:len(ricci)])
+    verdicts = verdicts[len(ricci):]
     for label, res in zip(EINSTEIN_LABELS, verdicts):
         rep.add(f"einstein.{label}", bool(res), res.describe())
     rep.details["ricci_zero"] = "yes" if ricci_zero else "no"
@@ -399,7 +402,7 @@ def _verify_entry(entry, rep: Report) -> None:
         # a reduced entry is a partially invariant solution
         _check_defect(entry, rep)
         _check_reducibility(entry, rep)
-    if entry.id == "eq27":
+    if "einstein" in entry.checks:
         _check_einstein_entry(entry, rep)
 
 

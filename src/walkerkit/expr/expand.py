@@ -85,13 +85,14 @@ class _Overflow(Exception):
     """An exponent bound reached half of the ring's field range."""
 
 
-def _survey(e: Expr) -> tuple:
+def _survey(*roots: Expr) -> tuple:
     """(unit, shared) of one walk over the sums, products and powers of
-    ``e``: every exponent of the expansion is an int in 1/unit, the lcm of
-    the exponent denominators; ``shared`` holds the ids of the nodes that
-    more than one parent reaches, whose subtrees are walked once."""
+    the roots: every exponent of the expansion is an int in 1/unit, the
+    lcm of the exponent denominators; ``shared`` holds the ids of the
+    nodes that more than one parent reaches, whose subtrees are walked
+    once."""
     unit = 1
-    stack = [e]
+    stack = list(roots)
     seen: set = set()
     shared: set = set()
     while stack:
@@ -537,10 +538,100 @@ def _clear(ring: _Ring, poly: tuple) -> tuple:
     return Poly(ring, *poly), not ring.denominators(poly[0])
 
 
-def is_zero_symbolic(e: Expr) -> bool:
-    """True when expansion plus denominator clearing cancels every term."""
-    p = expand_poly(e)
+def expand_tables(values, tables) -> list:
+    """The Poly of each table, all in one ring.
+
+    A table is a tuple of monomials (coefficient, ((atom, power), ...)),
+    with a Fraction coefficient and int powers of at least 1, and stands
+    for the sum of coefficient * prod(values[atom]^power); ``values`` is
+    a sequence of expressions, and an atom is a position in it. Each
+    value a monomial holds is expanded once, and each power of it once,
+    for every table and monomial that holds it.
+
+    The product of a monomial is the expansion of the ``mul`` of its
+    values, with one exception, a fractional power of a sum (or of a
+    product or power under a root): ``mul`` merges it with another
+    factor on the same base, as in u^(1/2)*u^(1/2) = u, while the ring
+    keeps it as an opaque atom. A monomial whose values meet on such a
+    base is built with ``mul`` and expanded as one node; no other node
+    is built.
+    """
+    used = sorted({k for table in tables for _, factors in table
+                   for k, _ in factors})
+    bases = {k: _bases(values[k]) for k in used}
+    ring = _Ring(*_survey(*[values[k] for k in used]))
+    while True:
+        try:
+            return [Poly(ring, *p)
+                    for p in _expand_tables(ring, values, tables, bases)]
+        except _Overflow:
+            ring = ring.widened()
+
+
+def _expand_tables(ring: _Ring, values, tables, bases: dict) -> list:
+    powers: dict = {}
+    rooted = any(r for found in bases.values() for _, r in found)
+
+    def power(atom, n: int) -> tuple:
+        hit = powers.get((atom, n))
+        if hit is None:
+            hit = (ring.expand(values[atom]) if n == 1
+                   else ring.pow(power(atom, 1), n))
+            powers[atom, n] = hit
+        return hit
+
+    out = []
+    for table in tables:
+        parts = []
+        for coeff, factors in table:
+            if rooted and _merges(bases[k] * n for k, n in factors):
+                p = ring.expand(mul(*[pow_(values[k], n)
+                                      for k, n in factors]))
+            else:
+                p = power(*factors[0]) if factors else ({0: 1}, 1, 0)
+                for f in factors[1:]:
+                    p = ring.mul(p, power(*f))
+            parts.append(ring.mul(({0: coeff.numerator}, coeff.denominator,
+                                   0), p))
+        out.append(_add(parts))
+    return out
+
+
+def _bases(e: Expr) -> tuple:
+    """(base, rooted) of each factor of the term ``e`` that is a sum,
+    or a power of a sum, a product or a power: the sum itself, or the
+    power's base, rooted when the exponent is fractional."""
+    out = []
+    for f in e.factors if type(e) is Prod else (e,):
+        if type(f) is Sum:
+            out.append((f, False))
+        elif type(f) is Pow and type(f.base) in (Sum, Prod, Pow):
+            out.append((f.base, f.exp.denominator != 1))
+    return tuple(out)
+
+
+def _merges(groups) -> bool:
+    """Whether two of the (base, rooted) factors in ``groups`` share a
+    base, one of them rooted."""
+    seen: dict = {}
+    for group in groups:
+        for base, rooted in group:
+            if base in seen:
+                if rooted or seen[base]:
+                    return True
+            else:
+                seen[base] = rooted
+    return False
+
+
+def cancels(p: Poly) -> bool:
+    """True when ``p``, with its sum denominators cleared, has no term."""
     if not p.terms:
         return True
     p, cleared = clear_denominators(p)
     return cleared and not p.terms
+
+
+def is_zero_symbolic(e: Expr) -> bool:
+    """True when expansion plus denominator clearing cancels every term."""
+    return cancels(expand_poly(e))

@@ -560,8 +560,16 @@ def sub(a, b) -> Expr:
 
 
 def ln(arg) -> Expr:
+    """ln(arg); ln(1) is 0, and an exact constant at or below zero has no
+    real logarithm, so it raises rather than build a node."""
     arg = to_expr(arg)
-    return ZERO if arg == ONE else Ln(arg)
+    if type(arg) is Num:
+        if arg.value <= 0:
+            raise ExprError(f"logarithm of the non-positive constant "
+                            f"{_frac_text(arg.value)}")
+        if arg.value == 1:
+            return ZERO
+    return Ln(arg)
 
 
 def exp_(arg) -> Expr:
@@ -689,6 +697,24 @@ def _norm_bindings(bindings: dict):
     return fmap, pmap, jmap
 
 
+def jet_memo(fmap: dict):
+    """``jet(name, idx)``: the derivative of ``fmap[name]`` along the
+    sorted coordinate index ``idx``, taken by ``diff`` on its memoized
+    prefix, so each distinct derivative (a_1, a_11, ...) is
+    differentiated once for as long as ``jet`` lives."""
+    memo: dict = {}
+
+    def jet(name: str, idx: tuple) -> Expr:
+        key = (name, idx)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (diff(jet(name, idx[:-1]), INDEX_COORD[idx[-1]])
+                               if idx else fmap[name])
+        return hit
+
+    return jet
+
+
 def substitute(e: Expr, bindings: dict) -> Expr:
     """Replace function symbols and parameters, closing under derivatives.
 
@@ -711,21 +737,11 @@ def substitute_all(exprs, bindings: dict) -> tuple:
     is ZERO without a ``mul`` call; its other factors are still
     substituted, so one that raises (a zero to a negative power) still
     raises. On a metric that depends on x and t alone, most jets of a, b
-    and c are zero, so most monomials of the collected curvature
-    components build nothing.
+    and c are zero, so most monomials of a polynomial in those jets
+    build nothing.
     """
     fmap, pmap, jmap = _norm_bindings(bindings)
-    memo: dict = {}
-
-    def bound(name: str, idx: tuple) -> Expr:
-        # derivative of a binding along idx, built on its memoized prefix
-        key = (name, idx)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (diff(bound(name, idx[:-1]),
-                                    INDEX_COORD[idx[-1]])
-                               if idx else fmap[name])
-        return hit
+    bound = jet_memo(fmap)
 
     def walk(e: Expr) -> Expr:
         te = type(e)

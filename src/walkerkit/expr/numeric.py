@@ -147,6 +147,38 @@ def eval_scaled(e: Expr, point: dict) -> tuple:
     return eval_expr(e, point), 1.0
 
 
+class MonomialSum:
+    """A jet evaluator for ``probe_zero``: the sum of coefficient *
+    prod(values[atom]^power) over the monomials of a table, read as
+    ``expand.expand_tables`` reads one, evaluated at a point without
+    building the sum as a tree.
+
+    ``scaled(point)`` is (value, scale), where the scale is max(1,
+    largest |monomial|), so the residual is relative to the size of the
+    table's own monomials. The values share one ``eval_expr`` memo per
+    point, so a subtree common to several of them is evaluated once.
+    """
+
+    __slots__ = ("atoms", "monomials")
+
+    def __init__(self, values, table):
+        self.monomials = [(_float(c), [(values[a], n) for a, n in factors])
+                          for c, factors in table]
+        self.atoms = free_atoms(*[e for _, factors in self.monomials
+                                  for e, _ in factors])
+
+    def scaled(self, point: dict) -> tuple:
+        memo: dict = {}
+        terms = []
+        for c, factors in self.monomials:
+            for e, n in factors:
+                v = eval_expr(e, point, memo)
+                for _ in range(n):
+                    c *= v
+            terms.append(c)
+        return sum(terms), max(1.0, max(map(abs, terms), default=0.0))
+
+
 class ZeroResult:
     """One zero test's verdict; a slotted class, not a tuple, because
     every zero test builds one and a tuple's ``__new__`` costs more."""
@@ -172,12 +204,20 @@ class ZeroResult:
         return f"nonzero (residual {self.max_residual:.3e} at {self.witness})"
 
 
-def probe_zero(e: Expr, samples: int = 64, tol: float = 1e-9,
+def probe_zero(e, samples: int = 64, tol: float = 1e-9,
                seed: int = 0) -> ZeroResult:
-    """Numeric-only zero test; scaled residual per sample. A sample that
-    hits a guard or gives a non-finite value is drawn again, up to
-    MAX_RESAMPLES times."""
-    atoms = free_atoms(e)
+    """Numeric-only zero test; scaled residual per sample. ``e`` is an
+    expression, scaled by ``eval_scaled``, or a ``MonomialSum``. A
+    sample that hits a guard or gives a non-finite value is drawn again,
+    up to MAX_RESAMPLES times."""
+    if type(e) is MonomialSum:
+        atoms, scaled = e.atoms, e.scaled
+    else:
+        atoms = free_atoms(e)
+
+        def scaled(point):
+            return eval_scaled(e, point)
+
     rng = random.Random(seed)
     worst = 0.0
     done = 0
@@ -187,7 +227,7 @@ def probe_zero(e: Expr, samples: int = 64, tol: float = 1e-9,
         for _ in range(MAX_RESAMPLES):
             cand = sample_point(atoms, rng)
             try:
-                value, scale = eval_scaled(e, cand)
+                value, scale = scaled(cand)
             except EvalGuard:
                 continue
             # inf - inf is NaN, and NaN > tol is False: a sample without a

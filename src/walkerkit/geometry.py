@@ -21,10 +21,12 @@ from fractions import Fraction
 from functools import cache
 
 from .expr import (
-    ALL_DEPS, Expr, INDEX_COORD, Num, ZERO, ONE, add, diff, funcsym,
-    is_zero, mul, neg, num, parse, render, sub, substitute_all,
+    ALL_DEPS, Expr, INDEX_COORD, Num, Pow, Sum, ZERO, ONE, ZeroResult, add,
+    diff, funcsym, is_zero, mul, neg, num, parse, render, sub,
 )
-from .expr.expand import expand_poly
+from .expr import numeric
+from .expr.expand import cancels, expand_poly, expand_tables
+from .expr.nodes import _coeff_factors, jet_memo
 from .liealg import det
 from . import jets
 
@@ -158,15 +160,12 @@ def abstract_curvature() -> tuple:
     c: ten upper-triangle expressions each, ordered as EINSTEIN_LABELS,
     built once per process.
 
-    Every concrete metric's components are these with its coefficients
-    substituted (``on_metric``): substitution closes under derivatives,
-    so the atom a_13 becomes the xy-derivative of the given a, and Ricci
-    is never rebuilt on a concrete metric.
-
     Each component is stored collected, as the expanded polynomial in
-    the jets of a, b and c (E_xy is -1/4*b_22 + 1/4*a_11), so a
-    substitution walks flat monomials and like terms cancel as they are
-    added.
+    the jets of a, b and c (E_xy is -1/4*b_22 + 1/4*a_11). A concrete
+    metric's components are these with the jets replaced by the
+    derivatives of its coefficients, so Ricci is never rebuilt on a
+    concrete metric; ``curvature_tables`` holds the same monomials for
+    that.
     """
     g = build_metric(*abstract_functions())
     bundle = ricci(g)
@@ -179,20 +178,88 @@ def _collected(e: Expr) -> Expr:
     return expand_poly(e).to_expr()
 
 
-def on_metric(exprs, a, b, c) -> tuple:
-    """Abstract curvature expressions on the metric with coefficients
-    a, b, c; one substitution, so the expressions share each derivative
-    of a, b and c."""
-    return substitute_all(exprs, {"a": a, "b": b, "c": c})
+class CurvatureTables(namedtuple("CurvatureTables", "jets ricci einstein")):
+    """The components of ``abstract_curvature`` as monomial tables over
+    the jet atoms. jets: every jet atom of the components (a, a_1, ...,
+    c_24), once each. ricci, einstein: ten tables each, ordered as
+    EINSTEIN_LABELS. A table is a tuple of monomials (Fraction
+    coefficient, ((jet, power), ...)), one per term, where a jet is
+    given by its position in ``jets``."""
+
+    __slots__ = ()
+
+
+def curvature_tables() -> CurvatureTables:
+    return _tables(abstract_curvature())
+
+
+@cache
+def _tables(curvature: tuple) -> CurvatureTables:
+    # a collected component is a sum of distinct monomials, each a
+    # coefficient times jets and whole powers of jets
+    monomials = [[[(c, [(f.base, f.exp.numerator) if type(f) is Pow
+                        else (f, 1) for f in factors])
+                   for c, factors in map(_coeff_factors, _terms(e))]
+                  for e in comps]
+                 for comps in curvature]
+    jets = {f: None for comps in monomials for comp in comps
+            for _, factors in comp for f, _ in factors}
+    index = {f: k for k, f in enumerate(jets)}
+    ricci, einstein = (
+        tuple(tuple((c, tuple((index[f], n) for f, n in factors))
+                    for c, factors in comp)
+              for comp in comps)
+        for comps in monomials)
+    return CurvatureTables(tuple(jets), ricci, einstein)
+
+
+def _terms(e: Expr) -> tuple:
+    return e.terms if type(e) is Sum else () if e == ZERO else (e,)
+
+
+def curvature_verdicts(tables, a, b, c, samples: int = 64,
+                       tol: float = 1e-9, seed: int = 0) -> list:
+    """Zero verdicts for the component tables ``tables`` (from
+    ``curvature_tables``) on the metric with coefficients a, b, c.
+
+    Each jet of the curvature is one derivative of a, b or c, taken once
+    (``jet_memo``), and a monomial holding a ZERO jet is dropped. Exact
+    cancellation is decided for every component in one ring, where each
+    jet is expanded once (``expand_tables``). A component that does not
+    cancel is a nonzero constant, which is exact, or is probed on the
+    values of its jets (``MonomialSum``): its residual is scaled by its
+    largest monomial, whatever form a substituted tree would take. No
+    component is built as an expression tree (``expand_tables`` builds
+    the product of one monomial only where its jets meet on a root of a
+    sum).
+    """
+    jet = jet_memo({"a": a, "b": b, "c": c})
+    values = [jet(f.name, f.idx) for f in curvature_tables().jets]
+    zero = {k for k, v in enumerate(values)
+            if type(v) is Num and not v.value}
+    if zero:
+        tables = [tuple(m for m in table
+                        if not any(k in zero for k, _ in m[1]))
+                  for table in tables]
+    out = []
+    for table, poly in zip(tables, expand_tables(values, tables)):
+        if cancels(poly):
+            out.append(ZeroResult(numeric.ZERO_SYMBOLIC))
+        elif list(poly.terms) == [0]:
+            out.append(is_zero(num(Fraction(poly.terms[0], poly.den))))
+        else:
+            out.append(numeric.probe_zero(
+                numeric.MonomialSum(values, table), samples=samples,
+                tol=tol, seed=seed))
+    return out
 
 
 def einstein_verdicts(a, b, c, samples: int = 64, tol: float = 1e-9,
                       seed: int = 0) -> list:
-    """Zero verdicts for the ten components of the metric built on the
-    given coefficient expressions."""
-    _, einstein = abstract_curvature()
-    comps = on_metric(einstein, a, b, c)
-    return [is_zero(e, samples=samples, tol=tol, seed=seed) for e in comps]
+    """Zero verdicts for the ten Einstein components of the metric built
+    on the given coefficient expressions."""
+    return curvature_verdicts(curvature_tables().einstein, a, b, c,
+                              samples=samples, tol=tol, seed=seed)
 
 
 # --- correspondence ---------------------------------------------------------

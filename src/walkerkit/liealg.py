@@ -24,10 +24,10 @@ from functools import cache
 from itertools import combinations
 
 from .expr import (
-    Coord, Expr, ExprError, NONZERO, Num, ZERO, ONE, ZERO_NUMERIC,
-    ZERO_SYMBOLIC, add, coord, div, exp_, free_atoms, funcsym, is_zero,
-    is_zero_symbolic, mul, neg, num, param, parse, partial, pow_, render,
-    sub, substitute,
+    Coord, Expr, ExprError, NONZERO, Num, Param, Pow, Prod, SIGN_PARAMS,
+    TERNARY_PARAMS, ZERO, ONE, ZERO_NUMERIC, ZERO_SYMBOLIC, add, coord, div,
+    exp_, free_atoms, funcsym, is_zero, is_zero_symbolic, mul, neg, num,
+    param, parse, partial, pow_, render, sub, substitute,
 )
 
 ADJOINT_SIGN = +1
@@ -162,13 +162,25 @@ def det(m: list) -> Expr:
                  for j, e in enumerate(m[0]) if e != ZERO))
 
 
+def _generic_monomial(e: Expr) -> bool:
+    """Whether ``e`` is a rational times powers of parameters that are
+    neither sign nor ternary symbols, such as alpha or 2*alpha*beta^-1:
+    nonzero wherever none of those parameters is zero."""
+    return all(type(b) is Param and b.name not in SIGN_PARAMS
+               and b.name not in TERNARY_PARAMS
+               for b in (f.base if type(f) is Pow else f
+                         for f in (e.factors if type(e) is Prod else (e,))))
+
+
 def exact_rank(rows, seed: int = 0) -> tuple:
     """(rank, rows, cols) of a matrix of Exprs. The rank is the size of
     the largest minor whose zero test is ``nonzero``; every larger minor
     has tested zero or holds a row or column of ZERO entries, which no
-    minor is tried on. rows and cols index the first such minor tried,
-    larger minors first and each size in lexicographic order. A matrix
-    whose entries all test zero gives (0, (), ())."""
+    minor is tried on. A minor that is a parameter monomial
+    (``_generic_monomial``) is nonzero without a zero test. rows and
+    cols index the first such minor tried, larger minors first and each
+    size in lexicographic order. A matrix whose entries all test zero
+    gives (0, (), ())."""
     supports = [[j for j, e in enumerate(r) if e != ZERO] for r in rows]
     live = [i for i, s in enumerate(supports) if s]
     cols = sorted(set().union(*supports))
@@ -176,7 +188,8 @@ def exact_rank(rows, seed: int = 0) -> tuple:
         for ri in combinations(live, k):
             for ci in combinations(cols, k):
                 minor = det([[rows[i][j] for j in ci] for i in ri])
-                if is_zero(minor, seed=seed).verdict == NONZERO:
+                if (_generic_monomial(minor)
+                        or is_zero(minor, seed=seed).verdict == NONZERO):
                     return k, ri, ci
     return 0, (), ()
 

@@ -124,6 +124,24 @@ def test_empty_catalog_is_valid(tmp_path):
     assert load(path) == ()
 
 
+def test_checks_field(tmp_path):
+    # eq27 alone asks verify for its Einstein check; the field is saved,
+    # loaded, and holds only known check names
+    asking = [e.id for e in builtin() if e.checks]
+    assert asking == ["eq27"]
+    assert builtin_map()["eq27"].checks == ("einstein",)
+    path = tmp_path / "bad.json"
+    doc = {"schema": SCHEMA, "entries": [{
+        "id": "x", "subalgebra": {"generators": ["X1"], "params": []},
+        "provenance": "p", "checks": ["einstein", "flat"]}]}
+    path.write_text(json.dumps(doc, indent=2))
+    with pytest.raises(SchemaError, match="unknown check 'flat'"):
+        load(path)
+    doc["entries"][0]["checks"] = ["einstein"]
+    path.write_text(json.dumps(doc, indent=2))
+    assert load(path)[0].checks == ("einstein",)
+
+
 def test_unknown_field_rejected(tmp_path):
     path = tmp_path / "bad.json"
     doc = {"schema": SCHEMA, "entries": [{

@@ -161,6 +161,34 @@ def test_einstein_negative(capsys):
     assert doc["summary"]["fail"] >= 1
 
 
+def test_einstein_report_of_a_metric_that_is_not_einstein(capsys):
+    # each residual is scaled by the largest monomial of its component:
+    # E_ty = 1/2*a_12 is the one monomial x, so its residual is 1
+    code, doc = run_json(capsys, "einstein", "--a", "x^2*t", "--b", "0",
+                         "--c", "0")
+    assert code == 1
+    assert doc["details"] == {"einstein": "no", "ricci_zero": "no"}
+    exact = "zero (exact cancellation)"
+    assert {c["id"]: (c["verdict"], c["witness"]) for c in doc["checks"]} \
+        == {
+        "einstein.tt": ("pass", exact),
+        "einstein.ty": ("fail", "nonzero (residual 1.000e+00 at "
+                                "{'x': 1.4591401976868257})"),
+        "einstein.tz": ("fail", "nonzero (residual 7.296e-01 at "
+                                "{'t': 1.4591401976868257})"),
+        "einstein.xt": ("pass", exact),
+        "einstein.xx": ("pass", exact),
+        "einstein.xy": ("fail", "nonzero (residual 7.296e-01 at "
+                                "{'t': 1.4591401976868257})"),
+        "einstein.xz": ("pass", exact),
+        "einstein.yy": ("fail", "nonzero (residual 3.076e-01 at "
+                                "{'t': 1.4591401976868257, "
+                                "'x': 0.5375161328340003})"),
+        "einstein.yz": ("pass", exact),
+        "einstein.zz": ("pass", exact),
+    }
+
+
 def test_einstein_overflowing_power(capsys):
     # x^3998 overflows a float for x above about 1.19; those samples are
     # drawn again, and the rest give a verdict with a finite witness
@@ -351,14 +379,16 @@ def test_usage_errors_exit_two(capsys):
         # a power that overflows a float at every sample
         (["einstein", "--a", "exp(x)^4000", "--b", "0", "--c", "0"],
          "cannot evaluate the metric: could not find an admissible"),
-        # the input parses; dividing by an exact zero only comes when the
-        # metric is differentiated
+        # an exact constant at or below zero has no real logarithm, so
+        # the text fails where it is parsed
         (["einstein", "--a", "ln(0)", "--b", "0", "--c", "0"],
-         "cannot evaluate the metric: division by exact zero"),
+         "argument --a: logarithm of the non-positive constant 0"),
         (["einstein", "--a", "ln(x-x)", "--b", "0", "--c", "0"],
-         "cannot evaluate the metric: division by exact zero"),
+         "argument --a: logarithm of the non-positive constant 0"),
         (["einstein", "--a", "0", "--b", "ln(1-1)", "--c", "0"],
-         "cannot evaluate the metric: division by exact zero"),
+         "argument --b: logarithm of the non-positive constant 0"),
+        (["einstein", "--a", "ln(-2)*x", "--b", "0", "--c", "0"],
+         "argument --a: logarithm of the non-positive constant -2"),
         (["subalgebra", "--gens", "X1*X2"], "argument --gens:"),
         # a coefficient is a constant; closure would take x as one
         (["subalgebra", "--gens", "X1; x*X2", "--check-closed"],
@@ -429,6 +459,11 @@ def test_entry_data_not_id_selects_checks():
     expected = suffixes(family)
     assert {".profile", ".defect", ".reducibility"} <= set(expected)
     assert suffixes(family._replace(id="copy")) == expected
+    # the Einstein check follows the entry's ``checks`` field
+    eq27 = catalog.builtin_map()["eq27"]
+    assert ".einstein" in suffixes(eq27._replace(id="copy"))
+    assert ".einstein" not in suffixes(eq27._replace(checks=()))
+    assert ".einstein" in suffixes(family._replace(checks=("einstein",)))
 
 
 def test_defect_runs_without_numpy():
@@ -571,7 +606,7 @@ EINSTEIN_ENTRY_SHA256 = {
     "eq26.family2":
         "036877a3518cd866d2b312918c943af8284e537272d087fe5781fbe1ca023eeb",
     "eq26.family3":
-        "172711db90e3b1c1fbc6dc0bbed91c7264b55d43e88efb14ad1f19e7b2c6367a",
+        "04743d398f81a57d39f717dec66f648032f591f2ae48a3f920c842cfa1ab6631",
     "table1.row1":
         "635be7efcd453c167f545af5184dfcd9db4cdca806a4932c54b150909e24de44",
     "table1.row2":

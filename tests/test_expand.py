@@ -21,7 +21,9 @@ from walkerkit.expr import (
     ExprError, Pow, Prod, Sum, add, clear_denominators, div, expand_monomials,
     is_zero_symbolic, mul, num, parse, pow_, sub,
 )
-from walkerkit.expr.expand import WIDTH, Poly, _Ring, _survey, expand_poly
+from walkerkit.expr.expand import (
+    WIDTH, Poly, _Ring, _survey, cancels, expand_poly, expand_tables,
+)
 
 # leaves: atoms, the sign symbol eps, two constant roots, small rationals,
 # and "S", which stands for one shared subtree drawn with the tree
@@ -140,6 +142,42 @@ def test_repeated_subtree_is_expanded_once(monkeypatch):
     assert calls[shared] == 5
     assert all(calls[c] == 1 for c in children)
     assert got == ref.expand_poly(e).monomials()
+
+
+def test_tables_expand_each_value_once(monkeypatch):
+    # three tables over two values in one ring: each value is expanded
+    # once, and each polynomial is the expansion of its table's sum
+    u, v = parse("(x + t)^3 + a_1*b"), parse("x*(t + 1)^(-1) + 2")
+    tables = (
+        ((Fraction(1), ((0, 2),)), (Fraction(-2), ((0, 1), (1, 1)))),
+        ((Fraction(1, 3), ((1, 1),)),),
+        ((Fraction(1), ((0, 1), (1, 2))), (Fraction(-1), ((1, 2), (0, 1)))),
+    )
+    calls = Counter()
+    expand = _Ring.expand
+
+    def counting(self, node):
+        calls[node] += 1
+        return expand(self, node)
+
+    monkeypatch.setattr(_Ring, "expand", counting)
+    polys = expand_tables([u, v], tables)
+    assert calls[u] == calls[v] == 1
+    monkeypatch.undo()
+    assert len({id(p.ring) for p in polys}) == 1
+    sums = [sub(mul(u, u), mul(2, u, v)), mul(Fraction(1, 3), v), num(0)]
+    for p, e in zip(polys, sums):
+        assert p.monomials() == expand_monomials(e)
+    assert [cancels(p) for p in polys] == [False, False, True]
+
+
+def test_tables_merge_a_root_of_a_sum_as_mul_does():
+    # (t + 1)^(1/2) squared is t + 1 in the normal form; the ring keeps
+    # the root as an opaque atom, so that monomial is built with mul
+    r = parse("(t + 1)^(1/2)")
+    table = ((Fraction(1), ((0, 2),)), (Fraction(-1), ((1, 1),)))
+    p, = expand_tables([r, parse("t + 1")], (table,))
+    assert cancels(p)
 
 
 def _counting_fixes(monkeypatch):

@@ -93,6 +93,18 @@ def test_even_root_of_negative_rational_raises():
         sqrt(num(-4))
 
 
+@pytest.mark.parametrize("arg", [0, -2, Fraction(-1, 3)])
+def test_ln_of_a_non_positive_constant_raises(arg):
+    # no real logarithm: the node is never built, so no metric holding
+    # it reaches a verdict
+    with pytest.raises(ExprError, match="non-positive constant"):
+        nodes.ln(num(arg))
+    with pytest.raises(ExprError, match="non-positive constant"):
+        parse(f"x*ln({arg})")
+    assert nodes.ln(num(1)) == num(0)
+    assert nodes.ln(num(Fraction(1, 2))) != num(0)
+
+
 def test_derivative_index_canonical_order():
     with pytest.raises(ExprError):
         Func("a", (2, 1), (1, 2))

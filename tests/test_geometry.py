@@ -11,13 +11,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
+import reference_geometry
 import reference_linalg as reference
 from walkerkit.expr import (
-    ALL_DEPS, NONZERO, ZERO, ZERO_SYMBOLIC, Atan, Coord, ExpF, Func, Ln, Num,
-    Param, Pow, Prod, Sum, add, coord, diff, eval_expr, eval_scaled,
-    expand_monomials, funcsym, is_zero, is_zero_symbolic, mul, neg, num,
-    parse, render, sub, substitute,
+    ALL_DEPS, NONZERO, ZERO, ZERO_SYMBOLIC, Atan, Coord, EvalError,
+    EvalGuard, ExpF, ExprError, Func, Ln, Num, Param, Pow, Prod, Sum, add,
+    coord, diff, eval_expr, eval_scaled, expand_monomials, free_atoms,
+    funcsym, is_zero, is_zero_symbolic, mul, neg, num, parse, render,
+    sample_point, sub, substitute,
 )
 from walkerkit import catalog, cli
 from walkerkit import geometry as geo
@@ -167,10 +171,12 @@ def test_on_metric_builds_no_product_with_a_zero_factor(monkeypatch):
     a, b, c = (substitute(e, values) for e in (triple.a, triple.b, triple.c))
     _, einstein = geo.abstract_curvature()
     counts = _zero_argument_calls(
-        monkeypatch, nodes, lambda: geo.on_metric(einstein, a, b, c))
+        monkeypatch, nodes,
+        lambda: reference_geometry.on_metric(einstein, a, b, c))
     assert counts["mul"][0] > 0 and counts["mul"][1] == 0, counts
     counts = _zero_argument_calls(
-        monkeypatch, nodes, lambda: geo.on_metric(einstein, ZERO, ZERO, ZERO))
+        monkeypatch, nodes,
+        lambda: reference_geometry.on_metric(einstein, ZERO, ZERO, ZERO))
     assert counts["mul"][0] == 0, counts
 
 
@@ -336,11 +342,11 @@ def test_substituted_components_equal_direct_build(a, b, c):
     direct = geo.ricci(geo.build_metric(a, b, c)).ricci
     direct_ricci = [direct[i][j] for i in range(4) for j in range(i, 4)]
     for name, d, s in zip(geo.EINSTEIN_LABELS, direct_ricci,
-                          geo.on_metric(ricci, a, b, c)):
+                          reference_geometry.on_metric(ricci, a, b, c)):
         assert is_zero_symbolic(sub(s, d)), f"R_{name}"
     direct = geo.einstein_residual(geo.build_metric(a, b, c))
     for name, d, s in zip(geo.EINSTEIN_LABELS, direct,
-                          geo.on_metric(einstein, a, b, c)):
+                          reference_geometry.on_metric(einstein, a, b, c)):
         assert is_zero_symbolic(sub(s, d)), f"E_{name}"
         # the trees may differ; their expanded forms may not
         assert expand_monomials(s) == expand_monomials(d), f"E_{name}"
@@ -363,6 +369,21 @@ def test_cached_components_are_collected():
         assert len(terms) == len(monos), f"E_{name}"
     assert render(einstein[geo.EINSTEIN_LABELS.index("xy")]) == \
         "-1/4*b_22 + 1/4*a_11"
+
+
+def test_tables_hold_the_collected_monomials():
+    # each table rebuilt as a sum is its collected component, and its
+    # jets are the 26 jet atoms of a, b and c, once each
+    tables = geo.curvature_tables()
+    assert len(tables.jets) == len(set(tables.jets)) == 26
+    assert all(isinstance(f, Func) for f in tables.jets)
+    for comps, tabs in zip(geo.abstract_curvature(),
+                           (tables.ricci, tables.einstein)):
+        for e, table in zip(comps, tabs):
+            rebuilt = add(*[mul(c, *[nodes.pow_(tables.jets[k], n)
+                                     for k, n in factors])
+                            for c, factors in table])
+            assert rebuilt == e
 
 
 def test_ricci_is_built_once(monkeypatch, capsys):
@@ -446,3 +467,175 @@ def test_cached_components_match_sympy():
     for name, mine, theirs in zip(geo.EINSTEIN_LABELS, ours, expected):
         assert sp.expand(_to_sympy(sp, mine, symbols, functions)
                          - theirs) == 0, name
+
+
+# --- verdicts from the metric's jets, against the substituted trees ----------
+
+def _kinds(verdicts):
+    return [v.verdict for v in verdicts]
+
+
+def _outcome(run):
+    """The verdict kinds ``run()`` gives, or the name of the expression
+    error it raises."""
+    try:
+        return _kinds(run())
+    except ExprError as exc:
+        return type(exc).__name__
+
+
+def _jet_and_tree_kinds(a, b, c, **kw):
+    """Outcomes for the Ricci and Einstein components on the jet path and
+    on the reference's substituted trees."""
+    tables = geo.curvature_tables()
+    return (
+        _outcome(lambda: geo.curvature_verdicts(
+            tables.ricci + tables.einstein, a, b, c, **kw)),
+        _outcome(lambda: reference_geometry.ricci_verdicts(a, b, c, **kw)
+                 + reference_geometry.einstein_verdicts(a, b, c, **kw)))
+
+
+@pytest.mark.parametrize("entry", [e for e in catalog.builtin()
+                                   if e.solutions], ids=lambda e: e.id)
+def test_jet_verdicts_match_the_trees_on_the_catalog(entry):
+    # each solution with its constants c1..c9 drawn at three seeds, and
+    # its twin with m*x^3 added to a, which is not Einstein
+    s = entry.solutions[0]
+    x = coord("x")
+    for seed in (2801, 2802, 2803):
+        rng = random.Random(seed)
+        values = {f"c{i}": num(rng.randint(1, 9)) for i in range(1, 10)}
+        a, b, c = (substitute(parse(t), values) for t in (s.a, s.b, s.c))
+        twin = add(a, mul(rng.randint(1, 9), x, x, x))
+        for metric in ((a, b, c), (twin, b, c)):
+            jet, tree = _jet_and_tree_kinds(*metric, samples=16, seed=seed)
+            assert jet == tree, (seed, metric)
+
+
+_METRIC_LEAVES = ("x", "t", "y", "c1")
+_METRIC_EXPONENTS = st.sampled_from(
+    (-2, -1, 2, 3, Fraction(1, 2), Fraction(1, 3), Fraction(-1, 2),
+     Fraction(2, 3)))
+_KERNELS = {"ln": nodes.ln, "exp": nodes.exp_, "atan": nodes.atan}
+
+
+def _metric_extend(children):
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(lambda ts: ("+", ts)),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: ("*", fs)),
+        st.tuples(st.just("^"), children, _METRIC_EXPONENTS),
+        st.tuples(st.sampled_from(tuple(_KERNELS)), children),
+    )
+
+
+_COEFFICIENTS = st.recursive(
+    st.one_of(st.sampled_from(_METRIC_LEAVES),
+              st.fractions(min_value=-4, max_value=4, max_denominator=3)
+              .filter(bool)),
+    _metric_extend, max_leaves=7)
+
+
+def _coefficient(tree):
+    if isinstance(tree, str):
+        return parse(tree)
+    if isinstance(tree, Fraction):
+        return num(tree)
+    if tree[0] == "^":
+        return nodes.pow_(_coefficient(tree[1]), tree[2])
+    if tree[0] in _KERNELS:
+        return _KERNELS[tree[0]](_coefficient(tree[1]))
+    parts = [_coefficient(t) for t in tree[1]]
+    return add(*parts) if tree[0] == "+" else mul(*parts)
+
+
+def _has_real_values(e):
+    """Whether ``e`` evaluates at one of 20 sample points."""
+    rng = random.Random(0)
+    for _ in range(20):
+        try:
+            eval_expr(e, sample_point(free_atoms(e), rng))
+            return True
+        except EvalGuard:
+            pass
+    return False
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(_COEFFICIENTS, _COEFFICIENTS, st.one_of(st.just(0), _COEFFICIENTS),
+       st.integers(0, 5))
+# E_yy cancels only where c_2^2 = ((t + 1)^(1/2))^2 merges to t + 1
+@example("t", ("+", ["t", ("^", "t", 2)]),
+         ("*", [Fraction(2, 3), ("^", ("+", ["t", Fraction(1)]),
+                                     Fraction(3, 2))]), 0)
+def test_jet_verdicts_match_the_trees(ta, tb, tc, seed):
+    # metrics with ln, exp, atan, rational roots and negative powers of
+    # sums, real somewhere on the sample box (a metric without real
+    # values is the next test's)
+    try:
+        a, b = _coefficient(ta), _coefficient(tb)
+        c = ZERO if tc == 0 else _coefficient(tc)
+    except ExprError:
+        assume(False)
+    assume(all(_has_real_values(e) for e in (a, b, c)))
+    jet, tree = _jet_and_tree_kinds(a, b, c, samples=16, seed=seed)
+    assert jet == tree, (a, b, c)
+
+
+def test_a_metric_without_real_values_is_not_probed():
+    # a_1 = b_1 = sqrt(atan(-1/2)) has no real value, so no sample point
+    # is admissible for the one component that does not cancel; the
+    # substituted tree of E_zz multiplies the two roots into atan(-1/2)
+    # and so could be probed
+    a = parse("x*sqrt(atan(-1/2))")
+    with pytest.raises(EvalError, match="admissible sample point"):
+        geo.einstein_verdicts(a, a, ZERO, samples=16)
+    tree = _kinds(reference_geometry.einstein_verdicts(a, a, ZERO,
+                                                       samples=16))
+    assert tree == [ZERO_SYMBOLIC] * 9 + [NONZERO]
+
+
+def test_a_root_of_a_sum_merges_as_in_the_tree():
+    # E_yy = -1/2*c_2^2 + 1/2*a_2*b_2 - 1/4*a*b_22 cancels because
+    # ((t + 1)^(1/2))^2 is t + 1, which the ring's opaque root atom would
+    # not show
+    a, b, c = parse("t"), parse("t^2 + t"), parse("2/3*(t + 1)^(3/2)")
+    verdicts = geo.einstein_verdicts(a, b, c, samples=16)
+    assert verdicts[geo.EINSTEIN_LABELS.index("yy")].verdict == \
+        ZERO_SYMBOLIC
+
+
+def test_einstein_metric_needs_no_tree_and_no_probe(monkeypatch):
+    # every component of an Einstein catalog metric cancels in the one
+    # ring over its jets: nothing is substituted and nothing is probed
+    from walkerkit.expr import numeric
+
+    def forbidden(*args, **kw):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(nodes, "substitute_all", forbidden)
+    monkeypatch.setattr(numeric, "probe_zero", forbidden)
+    for eid in ("table1.row4", "eq27"):
+        t = catalog.builtin_map()[eid].triples()[0]
+        assert _kinds(geo.einstein_verdicts(t.a, t.b, t.c)) == \
+            [ZERO_SYMBOLIC] * 10, eid
+
+
+def test_curvature_residual_is_scaled_by_its_monomials():
+    # E_ty = 1/2*a_12 + 1/2*c_22 is the one monomial x for a = x^2*t: its
+    # residual is 1 whatever the point, where the substituted tree x was
+    # scaled by 1
+    verdicts = geo.einstein_verdicts(parse("x^2*t"), ZERO, ZERO, samples=8)
+    ty = verdicts[geo.EINSTEIN_LABELS.index("ty")]
+    assert ty.verdict == NONZERO and ty.max_residual == 1.0
+
+
+def test_constant_component_is_an_exact_nonzero():
+    # E_xy = 1/4*a_11 is the constant 1/2 for a = x^2, and 1/4*10^-12
+    # for a = x^2/(2*10^12), below the tolerance: both are exact verdicts
+    for a, value in (("x^2", 0.5), ("x^2/(2*10^12)", 2.5e-13)):
+        xy = geo.einstein_verdicts(parse(a), ZERO, ZERO)[
+            geo.EINSTEIN_LABELS.index("xy")]
+        assert xy.verdict == NONZERO and xy.witness == {}
+        assert xy.max_residual == pytest.approx(value)

@@ -188,10 +188,11 @@ BAD_GENERATOR_MESSAGES = {
     "X2/X3": "'X2/X3' is not linear in the generators",
     "sqrt(X4)": "'sqrt(X4)' is not linear in the generators",
     "X3 + X7^2": "'X3 + X7^2' is not linear in the generators",
-    "X1 + ln(0)": "division by exact zero",
-    # the one text whose message differs from the reference's: it names
-    # no generator, so no derivative is taken and ln(0) is never divided
-    "ln(0)": "'ln(0)' has terms outside the generator span",
+    # ln of an exact constant at or below zero fails where it is parsed
+    "X1 + ln(0)": "logarithm of the non-positive constant 0 at offset 5: "
+                  "...'X1 + ln(0)'...",
+    "ln(0)": "logarithm of the non-positive constant 0 at offset 0: "
+             "...'ln(0)'...",
 }
 
 
@@ -684,3 +685,47 @@ def test_replay_step_passes_only_on_exact_cancellation():
     for verdict, ok in ((ZERO_SYMBOLIC, True), (ZERO_NUMERIC, False)):
         step = la.ReplayStep(6, "sign normalization", 5, verdict)
         assert la.ReplayCase("x", [step], True, closed=True).ok is ok
+
+
+def _zero_test_calls(monkeypatch, run):
+    """Calls of ``expand_poly`` and ``probe_zero`` during ``run()``."""
+    from walkerkit.expr import expand, numeric
+
+    calls = []
+    for module, name in ((expand, "expand_poly"), (numeric, "probe_zero")):
+        real = getattr(module, name)
+
+        def counting(*args, real=real, name=name, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(module, name, counting)
+    out = run()
+    monkeypatch.undo()
+    return out, calls
+
+
+@pytest.mark.parametrize("text", ["alpha", "2*alpha*beta^(-1)",
+                                  "-alpha^2/3", "c1^(1/2)*beta"])
+def test_parameter_monomial_minor_needs_no_zero_test(monkeypatch, text):
+    # a rational times powers of non-sign, non-ternary parameters is
+    # nonzero off their zero set; expanding and probing it cost about
+    # 40 us for each alpha*X1 + beta*X7 closure
+    minor = parse(text)
+    got, calls = _zero_test_calls(
+        monkeypatch, lambda: la.exact_rank([[minor, ZERO]]))
+    assert got == (1, (0,), (0,)) and calls == []
+    g = la.parse_generator("alpha*X1 + beta*X7")
+    got, calls = _zero_test_calls(monkeypatch, lambda: la.exact_rank([g]))
+    assert got == (1, (0,), (0,)) and calls == []
+
+
+@pytest.mark.parametrize("text", ["eps*alpha", "epz", "alpha + beta",
+                                  "alpha*x"])
+def test_other_minors_take_the_zero_test(monkeypatch, text):
+    # a sign or ternary symbol, a sum or a coordinate is not a parameter
+    # monomial, so the zero test decides it as before
+    minor = parse(text)
+    _, calls = _zero_test_calls(
+        monkeypatch, lambda: la.exact_rank([[minor]]))
+    assert calls

@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference_numeric as ref
 from walkerkit.expr import (
-    EvalError, EvalGuard, ExprError, Pow, Sum, add, atan, coord, eval_expr,
-    eval_scaled, exp_, free_atoms, ln, mul, num, param, parse, pow_,
+    NONZERO, ZERO_NUMERIC, EvalError, EvalGuard, ExprError, Pow, Sum, add,
+    atan, coord, eval_expr, eval_scaled, exp_, free_atoms, ln, mul, num,
+    param, parse, pow_,
 )
 from walkerkit.expr import numeric
 
@@ -227,3 +228,26 @@ def test_free_atoms_visits_each_distinct_node_once():
     assert free_atoms(e) == {coord("x"), param("c1")}
     # a tree walk takes 2^40 steps
     assert time.perf_counter() - start < 1.0
+
+
+def test_monomial_sum_probe_shares_the_probe_path():
+    # a jet evaluator goes through the samples, seed, resampling and
+    # error text of the expression path; its residual is scaled by its
+    # largest monomial, 3*x*t here
+    x, t = parse("x"), parse("t")
+    table = ((Fraction(3), ((0, 1), (1, 1))), (Fraction(-1), ((1, 2),)))
+    jets = numeric.MonomialSum([x, t], table)
+    assert jets.atoms == {x, t}
+    value, scale = jets.scaled({"x": 2.0, "t": 0.5})
+    assert (value, scale) == (2.75, 3.0)
+    res = numeric.probe_zero(jets, samples=8, seed=3)
+    want = numeric.probe_zero(parse("3*x*t - t^2"), samples=8, seed=3)
+    assert res.verdict == want.verdict == NONZERO
+    assert res.witness == want.witness
+    cancel = numeric.MonomialSum(
+        [x], ((Fraction(1), ((0, 1),)), (Fraction(-1), ((0, 1),))))
+    assert numeric.probe_zero(cancel, samples=8).verdict == ZERO_NUMERIC
+    guarded = numeric.MonomialSum([parse("sqrt(x - 5)")],
+                                  ((Fraction(1), ((0, 1),)),))
+    with pytest.raises(EvalError, match="admissible sample point"):
+        numeric.probe_zero(guarded, samples=2)

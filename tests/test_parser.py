@@ -50,7 +50,13 @@ def random_tree(rng, depth):
         except Exception:
             return base
     if op == 5:
-        return ln(random_tree(rng, depth - 1))
+        # ln of an exact constant at or below zero raises, as a root of
+        # a negative constant does
+        arg = random_tree(rng, depth - 1)
+        try:
+            return ln(arg)
+        except ExprError:
+            return arg
     if op == 6:
         return atan(random_tree(rng, depth - 1))
     return exp_(random_tree(rng, depth - 1))
