@@ -44,17 +44,14 @@ def _frac(v) -> Fraction:
 
 
 class Expr:
-    """Base node. Instances are immutable; identity is the normal form."""
+    """Base node. Instances are immutable; identity is the normal form.
+
+    Each node stores its key and hash when it is built. A node with
+    children makes its hash from their cached hashes: ``hash`` of the
+    nested key would walk it as a tree, once per path, which is
+    exponential in the depth of shared subtrees."""
 
     __slots__ = ("_key", "_hash")
-
-    def _seal(self, key, h=None) -> None:
-        """Fix the node's key and hash. A node with children passes ``h``
-        made from their cached hashes: ``hash`` of the nested key would
-        walk it as a tree, once per path, which is exponential in the
-        depth of shared subtrees."""
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key) if h is None else h)
 
     def key(self):
         return self._key
@@ -112,13 +109,30 @@ class Expr:
         return pow_(self, e)
 
 
+# Num(k) for an int k in -SMALL_INT..SMALL_INT returns one shared node
+# from this table, filled below the class. The integer constants that
+# perfbench's three workloads build lie in -2..9.
+SMALL_INT = 16
+_SMALL_NUMS: dict = {}
+
+
 class Num(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
+    def __new__(cls, value):
+        if type(value) is int:
+            hit = _SMALL_NUMS.get(value)
+            if hit is not None:
+                return hit
         v = _frac(value)
-        object.__setattr__(self, "value", v)
-        self._seal((0, (v.numerator, v.denominator)))
+        self = object.__new__(cls)
+        self.value = v
+        self._key = key = (0, (v.numerator, v.denominator))
+        self._hash = hash(key)
+        return self
+
+
+_SMALL_NUMS.update({k: Num(k) for k in range(-SMALL_INT, SMALL_INT + 1)})
 
 
 class Coord(Expr):
@@ -127,16 +141,18 @@ class Coord(Expr):
     def __init__(self, name: str):
         if name not in COORD_NAMES:
             raise ExprError(f"unknown coordinate {name!r}")
-        object.__setattr__(self, "name", name)
-        self._seal((1, name))
+        self.name = name
+        self._key = key = (1, name)
+        self._hash = hash(key)
 
 
 class Param(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        self._seal((2, name))
+        self.name = name
+        self._key = key = (2, name)
+        self._hash = hash(key)
 
 
 class Func(Expr):
@@ -157,34 +173,38 @@ class Func(Expr):
             raise ExprError(f"{name!r} does not depend on coordinate index {idx}")
         if tuple(sorted(idx)) != idx:
             raise ExprError(f"derivative index not sorted on {name!r}: {idx}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "deps", deps)
-        self._seal((3, name, idx, deps))
+        self.name = name
+        self.idx = idx
+        self.deps = deps
+        self._key = key = (3, name, idx, deps)
+        self._hash = hash(key)
 
 
 class Ln(Expr):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-        self._seal((4, arg._key), hash((4, arg._hash)))
+        self.arg = arg
+        self._key = (4, arg._key)
+        self._hash = hash((4, arg._hash))
 
 
 class ExpF(Expr):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-        self._seal((5, arg._key), hash((5, arg._hash)))
+        self.arg = arg
+        self._key = (5, arg._key)
+        self._hash = hash((5, arg._hash))
 
 
 class Atan(Expr):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-        self._seal((6, arg._key), hash((6, arg._hash)))
+        self.arg = arg
+        self._key = (6, arg._key)
+        self._hash = hash((6, arg._hash))
 
 
 class Pow(Expr):
@@ -197,10 +217,11 @@ class Pow(Expr):
     __slots__ = ("base", "exp")
 
     def __init__(self, base: Expr, exp: Fraction):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exp", exp)
+        self.base = base
+        self.exp = exp
         e = exp.numerator, exp.denominator
-        self._seal((7, base._key, e), hash((7, base._hash, e)))
+        self._key = (7, base._key, e)
+        self._hash = hash((7, base._hash, e))
 
 
 class Prod(Expr):
@@ -209,19 +230,20 @@ class Prod(Expr):
     __slots__ = ("coeff", "factors")
 
     def __init__(self, coeff: Fraction, factors: tuple):
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "factors", factors)
+        self.coeff = coeff
+        self.factors = factors
         c = coeff.numerator, coeff.denominator
-        self._seal((8, c, tuple(f._key for f in factors)),
-                   hash((8, c, factors)))
+        self._key = (8, c, tuple([f._key for f in factors]))
+        self._hash = hash((8, c, factors))
 
 
 class Sum(Expr):
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple):
-        object.__setattr__(self, "terms", terms)
-        self._seal((9, tuple(t._key for t in terms)), hash((9, terms)))
+        self.terms = terms
+        self._key = (9, tuple([t._key for t in terms]))
+        self._hash = hash((9, terms))
 
 
 ZERO = Num(0)
@@ -237,7 +259,7 @@ def to_expr(v) -> Expr:
 
 
 def num(v) -> Num:
-    return Num(_frac(v))
+    return Num(v)
 
 
 def coord(name: str) -> Coord:
@@ -255,16 +277,16 @@ def funcsym(name: str, idx=(), deps=ALL_DEPS) -> Func:
 # Entries of the derivative cache shared by ``diff`` and ``partial``. The
 # Einstein checks of a metric and of its twin re-derive the same b and c
 # subtrees, and ``verify --all`` re-takes the basis fields' partials. At
-# 512, perfbench's curvature workload at seed 7 derives 4854 nodes where
-# it derived 33 263 uncached (5214 at 256, 4048 with no bound), and peak
+# 512, perfbench's curvature workload at seed 7 derives 2759 nodes where
+# it derived 19 840 uncached (2952 at 256, 2419 with no bound), and peak
 # memory stays flat; it grows about 1.7 MB from 4096 entries.
 DERIVE_CACHE = 512
 
 # Entries of each constructor cache (``add``, ``mul``, ``pow_``). Vector
 # fields, bracket cases and minors rebuild the same normal forms. At 256,
-# perfbench's verify_all workload at seed 1 finds 8746 of its 10 855
-# ``mul`` calls and 4933 of its 6168 ``add`` calls in the caches (8859
-# and 4946 at 512, 8911 and 4971 at 4096), and peak memory grows about
+# perfbench's verify_all workload at seed 1 finds 8931 of its 10 952
+# ``mul`` calls and 4787 of its 5962 ``add`` calls in the caches (9042
+# and 4801 at 512, 9085 and 4823 at 4096), and peak memory grows about
 # 0.45 MB; 512 entries run no faster and add 0.1 to 0.3 MB more, 4096 up
 # to 2.5 MB more.
 BUILD_CACHE = 256

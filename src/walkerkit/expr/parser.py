@@ -9,6 +9,10 @@ irrelevant on input and canonicalized on output.
 Operators + - * / ^ with ^ binding tightest and right-associative.
 Multiplication is always explicit. Exponents must fold to an exact
 rational. Calls: sqrt(u), ln(u), exp(u), atan(u).
+
+The tokenizer turns the text into a list of (kind, value, offset)
+tuples (see ``_tokenize``), and the parser reads that list by index.
+An error is a ParseError that names the offset of the token at fault.
 """
 
 from __future__ import annotations
@@ -62,17 +66,13 @@ class ParseError(ExprError):
         self.offset = offset
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """The tokens of ``text``: (kind, value, offset) tuples. kind is "num"
+    (value: the int), "name" (value: (name, derivative digits or None)),
+    one of the characters + - * / ^ ( ) (value: the same character), or
+    "end" (value None, offset len(text)), which closes the list."""
     out = []
+    append = out.append
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -82,7 +82,7 @@ def _tokenize(text: str):
         # only 0-9 make a literal or an index: str.isdigit() also holds
         # for '²', which int() rejects, and for '٣', which it reads as 3
         if "0" <= ch <= "9":
-            j = i
+            j = i + 1
             while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j < n and text[j] == ".":
@@ -95,12 +95,12 @@ def _tokenize(text: str):
                     or int(digits).bit_length() - 1 > MAX_POWER_BITS):
                 raise ParseError(f"integer literal larger than "
                                  f"{MAX_POWER_BITS} bits", i, text)
-            out.append(_Token("num", int(digits), i))
+            append(("num", int(digits), i))
             i = j
             continue
         if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum()):
+            j = i + 1
+            while j < n and text[j].isalnum():
                 j += 1
             name = text[i:j]
             idx = None
@@ -111,17 +111,17 @@ def _tokenize(text: str):
                 if k == j + 1:
                     raise ParseError("underscore must be followed by "
                                      "coordinate digits", j, text)
-                idx = tuple(int(d) for d in text[j + 1:k])
+                idx = tuple(map(int, text[j + 1:k]))
                 j = k
-            out.append(_Token("name", (name, idx), i))
+            append(("name", (name, idx), i))
             i = j
             continue
         if ch in "+-*/^()":
-            out.append(_Token(ch, ch, i))
+            append((ch, ch, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i, text)
-    out.append(_Token("end", None, n))
+    append(("end", None, n))
     return out
 
 
@@ -129,6 +129,8 @@ _LBP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 
 
 class _Parser:
+    """Pratt parser over the token list; ``pos`` indexes the next token."""
+
     def __init__(self, text: str, functions: dict, params: frozenset):
         self.text = text
         self.tokens = _tokenize(text)
@@ -137,78 +139,73 @@ class _Parser:
         self.functions = functions
         self.params = params
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def expect(self, kind: str) -> None:
         tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, got {tok.kind!r}",
-                             tok.pos, self.text)
-        return tok
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, got {tok[0]!r}",
+                             tok[2], self.text)
 
     def parse(self) -> Expr:
         e = self.expression(0)
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"trailing input {tok.kind!r}", tok.pos, self.text)
+        kind, _, offset = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"trailing input {kind!r}", offset, self.text)
         return e
 
     def expression(self, bp: int) -> Expr:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
-                             self.peek().pos, self.text)
+                             self.tokens[self.pos][2], self.text)
         left = self.prefix()
-        while _LBP.get(self.peek().kind, -1) > bp:
+        tokens = self.tokens
+        while _LBP.get(tokens[self.pos][0], -1) > bp:
             left = self.infix(left)
         self.depth -= 1
         return left
 
     def prefix(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "num":
-            return Num(tok.value)
-        if tok.kind == "-":
+        kind, value, offset = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "num":
+            return Num(value)
+        if kind == "name":
+            return self.name(value, offset)
+        if kind == "-":
             return neg(self.expression(15))
-        if tok.kind == "(":
+        if kind == "(":
             e = self.expression(0)
             self.expect(")")
             return e
-        if tok.kind == "name":
-            return self.name(tok)
-        raise ParseError(f"unexpected token {tok.kind!r}", tok.pos, self.text)
+        raise ParseError(f"unexpected token {kind!r}", offset, self.text)
 
     def infix(self, left: Expr) -> Expr:
-        tok = self.advance()
-        if tok.kind == "+":
+        kind, _, offset = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "+":
             return add(left, self.expression(10))
-        if tok.kind == "-":
+        if kind == "-":
             return add(left, neg(self.expression(10)))
-        if tok.kind == "*":
+        if kind == "*":
             return mul(left, self.expression(20))
-        if tok.kind == "/":
+        if kind == "/":
             right = self.expression(20)
             try:
                 return div(left, right)
             except ExprError as exc:
-                raise ParseError(str(exc), tok.pos, self.text) from None
-        if tok.kind == "^":
+                raise ParseError(str(exc), offset, self.text) from None
+        if kind == "^":
             right = self.expression(29)
             if not isinstance(right, Num):
                 raise ParseError("exponent must fold to an exact rational",
-                                 tok.pos, self.text)
-            self.check_power(left, right.value, tok.pos)
+                                 offset, self.text)
+            self.check_power(left, right.value, offset)
             try:
                 return pow_(left, right.value)
             except ExprError as exc:
-                raise ParseError(str(exc), tok.pos, self.text) from None
-        raise ParseError(f"unexpected operator {tok.kind!r}", tok.pos, self.text)
+                raise ParseError(str(exc), offset, self.text) from None
+        raise ParseError(f"unexpected operator {kind!r}", offset, self.text)
 
     def check_power(self, base: Expr, exp: Fraction, pos: int) -> None:
         """Reject ``base ^ exp`` beyond MAX_POWER_BITS (see there)."""
@@ -224,33 +221,33 @@ class _Parser:
             raise ParseError(f"exponent above {MAX_POWER_BITS} in absolute "
                              "value", pos, self.text)
 
-    def name(self, tok: _Token) -> Expr:
-        name, idx = tok.value
+    def name(self, value: tuple, offset: int) -> Expr:
+        name, idx = value
         if name in _CALLS:
             if idx is not None:
                 raise ParseError(f"{name} takes no derivative index",
-                                 tok.pos, self.text)
+                                 offset, self.text)
             self.expect("(")
             arg = self.expression(0)
             self.expect(")")
             try:
                 return _CALLS[name](arg)
             except ExprError as exc:
-                raise ParseError(str(exc), tok.pos, self.text) from None
+                raise ParseError(str(exc), offset, self.text) from None
         if name in self.functions:
             deps = self.functions[name]
             try:
                 return Func(name, tuple(sorted(idx or ())), deps)
             except ExprError as exc:
-                raise ParseError(str(exc), tok.pos, self.text) from None
+                raise ParseError(str(exc), offset, self.text) from None
         if idx is not None:
             raise ParseError(f"{name!r} is not a function symbol, "
-                             "cannot take a derivative index", tok.pos, self.text)
+                             "cannot take a derivative index", offset, self.text)
         if name in COORD_NAMES:
             return coord(name)
         if name in self.params:
             return Param(name)
-        raise ParseError(f"unknown symbol {name!r}", tok.pos, self.text)
+        raise ParseError(f"unknown symbol {name!r}", offset, self.text)
 
 
 # ``DEFAULT_FUNCS`` as a parse-cache key

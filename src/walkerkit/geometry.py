@@ -21,8 +21,9 @@ from fractions import Fraction
 from functools import cache
 
 from .expr import (
-    ALL_DEPS, Expr, INDEX_COORD, Num, Pow, Sum, ZERO, ONE, ZeroResult, add,
-    diff, funcsym, is_zero, mul, neg, num, parse, render, sub,
+    ALL_DEPS, COORD_INDEX, Coord, Expr, Func, INDEX_COORD, Num, Pow, Sum,
+    ZERO, ONE, ZeroResult, add, diff, free_atoms, funcsym, is_zero, mul, neg,
+    num, parse, render, sub,
 )
 from .expr import numeric
 from .expr.expand import cancels, expand_poly, expand_tables
@@ -223,7 +224,12 @@ def curvature_verdicts(tables, a, b, c, samples: int = 64,
     ``curvature_tables``) on the metric with coefficients a, b, c.
 
     Each jet of the curvature is one derivative of a, b or c, taken once
-    (``jet_memo``), and a monomial holding a ZERO jet is dropped. Exact
+    (``jet_memo``), and a monomial holding a ZERO jet is dropped. A jet
+    whose index names a coordinate that its coefficient cannot depend on
+    is ZERO without a ``diff`` call: the coefficient depends only on its
+    coordinates and on the ``deps`` of its function symbols, read in one
+    ``free_atoms`` walk, and differentiation never adds a coordinate (an
+    (x, t) metric has a_3 = b_24 = 0). Exact
     cancellation is decided for every component in one ring, where each
     jet is expanded once (``expand_tables``). A component that does not
     cancel is a nonzero constant, which is exact, or is probed on the
@@ -233,8 +239,11 @@ def curvature_verdicts(tables, a, b, c, samples: int = 64,
     the product of one monomial only where its jets meet on a root of a
     sum).
     """
-    jet = jet_memo({"a": a, "b": b, "c": c})
-    values = [jet(f.name, f.idx) for f in curvature_tables().jets]
+    coeffs = {"a": a, "b": b, "c": c}
+    deps = {name: _dependencies(e) for name, e in coeffs.items()}
+    jet = jet_memo(coeffs)
+    values = [jet(f.name, f.idx) if deps[f.name].issuperset(f.idx) else ZERO
+              for f in curvature_tables().jets]
     zero = {k for k, v in enumerate(values)
             if type(v) is Num and not v.value}
     if zero:
@@ -251,6 +260,17 @@ def curvature_verdicts(tables, a, b, c, samples: int = 64,
             out.append(numeric.probe_zero(
                 numeric.MonomialSum(values, table), samples=samples,
                 tol=tol, seed=seed))
+    return out
+
+
+def _dependencies(e: Expr) -> set:
+    """Indices of the coordinates that ``e`` may depend on."""
+    out = set()
+    for atom in free_atoms(e):
+        if type(atom) is Coord:
+            out.add(COORD_INDEX[atom.name])
+        elif type(atom) is Func:
+            out.update(atom.deps)
     return out
 
 

@@ -148,6 +148,28 @@ def test_render_canonical_signs():
     assert parse(s) == e
 
 
+def test_small_integer_constants_are_shared():
+    for k in (-nodes.SMALL_INT, -1, 0, 1, 3, nodes.SMALL_INT):
+        assert Num(k) is Num(k) is num(k)
+        assert Num(k).value == k and type(Num(k).value) is Fraction
+    assert Num(0) is nodes.ZERO and Num(1) is nodes.ONE
+    big = nodes.SMALL_INT + 1
+    assert Num(big) == Num(big) and Num(big) is not Num(big)
+
+
+@pytest.mark.parametrize("k", [3, -7, 0, 10 ** 20])
+def test_integer_fraction_constant_is_the_integer_constant(k):
+    assert Num(Fraction(k)) == Num(k)
+    assert hash(Num(Fraction(k))) == hash(Num(k))
+    assert Num(Fraction(k)).key() == Num(k).key()
+
+
+@pytest.mark.parametrize("value", [1.0, 0.0, "3", None, 2 + 0j])
+def test_non_rational_constant_raises(value):
+    with pytest.raises(ExprError):
+        Num(value)
+
+
 def test_structural_equality_is_hashable():
     s = {add(x, t), add(t, x), mul(2, x)}
     assert len(s) == 2

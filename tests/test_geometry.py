@@ -639,3 +639,38 @@ def test_constant_component_is_an_exact_nonzero():
             geo.EINSTEIN_LABELS.index("xy")]
         assert xy.verdict == NONZERO and xy.witness == {}
         assert xy.max_residual == pytest.approx(value)
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (parse("x*y"), parse("exp(z)*t"), ZERO),
+    (parse("exp(z)*t"), parse("x*y"), parse("x*y")),
+    (funcsym("f", (), ALL_DEPS), ZERO, ZERO),
+], ids=["x*y", "exp(z)*t", "f(x,t,y,z)"])
+def test_metrics_on_y_and_z_match_the_trees(a, b, c):
+    # a jet along a coordinate that no coordinate or function symbol of
+    # its coefficient names is ZERO without diff; these coefficients
+    # name y or z, so their jets along it are taken
+    jet = geo.einstein_verdicts(a, b, c, samples=16)
+    tree = reference_geometry.einstein_verdicts(a, b, c, samples=16)
+    assert [v.describe() for v in jet] == [v.describe() for v in tree]
+
+
+def test_no_jet_is_derived_along_an_absent_coordinate(monkeypatch):
+    from collections import Counter
+    calls = []
+    real = nodes.diff
+
+    def counting(e, v):
+        calls.append(v)
+        return real(e, v)
+
+    monkeypatch.setattr(nodes, "diff", counting)
+    geo.einstein_verdicts(parse("x^3*t + c1"), parse("x*t"), parse("t^2"))
+    assert calls and set(calls) == {"x", "t"}
+    calls.clear()
+    # of the 26 jets, a = x*z takes a_1, a_11 and a_14; b = x*t takes
+    # b_1, b_11, b_12, b_2 and b_22; c, a symbol on (x, y), takes c_1,
+    # c_11 and c_13
+    geo.einstein_verdicts(parse("x*z"), parse("x*t"),
+                          funcsym("f", (), (1, 3)))
+    assert Counter(calls) == {"x": 6, "t": 3, "y": 1, "z": 1}

@@ -14,7 +14,9 @@ from walkerkit.expr import (
     coord, eval_expr, exp_, free_atoms, funcsym, ln, mul, num, param, parse,
     parse_fraction, pow_, render, sample_point,
 )
-from walkerkit.expr.parser import MAX_DEPTH, MAX_POWER_BITS, _parse
+from walkerkit.expr.parser import MAX_DEPTH, MAX_POWER_BITS, _parse, _tokenize
+
+import reference_parser
 
 LEAVES = [
     lambda: coord("x"),
@@ -347,3 +349,38 @@ def test_parse_fails_only_with_expression_errors(text):
         parse(text)
     except ExprError:
         pass
+
+
+# Operators, digit runs, underscore indices, blanks, letters of the
+# grammar, and non-ASCII characters that pass str.isdigit() or
+# str.isalpha() ('²', '٣', 'é', 'ℵ').
+TOKEN_PIECES = st.one_of(
+    st.sampled_from(["+", "-", "*", "/", "^", "(", ")", " ", "\t", "\n",
+                     ".", "_", "x", "t", "a", "c1", "ln", "alpha", "²", "٣",
+                     "é", "ℵ", "0", "007", "_²", "_1٣"]),
+    st.integers(0, 10 ** 30).map(str),
+    st.text(alphabet="0123456789", min_size=1, max_size=4).map(
+        lambda d: "_" + d),
+    st.text(alphabet="0123456789_+-*/^() abxté²٣ℵ.", max_size=6),
+)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.offset)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(TOKEN_PIECES, max_size=12).map("".join))
+@example("a_12*x^2 - 3/4")
+@example("0.5")
+@example("a_")
+@example("2" * 1400)
+@example("x٣ + é²")
+@example("a_²")
+@example("b_1٣*x")
+def test_tokens_match_the_reference_tokenizer(text):
+    assert (_tokens_or_error(_tokenize, text)
+            == _tokens_or_error(reference_parser.tokens, text))
