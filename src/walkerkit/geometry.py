@@ -9,9 +9,11 @@ Coordinate order is (x, t, y, z), indices 1..4. The metric matrix is
      [1, 0, a, c],
      [0, 1, c, b]]
 
-with unit determinant and a polynomial closed-form inverse, so every
-curvature expression stays denominator-free when a, b, c are abstract
-function symbols.
+with unit determinant and a polynomial inverse, so on the abstract a, b,
+c every curvature component is a polynomial in their jets. A jet is
+(name, idx), the derivative of a, b or c along the sorted coordinate
+index idx; a jet polynomial maps monomials (sorted tuples of jets, a jet
+repeated once per power) to Fractions.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from functools import cache
 
 from .expr import (
     ALL_DEPS, COORD_INDEX, Coord, Expr, Func, INDEX_COORD, Num, Pow, Sum,
-    ZERO, ONE, ZeroResult, add, diff, free_atoms, funcsym, is_zero, mul, neg,
-    num, parse, render, sub,
+    ZERO, ONE, ZeroResult, add, free_atoms, funcsym, is_zero, mul, num,
+    parse, render, sub,
 )
 from .expr import numeric
-from .expr.expand import cancels, expand_poly, expand_tables
+from .expr.expand import cancels, expand_tables
 from .expr.nodes import _coeff_factors, jet_memo
 from .liealg import det
 from . import jets
@@ -50,133 +52,130 @@ class CurvatureBundle(namedtuple("CurvatureBundle", "gamma ricci tau")):
     __slots__ = ()
 
 
-def abstract_functions() -> tuple:
-    return tuple(funcsym(f, (), ALL_DEPS) for f in ("a", "b", "c"))
-
-
 def build_metric(a, b, c) -> Metric4:
     z, o = ZERO, ONE
-    rows = (
-        (z, z, o, z),
-        (z, z, z, o),
-        (o, z, a, c),
-        (z, o, c, b),
-    )
-    return Metric4(rows)
+    return Metric4(((z, z, o, z), (z, z, z, o), (o, z, a, c), (z, o, c, b)))
 
 
-def inverse_metric(g: Metric4) -> Metric4:
-    a = g.rows[2][2]
-    b = g.rows[3][3]
-    c = g.rows[2][3]
-    z, o = ZERO, ONE
-    rows = (
-        (neg(a), neg(c), o, z),
-        (neg(c), neg(b), z, o),
-        (o, z, z, z),
-        (z, o, z, z),
-    )
-    return Metric4(rows)
+def _metric_polys() -> tuple:
+    """(g, g^-1) on the abstract a, b, c, as rows of jet polynomials."""
+    z, o = {}, {(): Fraction(1)}
+    a, b, c, na, nb, nc = ({((f, ()),): Fraction(sign)}
+                           for sign in (1, -1) for f in ("a", "b", "c"))
+    return (((z, z, o, z), (z, z, z, o), (o, z, a, c), (z, o, c, b)),
+            ((na, nc, o, z), (nc, nb, z, o), (o, z, z, z), (z, o, z, z)))
 
 
-def ricci(g: Metric4) -> CurvatureBundle:
-    """Christoffel symbols, Ricci tensor and scalar curvature.
+def _poly_add(*terms) -> dict:
+    """Sum of factor * p over the (p, factor) pairs, zero terms dropped."""
+    out: dict = {}
+    for p, factor in terms:
+        for m, v in p.items():
+            v = v if factor == 1 else factor * v
+            out[m] = out[m] + v if m in out else v
+    return {m: v for m, v in out.items() if v}
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    return _poly_add(*[({tuple(sorted(m + n)): w for n, w in q.items()}, v)
+                       for m, v in p.items()])
+
+
+def _poly_diff(p: dict, i: int) -> dict:
+    """d/dx_i (i in 1..4) by the product rule: each jet (name, idx) of a
+    monomial in turn derives to (name, sorted(idx + (i,)))."""
+    terms = []
+    for m, v in p.items():
+        for k, (name, idx) in enumerate(m):
+            jet = (name, tuple(sorted(idx + (i,))))
+            terms.append(({tuple(sorted(m[:k] + m[k + 1:] + (jet,))): v}, 1))
+    return _poly_add(*terms)
+
+
+def ricci() -> CurvatureBundle:
+    """Christoffel symbols, Ricci tensor and scalar curvature of the
+    metric on the abstract a, b, c, as jet polynomials.
 
     gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     R_ij = d_k gamma^k_ij - d_j gamma^k_ik
            + gamma^k_kl gamma^l_ij - gamma^k_jl gamma^l_ik
 
     The Levi-Civita Ricci tensor is symmetric, so R_ij is built for
-    i <= j only and ricci[j][i] is the same node as ricci[i][j]. A
-    constant metric entry or a ZERO Christoffel symbol is never
-    differentiated, and no product with a ZERO factor is built: ``add``
-    would drop it.
+    i <= j only and ricci[j][i] is the same dict as ricci[i][j]. A
+    constant metric entry or a zero Christoffel symbol is never
+    differentiated, and no product with a zero factor is formed.
     """
-    inv = inverse_metric(g)
-    half = num(Fraction(1, 2))
-
-    def d(i, e):
-        return ZERO if type(e) is Num else diff(e, COORDS[i])
-
-    gamma = [[[ZERO] * N for _ in range(N)] for _ in range(N)]
+    g, inv = _metric_polys()
+    half = Fraction(1, 2)
+    # dg[l][i][j] = d_l g_ij (an entry with no jet is constant), and
+    # first[l][i][j] = g_lk gamma^k_ij
+    dg = [[[_poly_diff(e, l + 1) if any(e) else {} for e in row]
+           for row in g] for l in range(N)]
+    first = [[[_poly_add((dg[i][j][l], half), (dg[j][i][l], half),
+                         (dg[l][i][j], -half))
+               for j in range(N)] for i in range(N)] for l in range(N)]
+    gamma = [[[{}] * N for _ in range(N)] for _ in range(N)]
     for k in range(N):
         for i in range(N):
             for j in range(i, N):
-                terms = []
-                for l in range(N):
-                    if inv.rows[k][l] == ZERO:
-                        continue
-                    inner = add(d(i, g.rows[j][l]), d(j, g.rows[i][l]),
-                                neg(d(l, g.rows[i][j])))
-                    if inner != ZERO:
-                        terms.append(mul(inv.rows[k][l], inner))
-                val = add(*terms)
-                if val != ZERO:
-                    val = mul(half, val)
-                gamma[k][i][j] = val
-                gamma[k][j][i] = val
+                gamma[k][i][j] = gamma[k][j][i] = _poly_add(*[
+                    (_poly_mul(inv[k][l], first[l][i][j]), 1)
+                    for l in range(N) if inv[k][l] and first[l][i][j]])
 
-    ric = [[ZERO] * N for _ in range(N)]
+    ric = [[{}] * N for _ in range(N)]
     for i in range(N):
         for j in range(i, N):
-            terms = []
-            for k in range(N):
-                if gamma[k][i][j] != ZERO:
-                    terms.append(d(k, gamma[k][i][j]))
-                if gamma[k][i][k] != ZERO:
-                    terms.append(neg(d(j, gamma[k][i][k])))
+            terms = [(_poly_diff(gamma[k][i][j], k + 1), 1)
+                     for k in range(N) if gamma[k][i][j]]
+            terms += [(_poly_diff(gamma[k][i][k], j + 1), -1)
+                      for k in range(N) if gamma[k][i][k]]
             for k in range(N):
                 for l in range(N):
-                    p, q = gamma[k][k][l], gamma[l][i][j]
-                    if p != ZERO and q != ZERO:
-                        terms.append(mul(p, q))
-                    p, q = gamma[k][j][l], gamma[l][i][k]
-                    if p != ZERO and q != ZERO:
-                        terms.append(neg(mul(p, q)))
-            ric[i][j] = ric[j][i] = add(*terms)
+                    for p, q, sign in ((gamma[k][k][l], gamma[l][i][j], 1),
+                                       (gamma[k][j][l], gamma[l][i][k], -1)):
+                        if p and q:
+                            terms.append((_poly_mul(p, q), sign))
+            ric[i][j] = ric[j][i] = _poly_add(*terms)
 
-    tau = add(*[mul(inv.rows[i][j], ric[i][j])
-                for i in range(N) for j in range(N)
-                if inv.rows[i][j] != ZERO and ric[i][j] != ZERO])
+    tau = _poly_add(*[(_poly_mul(inv[i][j], ric[i][j]), 1)
+                      for i in range(N) for j in range(N)
+                      if inv[i][j] and ric[i][j]])
     freeze = tuple(tuple(tuple(row) for row in plane) for plane in gamma)
     return CurvatureBundle(freeze, tuple(tuple(r) for r in ric), tau)
 
 
-def einstein_residual(g: Metric4) -> tuple:
-    """E_ij = R_ij - (tau/4) g_ij, the ten upper-triangle components,
-    ordered as EINSTEIN_LABELS."""
-    return _trace_adjusted(g, ricci(g))
+def einstein_residual(bundle: CurvatureBundle) -> tuple:
+    """E_ij = R_ij - (tau/4) g_ij of the metric on the abstract a, b, c,
+    from its ``ricci`` bundle: the ten upper-triangle components as jet
+    polynomials, ordered as EINSTEIN_LABELS."""
+    g, _ = _metric_polys()
+    return tuple(_poly_add((bundle.ricci[i][j], 1), (
+        _poly_mul(bundle.tau, g[i][j]) if g[i][j] else {}, Fraction(-1, 4)))
+        for i in range(N) for j in range(i, N))
 
 
-def _trace_adjusted(g: Metric4, bundle: CurvatureBundle) -> tuple:
-    quarter = num(Fraction(1, 4))
-    return tuple(add(bundle.ricci[i][j],
-                     neg(mul(quarter, bundle.tau, g.rows[i][j])))
-                 for i in range(N) for j in range(i, N))
+def _expr(p: dict) -> Expr:
+    """A jet polynomial as a normal-form tree: a sum of monomials, each a
+    coefficient times powers of the jet atoms a, a_1, ..., c_24."""
+    return add(*[mul(v, *[funcsym(name, idx, ALL_DEPS) for name, idx in m])
+                 for m, v in p.items()])
 
 
 @cache
 def abstract_curvature() -> tuple:
     """(Ricci, Einstein) components of the metric on the abstract a, b,
     c: ten upper-triangle expressions each, ordered as EINSTEIN_LABELS,
-    built once per process.
+    built once per process from the jet polynomials of ``ricci`` and
+    ``einstein_residual`` (E_xy is -1/4*b_22 + 1/4*a_11).
 
-    Each component is stored collected, as the expanded polynomial in
-    the jets of a, b and c (E_xy is -1/4*b_22 + 1/4*a_11). A concrete
-    metric's components are these with the jets replaced by the
-    derivatives of its coefficients, so Ricci is never rebuilt on a
-    concrete metric; ``curvature_tables`` holds the same monomials for
-    that.
+    A concrete metric's components are these with the jets replaced by
+    the derivatives of its coefficients, so Ricci is never rebuilt on a
+    concrete metric; ``curvature_tables`` holds the same monomials.
     """
-    g = build_metric(*abstract_functions())
-    bundle = ricci(g)
+    bundle = ricci()
     ric = [bundle.ricci[i][j] for i in range(N) for j in range(i, N)]
-    return (tuple(_collected(e) for e in ric),
-            tuple(_collected(e) for e in _trace_adjusted(g, bundle)))
-
-
-def _collected(e: Expr) -> Expr:
-    return expand_poly(e).to_expr()
+    return (tuple(map(_expr, ric)),
+            tuple(map(_expr, einstein_residual(bundle))))
 
 
 class CurvatureTables(namedtuple("CurvatureTables", "jets ricci einstein")):
@@ -350,5 +349,4 @@ def metric_latex(a, b, c) -> str:
 
 
 def metric_matrix_strings(a, b, c) -> list:
-    g = build_metric(a, b, c)
-    return [[render(e) for e in row] for row in g.rows]
+    return [[render(e) for e in row] for row in build_metric(a, b, c).rows]

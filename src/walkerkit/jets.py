@@ -215,10 +215,12 @@ def prolong2(v: VectorField, deps: tuple = PLANE_DEPS) -> Prolongation:
 def _jet_partials(residual: Expr, deps: tuple) -> tuple:
     """(d/dx, d/dt, {(fiber, j): d/du^fiber_j}) of one residual. No
     generator enters them, so they are taken once per (residual, deps)
-    and every prolonged action on that residual shares them."""
-    return (partial(residual, coord("x")), partial(residual, coord("t")),
-            MappingProxyType({(f, j): partial(residual, funcsym(f, j, deps))
-                              for f, j in _JET_SLOTS}))
+    and every prolonged action on that residual shares them. A slot whose
+    atom the residual does not hold is ZERO, with no ``partial`` call."""
+    held = free_atoms(residual)
+    dx, dt, *slots = (partial(residual, u) if u in held else ZERO for u in (
+        coord("x"), coord("t"), *(funcsym(f, j, deps) for f, j in _JET_SLOTS)))
+    return dx, dt, MappingProxyType(dict(zip(_JET_SLOTS, slots)))
 
 
 def prolonged_action(pro: Prolongation, residual: Expr,

@@ -15,7 +15,8 @@ from walkerkit.expr import (
     parse, render, sub, substitute,
 )
 from walkerkit.geometry import (
-    build_metric, einstein_verdicts, equivalence_probe, ricci,
+    curvature_tables, curvature_verdicts, einstein_verdicts,
+    equivalence_probe,
 )
 from walkerkit.jets import symmetry_check, system2
 from walkerkit.liealg import (
@@ -160,9 +161,8 @@ def test_6_einstein_certification():
     ok = all(bool(v) for v in verdicts)
     worst = max(v.max_residual for v in verdicts)
     for consts in ((ZERO, ZERO, ZERO), (num(2), num(3), num(5))):
-        bundle = ricci(build_metric(*consts))
-        ok = ok and all(is_zero_symbolic(bundle.ricci[i][j])
-                        for i in range(4) for j in range(4))
+        ricci = curvature_verdicts(curvature_tables().ricci, *consts)
+        ok = ok and all(v.verdict == ZERO_SYMBOLIC for v in ricci)
     probe = equivalence_probe(samples=100, tol=1e-9, seed=42)
     exact = sum(r.verdict == ZERO_SYMBOLIC for r in probe.rows)
     ok = ok and probe.passed and exact == 10

@@ -3,7 +3,8 @@
 The independent oracle here contracts the full Riemann tensor
 R^r_{s m n} = d_m G^r_{n s} - d_n G^r_{m s} + G^r_{m l}G^l_{n s}
             - G^r_{n l}G^l_{m s},  Ric_{s n} = sum_r R^r_{s r n},
-which shares only the Christoffel input with the production path.
+built with ``diff`` on the Christoffel trees of ``reference_geometry``,
+so it shares no code with the jet polynomials of the production path.
 """
 
 import json
@@ -32,7 +33,7 @@ from walkerkit.expr import nodes
 
 def riemann_ricci_oracle(g):
     n = geo.N
-    bundle = geo.ricci(g)
+    bundle = reference_geometry.ricci(g)
     gam = bundle.gamma
 
     def d(i, e):
@@ -53,7 +54,7 @@ def riemann_ricci_oracle(g):
 
 
 def test_metric_layout():
-    a, b, c = geo.abstract_functions()
+    a, b, c = reference_geometry.abstract_functions()
     g = geo.build_metric(a, b, c)
     assert g.rows[0][2] == num(1)
     assert g.rows[1][3] == num(1)
@@ -64,12 +65,18 @@ def test_metric_layout():
 
 
 def test_inverse_is_exact():
-    a, b, c = geo.abstract_functions()
+    # the jet polynomials of the metric and its inverse, as trees
+    a, b, c = reference_geometry.abstract_functions()
     g = geo.build_metric(a, b, c)
-    inv = geo.inverse_metric(g)
+    polys, inv_polys = geo._metric_polys()
+    assert [[geo._expr(p) for p in row] for row in polys] == \
+        [list(row) for row in g.rows]
+    inv = [[geo._expr(p) for p in row] for row in inv_polys]
+    assert inv == [list(row)
+                   for row in reference_geometry.inverse_metric(g).rows]
     for i in range(4):
         for j in range(4):
-            dot = add(*[mul(g.rows[i][k], inv.rows[k][j]) for k in range(4)])
+            dot = add(*[mul(g.rows[i][k], inv[k][j]) for k in range(4)])
             want = num(1 if i == j else 0)
             assert is_zero_symbolic(add(dot, neg(want))), (i, j)
 
@@ -78,9 +85,9 @@ def test_inverse_numeric():
     rng = random.Random(5)
     vals = {"a": rng.uniform(0.5, 2), "b": rng.uniform(0.5, 2),
             "c": rng.uniform(0.5, 2)}
-    a, b, c = geo.abstract_functions()
+    a, b, c = reference_geometry.abstract_functions()
     g = geo.build_metric(a, b, c)
-    inv = geo.inverse_metric(g)
+    inv = reference_geometry.inverse_metric(g)
     for i in range(4):
         for j in range(4):
             got = sum(eval_expr(g.rows[i][k], vals)
@@ -90,27 +97,27 @@ def test_inverse_numeric():
 
 def test_flat_metric_curvature_vanishes():
     g = geo.build_metric(ZERO, ZERO, ZERO)
-    bundle = geo.ricci(g)
+    bundle = reference_geometry.ricci(g)
     assert all(e == ZERO for row in bundle.ricci for e in row)
     assert bundle.tau == ZERO
-    assert all(e == ZERO for e in geo.einstein_residual(g))
+    assert all(e == ZERO for e in reference_geometry.einstein_residual(g))
 
 
 def test_constant_coefficients_flat():
     g = geo.build_metric(num(3), num(Fraction(1, 2)), num(-1))
-    bundle = geo.ricci(g)
+    bundle = reference_geometry.ricci(g)
     for row in bundle.gamma:
         for line in row:
             for e in line:
                 assert e == ZERO
     assert all(is_zero(e).verdict == ZERO_SYMBOLIC
-               for e in geo.einstein_residual(g))
+               for e in reference_geometry.einstein_residual(g))
 
 
 def test_christoffel_symmetry_and_ricci_symmetry():
-    a, b, c = geo.abstract_functions()
+    a, b, c = reference_geometry.abstract_functions()
     g = geo.build_metric(a, b, c)
-    bundle = geo.ricci(g)
+    bundle = geo.ricci()
     for k in range(4):
         for i in range(4):
             for j in range(4):
@@ -126,7 +133,7 @@ def test_christoffel_symmetry_and_ricci_symmetry():
 
 
 def test_ricci_builds_the_upper_triangle_only():
-    bundle = geo.ricci(geo.build_metric(*geo.abstract_functions()))
+    bundle = geo.ricci()
     for i in range(4):
         for j in range(i, 4):
             assert bundle.ricci[j][i] is bundle.ricci[i][j], (i, j)
@@ -152,15 +159,25 @@ def _zero_argument_calls(monkeypatch, module, run):
 
 
 def test_ricci_builds_and_derives_no_known_zero(monkeypatch):
-    # 72 of 176 products and 188 of 320 derivatives had a ZERO argument
-    # before ricci skipped constant entries and ZERO Christoffel symbols
-    g = geo.build_metric(*geo.abstract_functions())
-    want = geo.ricci(g)
-    got = []
-    counts = _zero_argument_calls(monkeypatch, geo,
-                                  lambda: got.append(geo.ricci(g)))
-    assert counts["mul"][1] == 0 and counts["diff"][1] == 0, counts
-    assert got[0] == want
+    # no constant metric entry or zero Christoffel symbol is
+    # differentiated, and no product has a zero factor
+    want = geo.ricci()
+    calls = []
+    for name in ("_poly_mul", "_poly_diff"):
+        real = getattr(geo, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append((name, args))
+            return real(*args)
+
+        monkeypatch.setattr(geo, name, counting)
+    got = geo.ricci()
+    monkeypatch.undo()
+    assert got == want
+    products = [args for name, args in calls if name == "_poly_mul"]
+    derivatives = [args[0] for name, args in calls if name == "_poly_diff"]
+    assert products and all(p and q for p, q in products)
+    assert derivatives and all(any(m for m in p) for p in derivatives)
 
 
 def test_on_metric_builds_no_product_with_a_zero_factor(monkeypatch):
@@ -181,13 +198,13 @@ def test_on_metric_builds_no_product_with_a_zero_factor(monkeypatch):
 
 
 def test_ricci_matches_riemann_contraction():
-    a, b, c = geo.abstract_functions()
+    a, b, c = reference_geometry.abstract_functions()
     g = geo.build_metric(a, b, c)
-    bundle = geo.ricci(g)
+    bundle = geo.ricci()
     oracle = riemann_ricci_oracle(g)
     for i in range(4):
         for j in range(4):
-            assert is_zero_symbolic(add(bundle.ricci[i][j],
+            assert is_zero_symbolic(add(geo._expr(bundle.ricci[i][j]),
                                         neg(oracle[i][j]))), (i, j)
 
 
@@ -204,8 +221,10 @@ def test_einstein_components_polynomial():
             return all(no_negative_powers(t) for t in e.terms)
         return True
 
-    a, b, c = geo.abstract_functions()
-    for e in geo.einstein_residual(geo.build_metric(a, b, c)):
+    a, b, c = reference_geometry.abstract_functions()
+    _, einstein = geo.abstract_curvature()
+    tree = reference_geometry.einstein_residual(geo.build_metric(a, b, c))
+    for e in einstein + tree:
         assert no_negative_powers(e)
 
 
@@ -229,8 +248,7 @@ def test_negative_control_not_einstein():
 
 
 def test_einstein_zero_on_full_on_shell_jets():
-    a, b, c = geo.abstract_functions()
-    comps = geo.einstein_residual(geo.build_metric(a, b, c))
+    _, comps = geo.abstract_curvature()
     sys = jets.system_a7()
     rng = random.Random(31)
     for _ in range(10):
@@ -280,7 +298,7 @@ def test_einstein_is_m_times_residuals():
     # E = M r, row by row, checked against the residuals directly
     _, einstein = geo.abstract_curvature()
     r = [None] + list(jets.system_a7().residuals)
-    a, b, c = geo.abstract_functions()
+    a, b, c = reference_geometry.abstract_functions()
     quarter, half = num(Fraction(1, 4)), num(Fraction(1, 2))
     expected = {
         "xy": mul(quarter, r[1]), "tz": neg(mul(quarter, r[1])),
@@ -339,12 +357,13 @@ def _triples():
 @pytest.mark.parametrize("a, b, c", _triples())
 def test_substituted_components_equal_direct_build(a, b, c):
     ricci, einstein = geo.abstract_curvature()
-    direct = geo.ricci(geo.build_metric(a, b, c)).ricci
+    g = geo.build_metric(a, b, c)
+    direct = reference_geometry.ricci(g).ricci
     direct_ricci = [direct[i][j] for i in range(4) for j in range(i, 4)]
     for name, d, s in zip(geo.EINSTEIN_LABELS, direct_ricci,
                           reference_geometry.on_metric(ricci, a, b, c)):
         assert is_zero_symbolic(sub(s, d)), f"R_{name}"
-    direct = geo.einstein_residual(geo.build_metric(a, b, c))
+    direct = reference_geometry.einstein_residual(g)
     for name, d, s in zip(geo.EINSTEIN_LABELS, direct,
                           reference_geometry.on_metric(einstein, a, b, c)):
         assert is_zero_symbolic(sub(s, d)), f"E_{name}"
@@ -356,12 +375,13 @@ def test_cached_components_are_collected():
     # the cache holds each component as its expanded polynomial in the
     # jets: the same monomials as the direct build, one term per monomial
     ricci, einstein = geo.abstract_curvature()
-    g = geo.build_metric(*geo.abstract_functions())
-    direct = geo.ricci(g).ricci
+    g = geo.build_metric(*reference_geometry.abstract_functions())
+    direct = reference_geometry.ricci(g).ricci
     direct_ricci = [direct[i][j] for i in range(4) for j in range(i, 4)]
     for name, d, c in zip(geo.EINSTEIN_LABELS, direct_ricci, ricci):
         assert expand_monomials(c) == expand_monomials(d), f"R_{name}"
-    for name, d, c in zip(geo.EINSTEIN_LABELS, geo.einstein_residual(g),
+    for name, d, c in zip(geo.EINSTEIN_LABELS,
+                          reference_geometry.einstein_residual(g),
                           einstein):
         monos = expand_monomials(d)
         assert expand_monomials(c) == monos, f"E_{name}"
@@ -387,11 +407,13 @@ def test_tables_hold_the_collected_monomials():
 
 
 def test_ricci_is_built_once(monkeypatch, capsys):
+    # the abstract curvature is built once per process, whatever metrics
+    # and commands ask for verdicts
     calls = []
 
-    def counting(g):
-        calls.append(g)
-        return real(g)
+    def counting():
+        calls.append(None)
+        return real()
 
     real = geo.ricci
     monkeypatch.setattr(geo, "ricci", counting)
@@ -400,10 +422,75 @@ def test_ricci_is_built_once(monkeypatch, capsys):
         geo.einstein_verdicts(parse(a), parse(b), ZERO, samples=8)
     assert cli.main(["einstein", "--a", "x*t", "--b", "0", "--c", "t",
                      "--samples", "8", "--report", "json"]) in (0, 1)
+    assert cli.main(["equivalence-probe", "--samples", "8"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
-    a, b, c = geo.abstract_functions()
-    assert calls[0] == geo.build_metric(a, b, c)
+
+
+def test_abstract_curvature_equals_the_collected_trees():
+    # the jet polynomials give the components that the tree path built,
+    # expanded and collected, node for node
+    geo.abstract_curvature.cache_clear()
+    assert geo.abstract_curvature() == \
+        reference_geometry.collected_curvature()
+
+
+def _jet_poly(e):
+    """A collected component as a jet polynomial: {sorted tuple of
+    (name, idx) jets, one per power: Fraction}."""
+    out = {}
+    for term in e.terms if isinstance(e, Sum) else () if e == ZERO else (e,):
+        coeff, factors = nodes._coeff_factors(term)
+        jet_list = []
+        for f in factors:
+            base, n = (f.base, int(f.exp)) if isinstance(f, Pow) else (f, 1)
+            jet_list += [(base.name, base.idx)] * n
+        out[tuple(sorted(jet_list))] = coeff
+    return out
+
+
+def test_jet_polynomials_hold_the_collected_monomials():
+    # each jet index sorted and each monomial once, with its Fraction
+    bundle = geo.ricci()
+    ricci, einstein = reference_geometry.collected_curvature()
+    upper = [bundle.ricci[i][j] for i in range(4) for j in range(i, 4)]
+    assert upper == [_jet_poly(e) for e in ricci]
+    assert list(geo.einstein_residual(bundle)) == \
+        [_jet_poly(e) for e in einstein]
+
+
+def test_curvature_tables_equal_the_tree_built_tables():
+    # the same jets, monomials and Fractions in the same order, so every
+    # float sum and report byte of the verdicts stays as it was
+    geo.abstract_curvature.cache_clear()
+    geo._tables.cache_clear()
+    tables = geo.curvature_tables()
+    tree = geo._tables.__wrapped__(reference_geometry.collected_curvature())
+    assert tables == tree
+    assert repr(tables) == repr(tree)
+
+
+def test_building_the_curvature_derives_and_expands_nothing(monkeypatch):
+    # the curvature is computed over the jets, so no tree is
+    # differentiated, expanded or substituted while it is built
+    import sys
+    from walkerkit.expr import expand
+
+    def forbidden(*args, **kw):
+        raise AssertionError("called")
+
+    reals = {nodes.diff, nodes.partial, nodes.substitute,
+             nodes.substitute_all, expand.expand_poly}
+    for mod in [m for name, m in sys.modules.items()
+                if name.startswith("walkerkit")]:
+        for key, val in list(vars(mod).items()):
+            if any(val is real for real in reals):
+                monkeypatch.setattr(mod, key, forbidden)
+    geo.abstract_curvature.cache_clear()
+    geo._tables.cache_clear()
+    tables = geo.curvature_tables()
+    monkeypatch.undo()
+    assert len(tables.jets) == 26
 
 
 def _to_sympy(sp, e, symbols, functions):

@@ -300,9 +300,22 @@ def test_symmetries_take_each_residual_partial_once(monkeypatch, capsys):
     calls = _count_calls(monkeypatch, nodes.partial)
     assert cli.main(["symmetries", "--samples", "5"]) == 0
     capsys.readouterr()
-    # d/dx, d/dt and the 18 jet atoms of each of the six residuals, shared
-    # by the seven generators (each generator took all 120 before)
-    assert len(calls) == len(set(calls)) == 6 * 20
+    # of the 6 x 20 slots (d/dx, d/dt and the 18 jet atoms of each
+    # residual), only the 39 atoms the residuals hold are derived, once
+    # each and shared by the seven generators; every other slot is ZERO
+    assert len(calls) == len(set(calls)) == 39
+
+
+def test_jet_partials_equal_every_partial_taken():
+    from walkerkit.expr import partial
+    for sys in (jets.system2(), jets.system_a7()):
+        for r in sys.residuals:
+            dx, dt, slots = jets._jet_partials(r, sys.deps)
+            assert (dx, dt) == (partial(r, coord("x")),
+                                partial(r, coord("t")))
+            assert dict(slots) == {
+                (f, j): partial(r, funcsym(f, j, sys.deps))
+                for f, j in jets._JET_SLOTS}
 
 
 def test_second_symmetry_check_takes_no_partial(monkeypatch):
