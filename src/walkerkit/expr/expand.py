@@ -59,8 +59,9 @@ positive, which u and -u agree on.
 positive powers needed to cancel every sum-base denominator, re-expanding
 as it goes, and gives up rather than multiply a sum out past twice the
 expansion cap. Together with the merge this decides zero for the rational
-normal forms that actually occur here; what survives goes to the numeric
-probe.
+normal forms that actually occur here. ``decide`` also proves nonzero a
+cleared polynomial over independent atoms; what neither settles goes to
+the numeric probe.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from math import lcm
 
 from .nodes import (
     Atan, Coord, ExpF, Expr, ExprError, Func, Ln, Num, Param, Pow, Prod,
-    SIGN_PARAMS, Sum, _coeff_factors, add, mul, pow_,
+    SIGN_PARAMS, Sum, TERNARY_PARAMS, _coeff_factors, add, mul, pow_,
 )
 
 POW_EXPAND_LIMIT = 8
@@ -131,6 +132,20 @@ def _add(polys: list) -> tuple:
         if b > bound:
             bound = b
     return {k: c for k, c in out.items() if c}, den, bound
+
+
+def unpack(k: int, width: int) -> list:
+    """[(field, digit)] of the nonzero balanced ``width``-bit digits of
+    ``k``, lowest first: the lowest set bit of ``k`` is in its lowest
+    nonzero field."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = []
+    while k:
+        s = ((k & -k).bit_length() - 1) // width * width
+        d = ((k >> s) + half & mask) - half
+        out.append((s // width, d))
+        k -= d << s
+    return out
 
 
 class _Ring:
@@ -197,17 +212,7 @@ class _Ring:
         return s, (self.half << s) + (1 << s >> 1)
 
     def unpack(self, k: int) -> list:
-        """[(atom index, exponent)] of the nonzero fields of ``k``."""
-        w, half, mask = self.width, self.half, self.mask
-        out = []
-        i = 0
-        while k:
-            d = ((k + half) & mask) - half
-            if d:
-                out.append((i, d))
-            k = (k - d) >> w
-            i += 1
-        return out
+        return unpack(k, self.width)
 
     def repack(self, poly: tuple, old: _Ring) -> tuple:
         """``poly``, written in ``old``, in this ring's width."""
@@ -626,10 +631,28 @@ def _merges(groups) -> bool:
 
 def cancels(p: Poly) -> bool:
     """True when ``p``, with its sum denominators cleared, has no term."""
+    return decide(p) is True
+
+
+def decide(p: Poly):
+    """True when ``p`` cancels; False when it is proven nonzero: cleared,
+    it keeps a term, and each atom of its terms is a coordinate, function
+    symbol or non-sign parameter to a whole power, all independent; else
+    None (a sum atom, root or kernel is left, or clearing gave up)."""
     if not p.terms:
         return True
     p, cleared = clear_denominators(p)
-    return cleared and not p.terms
+    if not (cleared and p.terms):
+        return cleared or None
+    ring = p.ring
+    for k in p.terms:
+        for i, e in ring.unpack(k):
+            a = ring.atoms[i]
+            if e % ring.unit or not (
+                    type(a) in (Coord, Func) or type(a) is Param and
+                    a.name not in SIGN_PARAMS | TERNARY_PARAMS):
+                return None
+    return False
 
 
 def is_zero_symbolic(e: Expr) -> bool:

@@ -1,10 +1,11 @@
 """Guarded floating-point evaluation and the three-valued zero test.
 
 Verdicts: ``zero_symbolic`` when the expansion cancels exactly,
-``zero_numeric`` when random probes stay below tolerance, ``nonzero``
-with a witness point otherwise. Samples are drawn from [0.5, 2.0] so the
-positive-domain conventions for roots and logarithms hold; sign symbols
-are drawn from their value sets.
+``nonzero`` with a witness point when it is proven nonzero or a probe
+exceeds the tolerance, ``zero_numeric`` when random probes stay below
+it. Samples are drawn from [0.5, 2.0] so the positive-domain
+conventions for roots and logarithms hold; sign symbols are drawn from
+their value sets.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 
-from .expand import is_zero_symbolic
+from .expand import decide, expand_poly
 from .nodes import (
     Atan, Coord, ExpF, Expr, ExprError, Func, Ln, Num, Param, Pow, Prod,
     SIGN_PARAMS, Sum, TERNARY_PARAMS, atom_name, free_atoms,
@@ -156,7 +157,8 @@ class MonomialSum:
     ``scaled(point)`` is (value, scale), where the scale is max(1,
     largest |monomial|), so the residual is relative to the size of the
     table's own monomials. The values share one ``eval_expr`` memo per
-    point, so a subtree common to several of them is evaluated once.
+    point, so a subtree common to several of them is evaluated once. A
+    negative power is guarded as in ``eval_expr``.
     """
 
     __slots__ = ("atoms", "monomials")
@@ -173,6 +175,8 @@ class MonomialSum:
         for c, factors in self.monomials:
             for e, n in factors:
                 v = eval_expr(e, point, memo)
+                if n < 0:
+                    c *= _eval_pow(v, n)
                 for _ in range(n):
                     c *= v
             terms.append(c)
@@ -248,14 +252,26 @@ def probe_zero(e, samples: int = 64, tol: float = 1e-9,
     return ZeroResult(ZERO_NUMERIC, max_residual=worst, samples=done)
 
 
+def witness(e, samples: int = 64, seed: int = 0) -> ZeroResult:
+    """``nonzero`` for ``e`` (as ``probe_zero`` takes it), proven nonzero
+    exactly; the probe, at tolerance 0, only finds the witness."""
+    res = probe_zero(e, samples=samples, tol=0.0, seed=seed)
+    res.verdict = NONZERO
+    return res
+
+
 def is_zero(e: Expr, samples: int = 64, tol: float = 1e-9,
             seed: int = 0) -> ZeroResult:
-    """Three-valued zero test: symbolic cancellation first, probes second."""
+    """Three-valued zero test: the exact ring first, probes second. A
+    proven nonzero (``expand.decide``) is never overruled by the probe."""
     if isinstance(e, Num):
         if e.value == 0:
             return ZeroResult(ZERO_SYMBOLIC)
         return ZeroResult(NONZERO, max_residual=abs(_float(e.value)),
                           witness={})
-    if is_zero_symbolic(e):
+    exact = decide(expand_poly(e))
+    if exact:
         return ZeroResult(ZERO_SYMBOLIC)
+    if exact is False:
+        return witness(e, samples=samples, seed=seed)
     return probe_zero(e, samples=samples, tol=tol, seed=seed)

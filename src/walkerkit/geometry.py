@@ -10,10 +10,8 @@ Coordinate order is (x, t, y, z), indices 1..4. The metric matrix is
      [0, 1, c, b]]
 
 with unit determinant and a polynomial inverse, so on the abstract a, b,
-c every curvature component is a polynomial in their jets. A jet is
-(name, idx), the derivative of a, b or c along the sorted coordinate
-index idx; a jet polynomial maps monomials (sorted tuples of jets, a jet
-repeated once per power) to Fractions.
+c every curvature component is a polynomial in their jets: a jet
+polynomial of ``jets``, where D_i of a jet only extends its index.
 """
 
 from __future__ import annotations
@@ -24,12 +22,12 @@ from functools import cache
 
 from .expr import (
     ALL_DEPS, COORD_INDEX, Coord, Expr, Func, INDEX_COORD, Num, Pow, Sum,
-    ZERO, ONE, ZeroResult, add, free_atoms, funcsym, is_zero, mul, num,
-    parse, render, sub,
+    ZERO, ONE, ZeroResult, free_atoms, is_zero, num, parse, render,
 )
 from .expr import numeric
-from .expr.expand import cancels, expand_tables
+from .expr.expand import decide, expand_tables
 from .expr.nodes import _coeff_factors, jet_memo
+from .jets import jet_poly, padd, pmul, to_expr, total_diff
 from .liealg import det
 from . import jets
 
@@ -59,87 +57,60 @@ def build_metric(a, b, c) -> Metric4:
 
 def _metric_polys() -> tuple:
     """(g, g^-1) on the abstract a, b, c, as rows of jet polynomials."""
-    z, o = {}, {(): Fraction(1)}
-    a, b, c, na, nb, nc = ({((f, ()),): Fraction(sign)}
-                           for sign in (1, -1) for f in ("a", "b", "c"))
+    z, o = {}, {0: 1}
+    a, b, c, na, nb, nc = ({jets.UNIT[jets.VAR[f, ()]]: sign}
+                           for sign in (1, -1) for f in jets.FIBER)
     return (((z, z, o, z), (z, z, z, o), (o, z, a, c), (z, o, c, b)),
             ((na, nc, o, z), (nc, nb, z, o), (o, z, z, z), (z, o, z, z)))
 
 
-def _poly_add(*terms) -> dict:
-    """Sum of factor * p over the (p, factor) pairs, zero terms dropped."""
-    out: dict = {}
-    for p, factor in terms:
-        for m, v in p.items():
-            v = v if factor == 1 else factor * v
-            out[m] = out[m] + v if m in out else v
-    return {m: v for m, v in out.items() if v}
-
-
-def _poly_mul(p: dict, q: dict) -> dict:
-    return _poly_add(*[({tuple(sorted(m + n)): w for n, w in q.items()}, v)
-                       for m, v in p.items()])
-
-
-def _poly_diff(p: dict, i: int) -> dict:
-    """d/dx_i (i in 1..4) by the product rule: each jet (name, idx) of a
-    monomial in turn derives to (name, sorted(idx + (i,)))."""
-    terms = []
-    for m, v in p.items():
-        for k, (name, idx) in enumerate(m):
-            jet = (name, tuple(sorted(idx + (i,))))
-            terms.append(({tuple(sorted(m[:k] + m[k + 1:] + (jet,))): v}, 1))
-    return _poly_add(*terms)
-
-
+@cache
 def ricci() -> CurvatureBundle:
     """Christoffel symbols, Ricci tensor and scalar curvature of the
-    metric on the abstract a, b, c, as jet polynomials.
+    metric on the abstract a, b, c, as jet polynomials, built once per
+    process.
 
     gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    R_ij = d_k gamma^k_ij - d_j gamma^k_ik
-           + gamma^k_kl gamma^l_ij - gamma^k_jl gamma^l_ik
+    R_ij = d_k gamma^k_ij - gamma^k_jl gamma^l_ik
 
-    The Levi-Civita Ricci tensor is symmetric, so R_ij is built for
-    i <= j only and ricci[j][i] is the same dict as ricci[i][j]. A
-    constant metric entry or a zero Christoffel symbol is never
-    differentiated, and no product with a zero factor is formed.
+    The general R_ij also has - d_j gamma^k_ik + gamma^k_kl gamma^l_ij,
+    but sum_k gamma^k_ik = d_i ln sqrt|det g| = 0 for this unit-determinant
+    metric, so neither is built. The Levi-Civita Ricci tensor is
+    symmetric, so R_ij is built for i <= j only and ricci[j][i] is the
+    same dict as ricci[i][j]. A constant metric entry or a zero
+    Christoffel symbol is never differentiated, and no product with a
+    zero factor is formed.
     """
     g, inv = _metric_polys()
     half = Fraction(1, 2)
     # dg[l][i][j] = d_l g_ij (an entry with no jet is constant), and
     # first[l][i][j] = g_lk gamma^k_ij
-    dg = [[[_poly_diff(e, l + 1) if any(e) else {} for e in row]
+    dg = [[[total_diff(e, l + 1) if any(e) else {} for e in row]
            for row in g] for l in range(N)]
-    first = [[[_poly_add((dg[i][j][l], half), (dg[j][i][l], half),
-                         (dg[l][i][j], -half))
+    first = [[[padd((dg[i][j][l], half), (dg[j][i][l], half),
+                    (dg[l][i][j], -half))
                for j in range(N)] for i in range(N)] for l in range(N)]
     gamma = [[[{}] * N for _ in range(N)] for _ in range(N)]
     for k in range(N):
         for i in range(N):
             for j in range(i, N):
-                gamma[k][i][j] = gamma[k][j][i] = _poly_add(*[
-                    (_poly_mul(inv[k][l], first[l][i][j]), 1)
+                gamma[k][i][j] = gamma[k][j][i] = padd(*[
+                    (pmul(inv[k][l], first[l][i][j]), 1)
                     for l in range(N) if inv[k][l] and first[l][i][j]])
 
     ric = [[{}] * N for _ in range(N)]
     for i in range(N):
         for j in range(i, N):
-            terms = [(_poly_diff(gamma[k][i][j], k + 1), 1)
+            terms = [(total_diff(gamma[k][i][j], k + 1), 1)
                      for k in range(N) if gamma[k][i][j]]
-            terms += [(_poly_diff(gamma[k][i][k], j + 1), -1)
-                      for k in range(N) if gamma[k][i][k]]
-            for k in range(N):
-                for l in range(N):
-                    for p, q, sign in ((gamma[k][k][l], gamma[l][i][j], 1),
-                                       (gamma[k][j][l], gamma[l][i][k], -1)):
-                        if p and q:
-                            terms.append((_poly_mul(p, q), sign))
-            ric[i][j] = ric[j][i] = _poly_add(*terms)
+            terms += [(pmul(gamma[k][j][l], gamma[l][i][k]), -1)
+                      for k in range(N) for l in range(N)
+                      if gamma[k][j][l] and gamma[l][i][k]]
+            ric[i][j] = ric[j][i] = padd(*terms)
 
-    tau = _poly_add(*[(_poly_mul(inv[i][j], ric[i][j]), 1)
-                      for i in range(N) for j in range(N)
-                      if inv[i][j] and ric[i][j]])
+    tau = padd(*[(pmul(inv[i][j], ric[i][j]), 1)
+                 for i in range(N) for j in range(N)
+                 if inv[i][j] and ric[i][j]])
     freeze = tuple(tuple(tuple(row) for row in plane) for plane in gamma)
     return CurvatureBundle(freeze, tuple(tuple(r) for r in ric), tau)
 
@@ -149,16 +120,9 @@ def einstein_residual(bundle: CurvatureBundle) -> tuple:
     from its ``ricci`` bundle: the ten upper-triangle components as jet
     polynomials, ordered as EINSTEIN_LABELS."""
     g, _ = _metric_polys()
-    return tuple(_poly_add((bundle.ricci[i][j], 1), (
-        _poly_mul(bundle.tau, g[i][j]) if g[i][j] else {}, Fraction(-1, 4)))
+    return tuple(padd((bundle.ricci[i][j], 1), (
+        pmul(bundle.tau, g[i][j]) if g[i][j] else {}, Fraction(-1, 4)))
         for i in range(N) for j in range(i, N))
-
-
-def _expr(p: dict) -> Expr:
-    """A jet polynomial as a normal-form tree: a sum of monomials, each a
-    coefficient times powers of the jet atoms a, a_1, ..., c_24."""
-    return add(*[mul(v, *[funcsym(name, idx, ALL_DEPS) for name, idx in m])
-                 for m, v in p.items()])
 
 
 @cache
@@ -174,8 +138,8 @@ def abstract_curvature() -> tuple:
     """
     bundle = ricci()
     ric = [bundle.ricci[i][j] for i in range(N) for j in range(i, N)]
-    return (tuple(map(_expr, ric)),
-            tuple(map(_expr, einstein_residual(bundle))))
+    return (tuple(map(to_expr, ric)),
+            tuple(map(to_expr, einstein_residual(bundle))))
 
 
 class CurvatureTables(namedtuple("CurvatureTables", "jets ricci einstein")):
@@ -233,7 +197,9 @@ def curvature_verdicts(tables, a, b, c, samples: int = 64,
     jet is expanded once (``expand_tables``). A component that does not
     cancel is a nonzero constant, which is exact, or is probed on the
     values of its jets (``MonomialSum``): its residual is scaled by its
-    largest monomial, whatever form a substituted tree would take. No
+    largest monomial, whatever form a substituted tree would take. Where
+    the ring proves it nonzero (``expand.decide``), the verdict is
+    ``nonzero`` and the probe only finds the witness. No
     component is built as an expression tree (``expand_tables`` builds
     the product of one monomial only where its jets meet on a root of a
     sum).
@@ -251,10 +217,14 @@ def curvature_verdicts(tables, a, b, c, samples: int = 64,
                   for table in tables]
     out = []
     for table, poly in zip(tables, expand_tables(values, tables)):
-        if cancels(poly):
+        exact = decide(poly)
+        if exact:
             out.append(ZeroResult(numeric.ZERO_SYMBOLIC))
         elif list(poly.terms) == [0]:
             out.append(is_zero(num(Fraction(poly.terms[0], poly.den))))
+        elif exact is False:
+            out.append(numeric.witness(numeric.MonomialSum(values, table),
+                                       samples=samples, seed=seed))
         else:
             out.append(numeric.probe_zero(
                 numeric.MonomialSum(values, table), samples=samples,
@@ -311,20 +281,25 @@ def equivalence_probe(samples: int = 100, tol: float = 1e-9,
     """Both directions of the Einstein/PDE correspondence on the
     abstract metric, from the identity E = M r with M in
     ``jets.EINSTEIN_M``: E vanishes wherever the residuals r do when
-    every row of E - M r is zero, and r vanishes wherever E does when
-    M's block on the rows xy, xz, ty, yy, yz, zz (triangular with a
-    constant diagonal) has a nonzero constant determinant."""
-    _, einstein = abstract_curvature()
-    residuals = jets.system_a7().residuals
-    funcs = {f: ALL_DEPS for f in ("a", "b", "c")}
+    every row of E - M r is the empty jet polynomial, and r vanishes
+    wherever E does when M's block on the rows xy, xz, ty, yy, yz, zz
+    (triangular with a constant diagonal) has a nonzero constant
+    determinant. A row that does not cancel is nonzero, and the probe
+    (``samples`` draws from ``seed``) finds its witness; ``tol`` is
+    unused, since no row is left to a tolerance."""
+    residuals = jets.system_a7().polys
+    funcs = {f: ALL_DEPS for f in jets.FIBER}
     m = {label: [parse(row.get(k, "0"), functions=funcs)
                  for k in range(1, len(residuals) + 1)]
          for label, row in jets.EINSTEIN_M.items()}
     zero_row = [ZERO] * len(residuals)
     rows = tuple(
-        is_zero(sub(e, add(*map(mul, m.get(label, zero_row), residuals))),
-                samples=samples, tol=tol, seed=seed)
-        for label, e in zip(EINSTEIN_LABELS, einstein))
+        jets.verdict(padd((e, 1), *[
+            (pmul(jet_poly(mk), r), -1)
+            for mk, r in zip(m.get(label, zero_row), residuals)
+            if mk != ZERO]),
+            ALL_DEPS, samples, seed)
+        for label, e in zip(EINSTEIN_LABELS, einstein_residual(ricci())))
     block = ("xy", "xz", "ty", "yy", "yz", "zz")
     determinant = det([m[label] for label in block])
     correspondence = {

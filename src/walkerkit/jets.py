@@ -1,79 +1,244 @@
 """Second-order jet layer over the plane, with the fiber (a, b, c).
 
-Jet coordinates are the function symbols themselves: a_1 is the first
-x-derivative atom, a_12 the mixed one, so total derivatives are plain
-diff() calls. Prolongation follows the total-derivative recursion
-phi^{J,i} = D_i phi^J - sum_k (D_i xi^k) u^{J,k}.
+A jet polynomial is a dict from monomial to nonzero rational coefficient
+(an int where whole) over ``JET_VARS``: x, t, y, z and the jets of a, b
+and c up to second order. A monomial is one int packed as
+``expand._Ring`` packs its monomials, a signed ``WIDTH``-bit field per
+variable, so a product of monomials is a sum of ints and an inverse a
+negation. D_i of a jet only extends its index.
 
-Symmetry verification is exact on the solved jet: each residual is
-solved for one leading derivative, the solutions are substituted into
-the prolonged action, and the result must cancel (the infinitesimal
+Symmetries are verified exactly on the solved jet (the infinitesimal
 invariance criterion, Olver, Applications of Lie Groups to Differential
-Equations, 1986, Thm 2.31).
+Equations, 1986, Thm 2.31): each residual is solved for its designated
+jet, whose pivot is 1, -2, a, b or c, so the on-shell map is Laurent;
+prolongation is the recursion phi^{J,i} = D_i phi^J - sum_k (D_i xi^k)
+u_{J,k}; and a cell, the prolonged action on one residual with the map
+substituted, is zero exactly when it is empty.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
+from fractions import Fraction
 from functools import cache, cached_property
+from itertools import combinations_with_replacement
 from types import MappingProxyType
 
 from .expr import (
-    ALL_DEPS, Expr, ExprError, PLANE_DEPS, ZERO, ZERO_SYMBOLIC,
-    atom_name, coord, diff, add, div, eval_expr, free_atoms, funcsym,
-    is_zero, is_zero_symbolic, mul, neg, parse, partial, substitute,
-    substitute_all, INDEX_COORD,
+    ALL_DEPS, INDEX_COORD, Coord, Expr, ExprError, Func, PLANE_DEPS,
+    ZERO_SYMBOLIC, ZeroResult, add, atom_name, coord, eval_expr, funcsym,
+    mul, parse, pow_, render,
 )
+from .expr.expand import _Overflow, _Ring, unpack
+from .expr.numeric import MonomialSum, witness
 from .liealg import VectorField
 
 FIBER = ("a", "b", "c")
 
 
+def _jets(deps: tuple) -> list:
+    """(fiber, index) of every jet up to second order along ``deps``."""
+    return [(f, j) for f in FIBER for n in range(3)
+            for j in combinations_with_replacement(deps, n)]
+
+
+# A variable is a coordinate name or a (fiber, index) jet; those over x
+# and t come first, so the plane system's monomials are the smaller ints.
+_PLANE = ["x", "t", *_jets(PLANE_DEPS)]
+JET_VARS = tuple(_PLANE + [v for v in ["y", "z", *_jets(ALL_DEPS)]
+                           if v not in _PLANE])
+VAR = {v: n for n, v in enumerate(JET_VARS)}
+WIDTH = 16
+UNIT = tuple(1 << (WIDTH * n) for n in range(len(JET_VARS)))
+# ``jet_poly`` bounds every exponent by MAX_POWER; the on-shell map
+# (exponents within 2) and a few derivatives cannot carry a field.
+MAX_POWER = 256
+
+
+def padd(*terms) -> dict:
+    """Sum of factor * p over the (p, factor) pairs, zero terms dropped."""
+    out: dict = {}
+    get = out.get
+    for p, factor in terms:
+        for m, v in p.items():
+            out[m] = get(m, 0) + (v if factor == 1 else factor * v)
+    return {m: v for m, v in out.items() if v}
+
+
+def pmul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    get = out.get
+    for m, v in p.items():
+        for n, w in q.items():
+            out[m + n] = get(m + n, 0) + v * w
+    return {m: v for m, v in out.items() if v}
+
+
+# _EXTEND[i][n]: what D_i adds to a monomial holding variable n: a jet
+# below second order gains the index i, x_i goes, another coordinate has
+# no D_i (None); a second-order jet is not there.
+_EXTEND = {i: {n: (UNIT[VAR[v[0], tuple(sorted(v[1] + (i,)))]] - UNIT[n]
+                   if type(v) is tuple else
+                   -UNIT[n] if v == INDEX_COORD[i] else None)
+               for n, v in enumerate(JET_VARS)
+               if type(v) is str or len(v[1]) < 2}
+           for i in (1, 2, 3, 4)}
+
+
+def total_diff(p: dict, i: int) -> dict:
+    """D_i p along the coordinate of index i (1..4), by the product rule."""
+    out: dict = {}
+    get = out.get
+    for k, c in p.items():
+        for n, e in unpack(k, WIDTH):
+            d = _EXTEND[i].get(n, 0)
+            if d == 0:
+                raise ExprError(f"D_{i} of {JET_VARS[n]} is third order")
+            if d is not None:
+                out[k + d] = get(k + d, 0) + c * e
+    return {m: v for m, v in out.items() if v}
+
+
+def derivative(p: dict, n: int) -> dict:
+    """d p / d (variable n)."""
+    return {k - UNIT[n]: c * e for k, c in p.items()
+            for var, e in unpack(k, WIDTH) if var == n}
+
+
+def jet_poly(e: Expr) -> dict:
+    """``e`` expanded in a ring of its own (``expand._Ring``, whose
+    monomials pack as these do) and read as a jet polynomial. ExprError
+    unless every atom is a jet variable and the ring's exponent bound is
+    within MAX_POWER: no kernel, root, parameter, or sum that stays an
+    atom (to a negative power, or past expand.POW_EXPAND_LIMIT)."""
+    ring = _Ring(1, set(), WIDTH)
+    try:
+        terms, den, bound = ring.expand(e)
+    except _Overflow:
+        bound = MAX_POWER + 1
+    index = [VAR.get(a.name if type(a) is Coord else (a.name, a.idx))
+             if type(a) in (Coord, Func) else None for a in ring.atoms]
+    if None in index or bound > MAX_POWER:
+        raise ExprError(f"{render(e)} is not a polynomial in x, t and the "
+                        f"jets of a, b, c with exponents within {MAX_POWER}")
+    return {sum(d * UNIT[index[i]] for i, d in unpack(k, WIDTH)):
+            _whole(Fraction(c, den)) for k, c in terms.items()}
+
+
+def _whole(q: Fraction):
+    return q.numerator if q.denominator == 1 else q
+
+
+@cache
+def _atoms(deps: tuple) -> tuple:
+    """The atom of each variable over ``deps``; None off ``deps``."""
+    return tuple(coord(v) if type(v) is str
+                 else funcsym(*v, deps) if set(v[1]) <= set(deps) else None
+                 for v in JET_VARS)
+
+
+def to_expr(p: dict, deps: tuple = ALL_DEPS) -> Expr:
+    """A jet polynomial as a normal-form tree over the atoms of ``deps``."""
+    atoms = _atoms(deps)
+    return add(*[mul(c, *[pow_(atoms[n], e) for n, e in unpack(k, WIDTH)])
+                 for k, c in p.items()])
+
+
+def probe_sum(p: dict, deps: tuple) -> MonomialSum:
+    return MonomialSum(_atoms(deps), [(c, unpack(k, WIDTH))
+                                      for k, c in p.items()])
+
+
+def verdict(p: dict, deps: tuple, samples: int, seed: int) -> ZeroResult:
+    """``zero_symbolic`` when ``p`` is empty; otherwise ``p`` is nonzero in
+    independent variables, and the probe only finds the witness."""
+    if not p:
+        return ZeroResult(ZERO_SYMBOLIC)
+    return witness(probe_sum(p, deps), samples=samples, seed=seed)
+
+
+def substitute(p: dict, values: dict, memo: dict | None = None) -> dict:
+    """``p`` with each variable in ``values`` (variable -> polynomial)
+    replaced, to a positive power; ``memo`` keeps the image of each
+    product of replaced variables."""
+    memo = {} if memo is None else memo
+    out: dict = {}
+    get = out.get
+    for k, c in p.items():
+        sub = sum(e * UNIT[n] for n, e in unpack(k, WIDTH) if n in values)
+        image = memo.get(sub) if sub else {0: 1}
+        if image is None:
+            image = {0: 1}
+            for n, e in unpack(sub, WIDTH):
+                if e < 0:
+                    raise ExprError(f"{JET_VARS[n]} to a negative power")
+                for _ in range(e):
+                    image = pmul(image, values[n])
+            memo[sub] = image
+        for m, w in image.items():
+            out[k - sub + m] = get(k - sub + m, 0) + c * w
+    return {m: v for m, v in out.items() if v}
+
+
 class PDESystem(namedtuple("PDESystem", "name residuals deps designated")):
     """Residual expressions plus the designated-solve recipe:
     ``designated`` is ((atom name, residual index), ...) in solve order.
+    No ``__slots__``: the cached properties live in the ``__dict__``."""
 
-    No ``__slots__``: the cached properties below live in the instance
-    ``__dict__``."""
+    @cached_property
+    def polys(self) -> tuple:
+        return tuple(map(jet_poly, self.residuals))
 
     @cached_property
     def on_shell(self) -> MappingProxyType:
-        """Designated jet atom -> its value on the solution set, in the
-        free coordinates, built at first use.
-
-        Each residual is solved in ``designated`` order for its atom (it
-        is linear in it), and the solution is substituted back into the
-        earlier ones. Every residual must then cancel exactly."""
+        """Designated variable -> its Laurent polynomial on the solution
+        set: each residual solved in ``designated`` order for its jet (it
+        is linear in it, with a monomial pivot) and substituted back into
+        the earlier solutions. Every residual must then cancel."""
         solved: dict = {}
         for name, k in self.designated:
-            atom = _parse_atom(name, self.deps)
-            r = substitute(self.residuals[k], solved)
-            coeff = partial(r, atom)
-            if coeff == ZERO or atom in free_atoms(coeff):
+            base, _, idx = name.partition("_")
+            n = VAR[base, tuple(map(int, idx))]
+            r = substitute(self.polys[k], solved)
+            coeff = derivative(r, n)
+            if not coeff or derivative(coeff, n):
                 raise ExprError(f"residual {k + 1} is not linear in {name}")
-            value = neg(div(substitute(r, {atom: ZERO}), coeff))
-            solved = dict(zip(solved, substitute_all(solved.values(),
-                                                     {atom: value})))
-            solved[atom] = value
-        for k, r in enumerate(substitute_all(self.residuals, solved)):
-            if not is_zero_symbolic(r):
+            if len(coeff) != 1:
+                raise ExprError(f"the pivot of residual {k + 1} in {name} "
+                                "is not a monomial")
+            (m, c), = coeff.items()
+            value = {q - m: _whole(-Fraction(v) / c) for q, v in r.items()
+                     if all(var != n for var, _ in unpack(q, WIDTH))}
+            solved = {w: substitute(p, {n: value}) for w, p in solved.items()}
+            solved[n] = value
+        for k, r in enumerate(self.polys):
+            if substitute(r, solved):
                 raise ExprError(f"residual {k + 1} does not vanish on the "
                                 "solved jet")
         return MappingProxyType(solved)
+
+    def solved(self, p: dict) -> dict:
+        """``p`` with the on-shell map substituted."""
+        return substitute(p, self.on_shell,
+                          self.__dict__.setdefault("_images", {}))
+
+    @cached_property
+    def partials(self) -> tuple:
+        """Per residual, ((variable, d residual/d variable), ...) over the
+        variables of _SLOTS that it holds, which every prolonged action
+        shares."""
+        held = [{n for k in r for n, _ in unpack(k, WIDTH)}
+                for r in self.polys]
+        return tuple(tuple((v, derivative(r, VAR[v])) for v in _SLOTS
+                           if VAR[v] in h) for r, h in zip(self.polys, held))
 
     @cached_property
     def jet_coords(self) -> tuple:
         """Every coordinate of the full 2-jet space over these deps,
         sorted."""
-        names = [INDEX_COORD[i] for i in self.deps]
-        for f in FIBER:
-            names.append(f)
-            names.extend(atom_name(funcsym(f, (i,), self.deps))
-                         for i in self.deps)
-            names.extend(atom_name(funcsym(f, (i, j), self.deps))
-                         for i in self.deps for j in self.deps if i <= j)
-        return tuple(sorted(names))
+        return tuple(sorted([INDEX_COORD[i] for i in self.deps] + [
+            atom_name(funcsym(*v, self.deps)) for v in _jets(self.deps)]))
 
     @cached_property
     def free_coords(self) -> tuple:
@@ -142,22 +307,17 @@ class JetPoint(namedtuple("JetPoint", "values")):
         return [eval_expr(r, self.values) for r in sys.residuals]
 
 
-def _parse_atom(name: str, deps: tuple):
-    base, _, idx = name.partition("_")
-    return funcsym(base, tuple(int(ch) for ch in idx), deps)
-
-
 def on_shell_sample(seed: int, sys: PDESystem | None = None,
                     rng: random.Random | None = None) -> JetPoint:
     """One random jet satisfying every residual of the system: free
-    coordinates uniform on [0.5, 2.0], the designated ones evaluated
-    from the on-shell map. The pivots of both systems are constants or
-    one of a, b, c, so no evaluation guard is met."""
+    coordinates uniform on [0.5, 2.0], the designated ones from the
+    on-shell map, whose denominators a, b, c meet no evaluation guard."""
     sys = sys or system2()
     rng = rng or random.Random(seed)
     values = {n: rng.uniform(0.5, 2.0) for n in sys.free_coords}
-    values.update({atom_name(a): eval_expr(v, values)
-                   for a, v in sys.on_shell.items()})
+    values.update({atom_name(_atoms(sys.deps)[n]):
+                   probe_sum(p, sys.deps).scaled(values)[0]
+                   for n, p in sys.on_shell.items()})
     return JetPoint(values)
 
 
@@ -176,61 +336,41 @@ def _drawn(n: int, seed: int, sys: PDESystem) -> tuple:
 
 # --- prolongation -----------------------------------------------------------
 
-# The (fiber, multi-index) keys of a prolongation's phi, in the order
-# each is built: a multi-index comes after the one it extends.
-_JET_SLOTS = tuple((f, j) for f in FIBER
-                   for j in ((), (1,), (2,), (1, 1), (1, 2), (2, 2)))
+# The plane jets in the order each is prolonged (a multi-index after the
+# one it extends), and with x and t the variables of a prolongation.
+_JET_SLOTS = tuple(_jets(PLANE_DEPS))
+_SLOTS = ("x", "t") + _JET_SLOTS
 
 
-class Prolongation(namedtuple("Prolongation", "xi phi")):
-    """xi: base coefficients on (x, t); phi: (func, index tuple) -> Expr."""
-
-    __slots__ = ()
-
-
-def _step(phi_j: Expr, xi: tuple, fname: str, j: tuple, i: int,
-          deps: tuple) -> Expr:
-    v = INDEX_COORD[i]
-    terms = [diff(phi_j, v)]
+def _step(phi_j: dict, i: int, dxi: tuple, fname: str, j: tuple) -> dict:
+    """phi^{J,i} from phi^J, with dxi = (D_i xi^x, D_i xi^t)."""
+    terms = [(total_diff(phi_j, i), 1)]
     for k in (1, 2):
-        dxi = diff(xi[k - 1], v)
-        u = funcsym(fname, tuple(sorted(j + (k,))), deps)
-        terms.append(neg(mul(dxi, u)))
-    return add(*terms)
+        u = UNIT[VAR[fname, tuple(sorted(j + (k,)))]]
+        terms.append(({m + u: c for m, c in dxi[k - 1].items()}, -1))
+    return padd(*terms)
 
 
-def prolong2(v: VectorField, deps: tuple = PLANE_DEPS) -> Prolongation:
-    xi = (v.coeffs[0], v.coeffs[1])
-    phi = {}
+def prolong2(v: VectorField) -> dict:
+    """pr^(2) v: variable in _SLOTS -> its coefficient (xi^x, xi^t, then
+    phi^J), as jet polynomials; ExprError unless the coefficients of
+    ``v`` are polynomials in x, t, a, b and c."""
+    phi = {"x": jet_poly(v.coeffs[0]), "t": jet_poly(v.coeffs[1])}
+    dxi = {i: (total_diff(phi["x"], i), total_diff(phi["t"], i))
+           for i in (1, 2)}
     for fname, j in _JET_SLOTS:
         if j:  # phi^{J,i} from phi^J, where J + (i,) = j
-            phi[(fname, j)] = _step(phi[(fname, j[:-1])], xi, fname,
-                                    j[:-1], j[-1], deps)
+            phi[fname, j] = _step(phi[fname, j[:-1]], j[-1], dxi[j[-1]],
+                                  fname, j[:-1])
         else:
-            phi[(fname, j)] = v.coeffs[2 + FIBER.index(fname)]
-    return Prolongation(xi, phi)
+            phi[fname, j] = jet_poly(v.coeffs[2 + FIBER.index(fname)])
+    return phi
 
 
-@cache
-def _jet_partials(residual: Expr, deps: tuple) -> tuple:
-    """(d/dx, d/dt, {(fiber, j): d/du^fiber_j}) of one residual. No
-    generator enters them, so they are taken once per (residual, deps)
-    and every prolonged action on that residual shares them. A slot whose
-    atom the residual does not hold is ZERO, with no ``partial`` call."""
-    held = free_atoms(residual)
-    dx, dt, *slots = (partial(residual, u) if u in held else ZERO for u in (
-        coord("x"), coord("t"), *(funcsym(f, j, deps) for f, j in _JET_SLOTS)))
-    return dx, dt, MappingProxyType(dict(zip(_JET_SLOTS, slots)))
-
-
-def prolonged_action(pro: Prolongation, residual: Expr,
-                     deps: tuple = PLANE_DEPS) -> Expr:
-    """pr v applied to a residual, as one expression over jet atoms:
-    xi^x dR/dx + xi^t dR/dt + sum over J of phi^J dR/du_J."""
-    dx, dt, slots = _jet_partials(residual, deps)
-    terms = [mul(pro.xi[0], dx), mul(pro.xi[1], dt)]
-    terms.extend(mul(ph, slots[key]) for key, ph in pro.phi.items())
-    return add(*terms)
+def prolonged_action(pro: dict, partials: tuple) -> dict:
+    """pr v of a residual from its ``partials``: xi^x dR/dx + xi^t dR/dt
+    + sum over J of phi^J dR/du_J."""
+    return padd(*[(pmul(pro[v], d), 1) for v, d in partials])
 
 
 # --- on-shell symmetry verification ----------------------------------------
@@ -258,17 +398,15 @@ def symmetry_check(v: VectorField, sys: PDESystem | None = None,
                    samples: int = 100, tol: float = 1e-8,
                    seed: int = 42, label: str = "") -> SymmetryReport:
     """Decide pr v(R_k) = 0 on the solution set for every residual R_k:
-    the zero test of the prolonged action with the on-shell map
-    substituted. A symmetry cancels exactly; a cell that does not takes
-    its residual and witness point from the probe."""
+    each cell is empty for a symmetry; another is nonzero, and the probe
+    (``samples`` draws from ``seed``) finds its residual and witness.
+    ``tol`` is reported only."""
     sys = sys or system2()
-    pro = prolong2(v, sys.deps)
-    actions = substitute_all(
-        [prolonged_action(pro, r, sys.deps) for r in sys.residuals],
-        sys.on_shell)
+    pro = prolong2(v)
     cells = []
-    for k, action in enumerate(actions):
-        res = is_zero(action, samples=samples, tol=tol, seed=seed)
+    for k, partials in enumerate(sys.partials):
+        res = verdict(sys.solved(prolonged_action(pro, partials)), sys.deps,
+                      samples, seed)
         cells.append(SymmetryCell(label, k, res.max_residual, bool(res),
                                   res.witness,
                                   res.verdict == ZERO_SYMBOLIC))

@@ -189,6 +189,21 @@ def test_einstein_report_of_a_metric_that_is_not_einstein(capsys):
     }
 
 
+def test_einstein_fails_a_metric_whose_components_are_small(capsys):
+    # E_xy = a_11/4 = y/(2*10^12) is below --tol at every sample, yet its
+    # expansion is a nonzero polynomial in x and y: the ring proves it
+    # nonzero and the probe only finds the witness
+    code, doc = run_json(capsys, "einstein", "--a", "x^2*y/10^12", "--b",
+                         "0", "--c", "0")
+    assert code == 1
+    assert doc["details"]["einstein"] == "no"
+    verdicts = {c["id"]: c["verdict"] for c in doc["checks"]}
+    assert {k for k, v in verdicts.items() if v == "fail"} == {
+        "einstein.xy", "einstein.tz", "einstein.yy"}
+    assert all(c["witness"].startswith("nonzero (residual ")
+               for c in doc["checks"] if c["verdict"] == "fail")
+
+
 def test_einstein_overflowing_power(capsys):
     # x^3998 overflows a float for x above about 1.19; those samples are
     # drawn again, and the rest give a verdict with a finite witness

@@ -249,6 +249,25 @@ def test_zero_test_edge_cases(text, want):
     assert verdict(text) == want
 
 
+@pytest.mark.parametrize("text", ["x/10^10 + t/10^10", "x^2*y/10^12",
+                                  "a_1^2/10^15 - c1/x/10^15"])
+def test_a_proven_nonzero_is_never_read_as_zero(text):
+    # the expansion is a nonzero polynomial over independent atoms, so the
+    # verdict is nonzero at any tolerance; the probe finds the witness
+    for tol in (1e-9, 1.0):
+        res = is_zero(parse(text, functions={"a": (1, 2)}), tol=tol)
+        assert res.verdict == NONZERO
+        assert res.witness and 0 < res.max_residual < 1e-8
+
+
+@pytest.mark.parametrize("text", [
+    f"(x + t)^{POW_EXPAND_LIMIT + 1} - ({_binomial(POW_EXPAND_LIMIT + 1)})",
+    "x/10^10 + sqrt(3)/10^20", "eps*x/10^10 + x/10^10", "exp(x)/10^12"])
+def test_outside_the_proven_class_the_probe_decides(text):
+    # a sum atom, a constant root, a sign symbol or a kernel is left
+    assert verdict(text) == ZERO_NUMERIC
+
+
 def test_clearing_gives_up_past_twice_the_cap():
     # clearing 1/u would multiply u^200 out to u^201: it gives up, and
     # the numeric probe decides at once
