@@ -71,7 +71,7 @@ from math import lcm
 
 from .nodes import (
     Atan, Coord, ExpF, Expr, ExprError, Func, Ln, Num, Param, Pow, Prod,
-    SIGN_PARAMS, Sum, TERNARY_PARAMS, _coeff_factors, add, mul, pow_,
+    SIGN_PARAMS, Sum, TERNARY_PARAMS, ZERO, _coeff_factors, add, mul, pow_,
 )
 
 POW_EXPAND_LIMIT = 8
@@ -656,5 +656,5 @@ def decide(p: Poly):
 
 
 def is_zero_symbolic(e: Expr) -> bool:
-    """True when expansion plus denominator clearing cancels every term."""
-    return cancels(expand_poly(e))
+    """True when ``e`` is ZERO, with no ring, or its cleared expansion is."""
+    return e == ZERO or cancels(expand_poly(e))

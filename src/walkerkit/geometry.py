@@ -21,13 +21,13 @@ from fractions import Fraction
 from functools import cache
 
 from .expr import (
-    ALL_DEPS, COORD_INDEX, Coord, Expr, Func, INDEX_COORD, Num, Pow, Sum,
-    ZERO, ONE, ZeroResult, free_atoms, is_zero, num, parse, render,
+    ALL_DEPS, COORD_INDEX, Coord, Expr, Func, INDEX_COORD, Num, Pow, ZERO,
+    ONE, ZeroResult, free_atoms, is_zero, num, parse, pow_, render,
 )
 from .expr import numeric
 from .expr.expand import decide, expand_tables
-from .expr.nodes import _coeff_factors, jet_memo
-from .jets import jet_poly, padd, pmul, to_expr, total_diff
+from .expr.nodes import _coeff_factors, _remake_term, _sort_key, jet_memo
+from .jets import jet_poly, padd, pmul, total_diff
 from .liealg import det
 from . import jets
 
@@ -125,60 +125,45 @@ def einstein_residual(bundle: CurvatureBundle) -> tuple:
         for i in range(N) for j in range(i, N))
 
 
-@cache
-def abstract_curvature() -> tuple:
-    """(Ricci, Einstein) components of the metric on the abstract a, b,
-    c: ten upper-triangle expressions each, ordered as EINSTEIN_LABELS,
-    built once per process from the jet polynomials of ``ricci`` and
-    ``einstein_residual`` (E_xy is -1/4*b_22 + 1/4*a_11).
-
-    A concrete metric's components are these with the jets replaced by
-    the derivatives of its coefficients, so Ricci is never rebuilt on a
-    concrete metric; ``curvature_tables`` holds the same monomials.
-    """
-    bundle = ricci()
-    ric = [bundle.ricci[i][j] for i in range(N) for j in range(i, N)]
-    return (tuple(map(to_expr, ric)),
-            tuple(map(to_expr, einstein_residual(bundle))))
-
-
 class CurvatureTables(namedtuple("CurvatureTables", "jets ricci einstein")):
-    """The components of ``abstract_curvature`` as monomial tables over
-    the jet atoms. jets: every jet atom of the components (a, a_1, ...,
-    c_24), once each. ricci, einstein: ten tables each, ordered as
-    EINSTEIN_LABELS. A table is a tuple of monomials (Fraction
-    coefficient, ((jet, power), ...)), one per term, where a jet is
-    given by its position in ``jets``."""
+    """The Ricci and Einstein components of the metric on the abstract a,
+    b, c as monomial tables over the jet atoms. jets: every jet atom of
+    the components (a, a_1, ..., c_24), once each. ricci, einstein: ten
+    tables each, ordered as EINSTEIN_LABELS. A table is a tuple of
+    monomials (Fraction coefficient, ((jet, power), ...)), one per term,
+    where a jet is given by its position in ``jets``."""
 
     __slots__ = ()
 
 
-def curvature_tables() -> CurvatureTables:
-    return _tables(abstract_curvature())
-
-
 @cache
-def _tables(curvature: tuple) -> CurvatureTables:
-    # a collected component is a sum of distinct monomials, each a
-    # coefficient times jets and whole powers of jets
-    monomials = [[[(c, [(f.base, f.exp.numerator) if type(f) is Pow
-                        else (f, 1) for f in factors])
-                   for c, factors in map(_coeff_factors, _terms(e))]
-                  for e in comps]
-                 for comps in curvature]
-    jets = {f: None for comps in monomials for comp in comps
-            for _, factors in comp for f, _ in factors}
-    index = {f: k for k, f in enumerate(jets)}
-    ricci, einstein = (
-        tuple(tuple((c, tuple((index[f], n) for f, n in factors))
-                    for c, factors in comp)
-              for comp in comps)
-        for comps in monomials)
-    return CurvatureTables(tuple(jets), ricci, einstein)
+def curvature_tables() -> CurvatureTables:
+    """The tables of the jet polynomials of ``ricci`` and
+    ``einstein_residual``, built once per process, with ``jets`` in the
+    order the components first hold them."""
+    bundle = ricci()
+    index: dict = {}
+    ricci_t, einstein_t = (
+        tuple(_table(p, index) for p in comps) for comps in (
+            [bundle.ricci[i][j] for i in range(N) for j in range(i, N)],
+            einstein_residual(bundle)))
+    return CurvatureTables(tuple(index), ricci_t, einstein_t)
 
 
-def _terms(e: Expr) -> tuple:
-    return e.terms if type(e) is Sum else () if e == ZERO else (e,)
+def _table(p: dict, index: dict) -> tuple:
+    """The table of ``p``, its jets numbered by ``index`` (atom -> number,
+    extended as atoms are met). Its terms and their jets are in the order
+    of the collected normal-form sum (E_xy is -1/4*b_22 + 1/4*a_11), so it
+    sums its floats as that tree would; a term is made as a node only to
+    be sorted."""
+    atoms = jets.jet_atoms(ALL_DEPS)
+    terms = sorted((_remake_term(Fraction(c), tuple(sorted(
+        [pow_(atoms[n], e) for n, e in jets.unpack(k, jets.WIDTH)],
+        key=_sort_key))) for k, c in p.items()), key=_sort_key)
+    return tuple((c, tuple(
+        (index.setdefault(f.base, len(index)), f.exp.numerator)
+        if type(f) is Pow else (index.setdefault(f, len(index)), 1)
+        for f in factors)) for c, factors in map(_coeff_factors, terms))
 
 
 def curvature_verdicts(tables, a, b, c, samples: int = 64,
@@ -192,18 +177,16 @@ def curvature_verdicts(tables, a, b, c, samples: int = 64,
     is ZERO without a ``diff`` call: the coefficient depends only on its
     coordinates and on the ``deps`` of its function symbols, read in one
     ``free_atoms`` walk, and differentiation never adds a coordinate (an
-    (x, t) metric has a_3 = b_24 = 0). Exact
-    cancellation is decided for every component in one ring, where each
-    jet is expanded once (``expand_tables``). A component that does not
-    cancel is a nonzero constant, which is exact, or is probed on the
-    values of its jets (``MonomialSum``): its residual is scaled by its
-    largest monomial, whatever form a substituted tree would take. Where
-    the ring proves it nonzero (``expand.decide``), the verdict is
-    ``nonzero`` and the probe only finds the witness. No
-    component is built as an expression tree (``expand_tables`` builds
-    the product of one monomial only where its jets meet on a root of a
-    sum).
-    """
+    (x, t) metric has a_3 = b_24 = 0). Exact cancellation is decided for
+    every component in one ring, where each jet is expanded once
+    (``expand_tables``). A component that does not cancel is a nonzero
+    constant, which is exact, or is probed on the values of its jets
+    (``MonomialSum``): its residual is scaled by its largest monomial,
+    whatever form a substituted tree would take. Where the ring proves it
+    nonzero (``expand.decide``), the verdict is ``nonzero`` and the probe
+    only finds the witness. No component is built as an expression tree
+    (``expand_tables`` builds the product of one monomial only where its
+    jets meet on a root of a sum)."""
     coeffs = {"a": a, "b": b, "c": c}
     deps = {name: _dependencies(e) for name, e in coeffs.items()}
     jet = jet_memo(coeffs)

@@ -32,7 +32,6 @@ from .expr import (
 )
 from .expr.expand import _Overflow, _Ring, unpack
 from .expr.numeric import MonomialSum, witness
-from .liealg import VectorField
 
 FIBER = ("a", "b", "c")
 
@@ -131,7 +130,7 @@ def _whole(q: Fraction):
 
 
 @cache
-def _atoms(deps: tuple) -> tuple:
+def jet_atoms(deps: tuple) -> tuple:
     """The atom of each variable over ``deps``; None off ``deps``."""
     return tuple(coord(v) if type(v) is str
                  else funcsym(*v, deps) if set(v[1]) <= set(deps) else None
@@ -140,13 +139,13 @@ def _atoms(deps: tuple) -> tuple:
 
 def to_expr(p: dict, deps: tuple = ALL_DEPS) -> Expr:
     """A jet polynomial as a normal-form tree over the atoms of ``deps``."""
-    atoms = _atoms(deps)
+    atoms = jet_atoms(deps)
     return add(*[mul(c, *[pow_(atoms[n], e) for n, e in unpack(k, WIDTH)])
                  for k, c in p.items()])
 
 
 def probe_sum(p: dict, deps: tuple) -> MonomialSum:
-    return MonomialSum(_atoms(deps), [(c, unpack(k, WIDTH))
+    return MonomialSum(jet_atoms(deps), [(c, unpack(k, WIDTH))
                                       for k, c in p.items()])
 
 
@@ -315,7 +314,7 @@ def on_shell_sample(seed: int, sys: PDESystem | None = None,
     sys = sys or system2()
     rng = rng or random.Random(seed)
     values = {n: rng.uniform(0.5, 2.0) for n in sys.free_coords}
-    values.update({atom_name(_atoms(sys.deps)[n]):
+    values.update({atom_name(jet_atoms(sys.deps)[n]):
                    probe_sum(p, sys.deps).scaled(values)[0]
                    for n, p in sys.on_shell.items()})
     return JetPoint(values)
@@ -351,10 +350,11 @@ def _step(phi_j: dict, i: int, dxi: tuple, fname: str, j: tuple) -> dict:
     return padd(*terms)
 
 
-def prolong2(v: VectorField) -> dict:
-    """pr^(2) v: variable in _SLOTS -> its coefficient (xi^x, xi^t, then
-    phi^J), as jet polynomials; ExprError unless the coefficients of
-    ``v`` are polynomials in x, t, a, b and c."""
+def prolong2(v) -> dict:
+    """pr^(2) of a ``liealg.VectorField`` v: variable in _SLOTS -> its
+    coefficient (xi^x, xi^t, then phi^J), as jet polynomials; ExprError
+    for a coefficient that ``jet_poly`` refuses or that holds a jet of
+    a, b or c, whose derivatives would pass second order."""
     phi = {"x": jet_poly(v.coeffs[0]), "t": jet_poly(v.coeffs[1])}
     dxi = {i: (total_diff(phi["x"], i), total_diff(phi["t"], i))
            for i in (1, 2)}
@@ -394,13 +394,13 @@ class SymmetryReport(namedtuple("SymmetryReport",
         return max(c.max_residual for c in self.cells)
 
 
-def symmetry_check(v: VectorField, sys: PDESystem | None = None,
+def symmetry_check(v, sys: PDESystem | None = None,
                    samples: int = 100, tol: float = 1e-8,
                    seed: int = 42, label: str = "") -> SymmetryReport:
-    """Decide pr v(R_k) = 0 on the solution set for every residual R_k:
-    each cell is empty for a symmetry; another is nonzero, and the probe
-    (``samples`` draws from ``seed``) finds its residual and witness.
-    ``tol`` is reported only."""
+    """Decide pr v(R_k) = 0, for a ``liealg.VectorField`` v, on the
+    solution set for every residual R_k: each cell is empty for a
+    symmetry; another is nonzero, and the probe (``samples`` draws from
+    ``seed``) finds its residual and witness. ``tol`` is reported only."""
     sys = sys or system2()
     pro = prolong2(v)
     cells = []

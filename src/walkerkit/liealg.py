@@ -2,12 +2,13 @@
 
 Vector fields live on the five-dimensional total space with coordinates
 (x, t, a, b, c); the dependent symbols act as fiber coordinates, so
-brackets use formal partials. Coefficient vectors express algebra
-elements in the fixed basis X1..X7. Structure constants come from an
-exact decomposition of every basis bracket, and adjoint matrices are
-exact: finite series for nilpotent generators, exponential entries for
-the diagonal ones. adjoint_flow_holds certifies each one as exp(s*ad_i)
-by exact cancellation, which gives the group law.
+brackets take formal partials, on the coefficients as jet polynomials.
+Coefficient vectors express algebra elements in the fixed basis X1..X7.
+Structure constants come from an exact decomposition of every basis
+bracket, and adjoint matrices are exact: finite series for nilpotent
+generators, exponential entries for the diagonal ones.
+adjoint_flow_holds certifies each one as exp(s*ad_i) by exact
+cancellation, which gives the group law.
 
 Sign convention: adjoint_matrix uses Ad(exp(s*Xi)) = e^{+s ad_i}. The
 alternative sign fails the normalization replays and the flow
@@ -24,23 +25,19 @@ from functools import cache
 from itertools import combinations
 
 from .expr import (
-    Coord, Expr, ExprError, NONZERO, Num, Param, Pow, Prod, SIGN_PARAMS,
-    TERNARY_PARAMS, ZERO, ONE, ZERO_NUMERIC, ZERO_SYMBOLIC, add, coord, div,
-    exp_, free_atoms, funcsym, is_zero, is_zero_symbolic, mul, neg, num,
-    param, parse, partial, pow_, render, sub, substitute,
+    Coord, Expr, ExprError, NONZERO, Num, PLANE_DEPS, Param, Pow, Prod,
+    SIGN_PARAMS, TERNARY_PARAMS, ZERO, ONE, ZERO_NUMERIC, ZERO_SYMBOLIC, add,
+    coord, div, exp_, free_atoms, funcsym, is_zero, is_zero_symbolic, mul,
+    neg, num, param, parse, partial, pow_, render, sub, substitute,
 )
+from .jets import VAR, WIDTH, derivative, jet_poly, padd, pmul, to_expr, unpack
 
 ADJOINT_SIGN = +1
 
 DIM = 7
 
-_X = coord("x")
-_T = coord("t")
-_A = funcsym("a", (), (1, 2))
-_B = funcsym("b", (), (1, 2))
-_C = funcsym("c", (), (1, 2))
-
-BASE_ATOMS = (_X, _T, _A, _B, _C)
+BASE_ATOMS = (coord("x"), coord("t"),
+              *(funcsym(f, (), PLANE_DEPS) for f in "abc"))
 
 GENERATOR_NAMES = tuple(f"X{i}" for i in range(1, 8))
 
@@ -90,10 +87,38 @@ def basis() -> tuple:
 BASIS = basis()
 
 
+# the jet variables x, t, a, b, c of BASE_ATOMS
+_BASE_VARS = tuple(VAR[v] for v in ("x", "t", *((f, ()) for f in "abc")))
+
+
+def _field(v: VectorField) -> tuple:
+    """(coefficients, partials) of ``v`` as jet polynomials, with
+    partials[k][j] = d coefficient k / d (x, t, a, b, c)[j]; ExprError
+    unless each coefficient is a polynomial in x, t, a, b and c."""
+    coeffs = tuple(map(jet_poly, v.coeffs))
+    for cf, p in zip(v.coeffs, coeffs):
+        if any(n not in _BASE_VARS or e < 0
+               for k in p for n, e in unpack(k, WIDTH)):
+            raise ExprError(f"{render(cf)} is not a polynomial in x, t, a, "
+                            "b, c")
+    return coeffs, tuple(tuple(derivative(p, n) for n in _BASE_VARS)
+                         for p in coeffs)
+
+
+def _bracket(v: tuple, w: tuple) -> tuple:
+    """[v, w]^k = v(w^k) - w(v^k), of two ``_field`` pairs."""
+    (p, dp), (q, dq) = v, w
+    return tuple(padd(*[(pmul(p[j], dq[k][j]), 1) for j in range(5)
+                        if p[j] and dq[k][j]],
+                      *[(pmul(q[j], dp[k][j]), -1) for j in range(5)
+                        if q[j] and dp[k][j]])
+                 for k in range(5))
+
+
 def bracket(v: VectorField, w: VectorField) -> VectorField:
-    return VectorField(tuple(
-        add(v.apply(w.coeffs[k]), neg(w.apply(v.coeffs[k])))
-        for k in range(5)))
+    """[v, w]; ExprError unless both are polynomial in x, t, a, b, c."""
+    return VectorField(tuple(to_expr(p, PLANE_DEPS)
+                             for p in _bracket(_field(v), _field(w))))
 
 
 # --- Gauss-Jordan elimination and ranks by minors --------------------------
@@ -102,7 +127,7 @@ def rref(m: list, ncol: int) -> list:
     """Reduce ``m`` of Fractions in place to its unique reduced row echelon
     form over its first ``ncol`` columns; returns the pivot columns, pivot
     k in row k. Each pivot is the entry of largest magnitude in its column.
-    """
+    A zero entry of the pivot row is never multiplied."""
     nrow = len(m)
     pivots = []
     for col in range(ncol):
@@ -114,11 +139,11 @@ def rref(m: list, ncol: int) -> list:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
+        m[r] = [v * inv if v else v for v in m[r]]
         for i in range(nrow):
             if i != r and m[i][col] != 0:
                 f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(col)
     return pivots
 
@@ -196,39 +221,31 @@ def exact_rank(rows, seed: int = 0) -> tuple:
 
 # --- structure constants ----------------------------------------------------
 
-def _component_monomials(v: VectorField) -> dict:
-    """Flatten a field into {(component, monomial): Fraction}."""
-    from .expr import expand_monomials
-
-    return {(k, mono): c for k, cf in enumerate(v.coeffs)
-            for mono, c in expand_monomials(cf).items()}
-
-
 @cache
-def _basis_columns() -> tuple:
-    """The flattened basis fields, and the union of their keys."""
-    cols = tuple(_component_monomials(b) for b in BASIS)
-    return cols, frozenset().union(*cols)
+def _basis_fields() -> tuple:
+    return tuple(map(_field, BASIS))
 
 
-def decompose_all(fields) -> list:
-    """Coordinates of each field in the basis, exact, from one elimination
-    over the union of their monomial keys. Raises NotClosed when any field
-    leaves the span."""
-    cols, basis_keys = _basis_columns()
-    targets = [_component_monomials(v) for v in fields]
-    keys = sorted(basis_keys.union(*targets))
-    rows = [[c.get(key, 0) for c in cols] for key in keys]
-    rhs_rows = [[t.get(key, 0) for t in targets] for key in keys]
-    sols = solve_many(rows, rhs_rows)
-    if None in sols:
-        raise NotClosed("field does not decompose in the basis")
+def _coordinates(fields: list) -> list:
+    """Exact coordinates in the basis of fields given by jet-polynomial
+    coefficients, from one elimination over the basis monomials; NotClosed
+    unless every residual field - sum of coordinate * basis field is {}."""
+    basis = [p for p, _ in _basis_fields()]
+    keys = sorted({(k, m) for b in basis for k, p in enumerate(b) for m in p})
+    sols = solve_many([[b[k].get(m, 0) for b in basis] for k, m in keys],
+                      [[f[k].get(m, 0) for f in fields] for k, m in keys])
+    for f, x in zip(fields, sols):
+        if x is None or any(padd((p, 1), *[(b[k], -c) for b, c in
+                                           zip(basis, x) if c])
+                            for k, p in enumerate(f)):
+            raise NotClosed("field does not decompose in the basis")
     return sols
 
 
 def decompose(v: VectorField) -> list:
-    """Coordinates of v in the basis, exact. Raises NotClosed."""
-    return decompose_all([v])[0]
+    """Coordinates of v in the basis, exact. Raises NotClosed, and
+    ExprError unless v is polynomial in x, t, a, b, c."""
+    return _coordinates([_field(v)[0]])[0]
 
 
 class StructureConstants(namedtuple("StructureConstants", "nonzero")):
@@ -271,10 +288,11 @@ class StructureConstants(namedtuple("StructureConstants", "nonzero")):
 
 
 def structure_constants() -> StructureConstants:
-    """Decompose all 49 basis brackets, each computed on its own, in one
-    elimination."""
+    """Decompose all 49 basis brackets, each computed on its own from the
+    basis as jet polynomials, in one elimination."""
     pairs = [(j, k) for j in range(DIM) for k in range(DIM)]
-    coords = decompose_all([bracket(BASIS[j], BASIS[k]) for j, k in pairs])
+    fields = _basis_fields()
+    coords = _coordinates([_bracket(fields[j], fields[k]) for j, k in pairs])
     nonzero = {}
     for (j, k), cs in zip(pairs, coords):
         if any(v.denominator != 1 for v in cs):
@@ -501,10 +519,8 @@ def adjoint_flow_holds(i: int) -> bool:
 
 
 def apply_matrix(mat: list, coeffs: tuple) -> tuple:
-    out = []
-    for k in range(DIM):
-        out.append(add(*[mul(mat[k][j], coeffs[j]) for j in range(DIM)]))
-    return tuple(out)
+    return tuple(add(*[mul(mat[k][j], coeffs[j]) for j in range(DIM)])
+                 for k in range(DIM))
 
 
 # --- proof-case replays -----------------------------------------------------

@@ -1,12 +1,17 @@
 """Reference curvature: the tree-built Ricci tensor and Einstein
-components, and ``geometry.einstein_verdicts`` as it was before it
-decided the components from the metric's jets.
+components, the curvature tables read back from them, and
+``geometry.einstein_verdicts`` as it was before it decided the
+components from the metric's jets.
 
 ``ricci`` builds the Christoffel symbols and the Ricci tensor of any
 metric as expression trees with ``diff``, ``mul`` and ``add``; it is how
 the kit built the abstract curvature before it computed it as jet
 polynomials, and ``collected_curvature`` is that abstract curvature,
 each component expanded and rebuilt as a sum of monomials.
+``abstract_curvature`` builds the same trees from the jet polynomials of
+``geometry.ricci``, and ``tables`` reads the curvature tables back out
+of such trees, as ``geometry.curvature_tables`` did before it read them
+from the jet polynomials.
 
 The verdicts substitute the coefficients into the collected abstract
 components, which builds each component as a normalized expression
@@ -16,14 +21,17 @@ terms of the substituted tree.
 """
 
 from fractions import Fraction
+from functools import cache
 
+from walkerkit import geometry, jets
 from walkerkit.expr import (
-    ALL_DEPS, ZERO, ONE, Num, add, diff, funcsym, is_zero, mul, neg, num,
-    substitute_all,
+    ALL_DEPS, ZERO, ONE, Num, Pow, Sum, add, diff, funcsym, is_zero, mul,
+    neg, num, substitute_all,
 )
 from walkerkit.expr.expand import expand_poly
+from walkerkit.expr.nodes import _coeff_factors
 from walkerkit.geometry import (
-    COORDS, N, CurvatureBundle, Metric4, abstract_curvature, build_metric,
+    COORDS, N, CurvatureBundle, CurvatureTables, Metric4, build_metric,
 )
 
 
@@ -131,6 +139,41 @@ def collected_curvature():
     return (tuple(expand_poly(e).to_expr() for e in ric),
             tuple(expand_poly(e).to_expr()
                   for e in _trace_adjusted(g, bundle)))
+
+
+@cache
+def abstract_curvature():
+    """(Ricci, Einstein) components of the metric on the abstract a, b,
+    c, ordered as EINSTEIN_LABELS: the jet polynomials of
+    ``geometry.ricci`` and ``geometry.einstein_residual`` as trees."""
+    bundle = geometry.ricci()
+    ric = [bundle.ricci[i][j] for i in range(N) for j in range(i, N)]
+    return (tuple(map(jets.to_expr, ric)),
+            tuple(map(jets.to_expr, geometry.einstein_residual(bundle))))
+
+
+def tables(curvature):
+    """The ``CurvatureTables`` of collected (Ricci, Einstein) trees: each
+    term a monomial, its jets numbered in the order the terms first hold
+    them."""
+    monomials = [[[(c, [(f.base, f.exp.numerator) if type(f) is Pow
+                        else (f, 1) for f in factors])
+                   for c, factors in map(_coeff_factors, _terms(e))]
+                  for e in comps]
+                 for comps in curvature]
+    jet_atoms = {f: None for comps in monomials for comp in comps
+                 for _, factors in comp for f, _ in factors}
+    index = {f: k for k, f in enumerate(jet_atoms)}
+    ricci, einstein = (
+        tuple(tuple((c, tuple((index[f], n) for f, n in factors))
+                    for c, factors in comp)
+              for comp in comps)
+        for comps in monomials)
+    return CurvatureTables(tuple(jet_atoms), ricci, einstein)
+
+
+def _terms(e):
+    return e.terms if type(e) is Sum else () if e == ZERO else (e,)
 
 
 def on_metric(exprs, a, b, c):

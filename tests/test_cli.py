@@ -261,9 +261,9 @@ def test_einstein_probes_at_the_requested_samples(monkeypatch, capsys):
 
 def test_einstein_substitutes_the_metric_once(monkeypatch, capsys):
     from walkerkit.expr import nodes
-    from walkerkit.geometry import abstract_curvature
+    from walkerkit.geometry import curvature_tables
 
-    abstract_curvature()
+    curvature_tables()
     calls = []
     real = nodes.diff
 

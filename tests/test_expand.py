@@ -269,3 +269,24 @@ def test_clearing_past_the_field_width_widens_the_ring():
     assert cleared and not got.terms and got.ring.width > WIDTH
     # the input polynomial still reads in its own ring
     assert p.monomials() == expand_poly(e).monomials()
+
+
+def test_zero_tree_is_zero_without_a_ring(monkeypatch):
+    # ZERO needs no expansion, as every cell of the adjoint flow check
+    # is; a tree that only cancels once expanded still builds a ring
+    from walkerkit.expr import expand
+
+    built = []
+    real = expand.expand_poly
+
+    def counting(e):
+        built.append(e)
+        return real(e)
+
+    monkeypatch.setattr(expand, "expand_poly", counting)
+    x = parse("x")
+    assert is_zero_symbolic(sub(x, x)) and is_zero_symbolic(num(0))
+    assert built == []
+    assert is_zero_symbolic(parse("(x + 1)^2 - x^2 - 2*x - 1"))
+    assert not is_zero_symbolic(parse("x"))
+    assert len(built) == 2

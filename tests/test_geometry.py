@@ -9,6 +9,7 @@ so it shares no code with the jet polynomials of the production path.
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -186,7 +187,7 @@ def test_on_metric_builds_no_product_with_a_zero_factor(monkeypatch):
     triple = catalog.builtin_map()["eq25.family1"].triples()[0]
     values = {f"c{i}": num(i + 1) for i in range(1, 10)}
     a, b, c = (substitute(e, values) for e in (triple.a, triple.b, triple.c))
-    _, einstein = geo.abstract_curvature()
+    _, einstein = reference_geometry.abstract_curvature()
     counts = _zero_argument_calls(
         monkeypatch, nodes,
         lambda: reference_geometry.on_metric(einstein, a, b, c))
@@ -222,7 +223,7 @@ def test_einstein_components_polynomial():
         return True
 
     a, b, c = reference_geometry.abstract_functions()
-    _, einstein = geo.abstract_curvature()
+    _, einstein = reference_geometry.abstract_curvature()
     tree = reference_geometry.einstein_residual(geo.build_metric(a, b, c))
     for e in einstein + tree:
         assert no_negative_powers(e)
@@ -248,7 +249,7 @@ def test_negative_control_not_einstein():
 
 
 def test_einstein_zero_on_full_on_shell_jets():
-    _, comps = geo.abstract_curvature()
+    _, comps = reference_geometry.abstract_curvature()
     sys = jets.system_a7()
     rng = random.Random(31)
     for _ in range(10):
@@ -296,7 +297,7 @@ def test_determinant_of_m_block_skips_zero_cofactors(monkeypatch):
 
 def test_einstein_is_m_times_residuals():
     # E = M r, row by row, checked against the residuals directly
-    _, einstein = geo.abstract_curvature()
+    _, einstein = reference_geometry.abstract_curvature()
     r = [None] + list(jets.system_a7().residuals)
     a, b, c = reference_geometry.abstract_functions()
     quarter, half = num(Fraction(1, 4)), num(Fraction(1, 2))
@@ -356,7 +357,7 @@ def _triples():
 
 @pytest.mark.parametrize("a, b, c", _triples())
 def test_substituted_components_equal_direct_build(a, b, c):
-    ricci, einstein = geo.abstract_curvature()
+    ricci, einstein = reference_geometry.abstract_curvature()
     g = geo.build_metric(a, b, c)
     direct = reference_geometry.ricci(g).ricci
     direct_ricci = [direct[i][j] for i in range(4) for j in range(i, 4)]
@@ -374,7 +375,7 @@ def test_substituted_components_equal_direct_build(a, b, c):
 def test_cached_components_are_collected():
     # the cache holds each component as its expanded polynomial in the
     # jets: the same monomials as the direct build, one term per monomial
-    ricci, einstein = geo.abstract_curvature()
+    ricci, einstein = reference_geometry.abstract_curvature()
     g = geo.build_metric(*reference_geometry.abstract_functions())
     direct = reference_geometry.ricci(g).ricci
     direct_ricci = [direct[i][j] for i in range(4) for j in range(i, 4)]
@@ -397,7 +398,7 @@ def test_tables_hold_the_collected_monomials():
     tables = geo.curvature_tables()
     assert len(tables.jets) == len(set(tables.jets)) == 26
     assert all(isinstance(f, Func) for f in tables.jets)
-    for comps, tabs in zip(geo.abstract_curvature(),
+    for comps, tabs in zip(reference_geometry.abstract_curvature(),
                            (tables.ricci, tables.einstein)):
         for e, table in zip(comps, tabs):
             rebuilt = add(*[mul(c, *[nodes.pow_(tables.jets[k], n)
@@ -410,7 +411,7 @@ def test_ricci_is_built_once(monkeypatch, capsys):
     # the abstract curvature is built once per process, whatever metrics
     # and commands ask for verdicts: the equivalence probe shares it
     geo.ricci.cache_clear()
-    geo.abstract_curvature.cache_clear()
+    geo.curvature_tables.cache_clear()
     for a, b in (("0", "0"), ("x^2*t", "0"), ("t^3", "x*t")):
         geo.einstein_verdicts(parse(a), parse(b), ZERO, samples=8)
     assert cli.main(["einstein", "--a", "x*t", "--b", "0", "--c", "t",
@@ -423,8 +424,7 @@ def test_ricci_is_built_once(monkeypatch, capsys):
 def test_abstract_curvature_equals_the_collected_trees():
     # the jet polynomials give the components that the tree path built,
     # expanded and collected, node for node
-    geo.abstract_curvature.cache_clear()
-    assert geo.abstract_curvature() == \
+    assert reference_geometry.abstract_curvature.__wrapped__() == \
         reference_geometry.collected_curvature()
 
 
@@ -470,18 +470,32 @@ def test_christoffel_traces_vanish():
 def test_curvature_tables_equal_the_tree_built_tables():
     # the same jets, monomials and Fractions in the same order, so every
     # float sum and report byte of the verdicts stays as it was
-    geo.abstract_curvature.cache_clear()
-    geo._tables.cache_clear()
-    tables = geo.curvature_tables()
-    tree = geo._tables.__wrapped__(reference_geometry.collected_curvature())
+    tables = geo.curvature_tables.__wrapped__()
+    tree = reference_geometry.tables(reference_geometry.collected_curvature())
     assert tables == tree
     assert repr(tables) == repr(tree)
+
+
+def test_curvature_tables_build_no_tree(monkeypatch):
+    # the tables are read from the jet polynomials, so no component is
+    # rebuilt as a tree: no to_expr, add or mul runs
+    def forbidden(*args, **kw):
+        raise AssertionError("called")
+
+    reals = {jets.to_expr, nodes.add, nodes.mul}
+    for mod in [m for name, m in sys.modules.items()
+                if name.startswith("walkerkit")]:
+        for key, val in list(vars(mod).items()):
+            if any(val is real for real in reals):
+                monkeypatch.setattr(mod, key, forbidden)
+    tables = geo.curvature_tables.__wrapped__()
+    monkeypatch.undo()
+    assert tables == geo.curvature_tables()
 
 
 def test_building_the_curvature_derives_and_expands_nothing(monkeypatch):
     # the curvature is computed over the jets, so no tree is
     # differentiated, expanded or substituted while it is built
-    import sys
     from walkerkit.expr import expand
 
     def forbidden(*args, **kw):
@@ -494,9 +508,7 @@ def test_building_the_curvature_derives_and_expands_nothing(monkeypatch):
         for key, val in list(vars(mod).items()):
             if any(val is real for real in reals):
                 monkeypatch.setattr(mod, key, forbidden)
-    geo.abstract_curvature.cache_clear()
-    geo._tables.cache_clear()
-    tables = geo.curvature_tables()
+    tables = geo.curvature_tables.__wrapped__()
     monkeypatch.undo()
     assert len(tables.jets) == 26
 
@@ -558,7 +570,7 @@ def test_cached_components_match_sympy():
     tau = sum(inv[i, j] * ric[i][j] for i in range(n) for j in range(n))
     expected = [ric[i][j] - tau * g[i, j] / 4
                 for i in range(n) for j in range(i, n)]
-    _, ours = geo.abstract_curvature()
+    _, ours = reference_geometry.abstract_curvature()
     for name, mine, theirs in zip(geo.EINSTEIN_LABELS, ours, expected):
         assert sp.expand(_to_sympy(sp, mine, symbols, functions)
                          - theirs) == 0, name

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_generator
+import reference_liealg
 import reference_linalg as reference
 from walkerkit import catalog
 from walkerkit.expr import (
     ExprError, ONE, ZERO, ZERO_NUMERIC, ZERO_SYMBOLIC, ZeroResult, add,
-    eval_expr, free_atoms, is_zero, is_zero_symbolic, mul, neg, num, param,
-    parse, partial, substitute,
+    coord, eval_expr, free_atoms, is_zero, is_zero_symbolic, mul, neg, num,
+    param, parse, partial, substitute,
 )
 from walkerkit import liealg as la
 
@@ -72,17 +73,78 @@ def test_bracket_spot_values():
 
 def test_basis_is_flattened_once(monkeypatch):
     calls = []
-    real = la._component_monomials
+    real = la._field
 
     def counting(v):
         calls.append(v)
         return real(v)
 
-    monkeypatch.setattr(la, "_component_monomials", counting)
-    la._basis_columns.cache_clear()
+    monkeypatch.setattr(la, "_field", counting)
+    la._basis_fields.cache_clear()
     table = la.structure_constants()
-    # the seven basis fields once, then one target per bracket pair
-    assert len(calls) == 7 + 49
+    # the seven basis fields once; the 49 brackets are taken on their
+    # jet polynomials, so no bracket is flattened from a tree
+    assert calls == list(la.BASIS)
+    assert table.nonzero == la.sc().nonzero
+
+
+def test_structure_constants_equal_the_tree_built_table():
+    assert la.sc().nonzero == reference_liealg.structure_constants().nonzero
+    b = la.BASIS
+    for j in range(la.DIM):
+        for k in range(la.DIM):
+            assert la.bracket(b[j], b[k]) == \
+                reference_liealg.bracket(b[j], b[k]), (j, k)
+
+
+def test_a_bracket_with_x_dx_leaves_the_span():
+    # [X5, x*d/dx] = t*d/dx and x*d/dx share monomials with the basis
+    # but are no combination of it; [x*d/dx, x^2*d/dx] = x^2*d/dx holds
+    # no basis monomial, so only its residual shows that it leaves
+    x = la.BASE_ATOMS[0]
+    x_dx = la.VectorField((x,) + (ZERO,) * 4)
+    x2_dx = la.VectorField((mul(x, x),) + (ZERO,) * 4)
+    assert la.bracket(la.BASIS[4], x_dx) == \
+        la.VectorField((coord("t"),) + (ZERO,) * 4)
+    assert la.bracket(x_dx, x2_dx) == x2_dx
+    for field in (la.bracket(la.BASIS[4], x_dx), x_dx,
+                  la.bracket(x_dx, x2_dx)):
+        with pytest.raises(la.NotClosed):
+            la.decompose(field)
+        with pytest.raises(la.NotClosed):
+            reference_liealg.decompose_all([field])
+    assert la.decompose(la.bracket(la.BASIS[0], x_dx)) == \
+        [1, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("text", ["exp(x)", "ln(a)", "alpha*x", "x^(1/2)",
+                                  "1/t", "y", "a_1"])
+def test_a_field_that_is_not_polynomial_fails_cleanly(text):
+    f = {name: (1, 2) for name in "abc"}
+    field = la.VectorField((parse(text, functions=f),) + (ZERO,) * 4)
+    with pytest.raises(ExprError):
+        la.bracket(la.BASIS[0], field)
+    with pytest.raises(ExprError):
+        la.bracket(field, la.BASIS[2])
+    with pytest.raises(ExprError):
+        la.decompose(field)
+
+
+def test_structure_constants_build_no_tree(monkeypatch):
+    # the brackets are taken on jet polynomials: no partial, and no
+    # expand_monomials or expand_poly
+    from walkerkit.expr import expand, nodes
+
+    def forbidden(*args, **kw):
+        raise AssertionError("called")
+
+    for module, name in ((nodes, "partial"), (la, "partial"),
+                         (expand, "expand_monomials"),
+                         (expand, "expand_poly")):
+        monkeypatch.setattr(module, name, forbidden)
+    la._basis_fields.cache_clear()
+    table = la.structure_constants()
+    monkeypatch.undo()
     assert table.nonzero == la.sc().nonzero
 
 
@@ -630,9 +692,13 @@ def test_decompose_all_raises_when_one_field_leaves_the_span():
     b = la.BASIS
     valid = [la.bracket(b[0], b[2]), la.bracket(b[3], b[4])]
     x_dx = la.VectorField((la.BASE_ATOMS[0],) + (ZERO,) * 4)
-    assert la.decompose_all(valid) == [la.decompose(v) for v in valid]
+    assert reference_liealg.decompose_all(valid) == \
+        [la.decompose(v) for v in valid]
+    fields = [la._field(v)[0] for v in (valid[0], x_dx, valid[1])]
     with pytest.raises(la.NotClosed):
-        la.decompose_all([valid[0], x_dx, valid[1]])
+        la._coordinates(fields)
+    with pytest.raises(la.NotClosed):
+        reference_liealg.decompose_all([valid[0], x_dx, valid[1]])
 
 
 def test_structure_constants_eliminate_once(monkeypatch):
