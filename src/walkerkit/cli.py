@@ -18,14 +18,14 @@ from fractions import Fraction
 from . import catalog
 from .expr import (
     NONZERO, ZERO_SYMBOLIC, ExprError, is_zero, is_zero_symbolic,
-    parse, render, sub, substitute, substitute_all,
+    parse, render, sub, substitute,
 )
 from .expr.parser import MAX_POWER_BITS
 from .geometry import (
     EINSTEIN_LABELS, curvature_tables, curvature_verdicts, einstein_verdicts,
     equivalence_probe, metric_latex, metric_matrix_strings,
 )
-from .jets import symmetry_check, system2
+from .jets import symmetry_check, system2, terms
 from .liealg import (
     BASIS, DIM, NotClosed, adjoint_flow_holds, adjoint_matrix,
     parse_generator, proof_case_replays, render_generator, sc,
@@ -120,16 +120,12 @@ def _zero_test(e, rep: Report):
     return is_zero(e, samples=rep.samples, tol=rep.tol, seed=rep.seed)
 
 
-def _zero_tally(residuals, rep: Report, label: str) -> tuple:
-    """Zero-test each residual at the run's settings: (how many cancel
-    exactly, one note per residual that is not zero)."""
-    exact = 0
-    notes = []
-    for k, r in enumerate(residuals, start=1):
-        res = _zero_test(r, rep)
-        exact += res.verdict == ZERO_SYMBOLIC
-        if not res:
-            notes.append(f"{label} {k}: {res.describe()}")
+def _zero_tally(verdicts, label: str) -> tuple:
+    """(how many of the residuals' verdicts cancel exactly, one note per
+    residual that is not zero)."""
+    exact = sum(res.verdict == ZERO_SYMBOLIC for res in verdicts)
+    notes = [f"{label} {k}: {res.describe()}"
+             for k, res in enumerate(verdicts, start=1) if not res]
     return exact, notes
 
 
@@ -261,7 +257,7 @@ def cmd_einstein(args, rep: Report, parser) -> None:
     try:
         # the Ricci and Einstein components share each derivative of the
         # metric and one ring
-        _, ricci, einstein = curvature_tables()
+        ricci, einstein = curvature_tables()
         verdicts = curvature_verdicts(ricci + einstein, a, b, c,
                                       samples=rep.samples, tol=rep.tol,
                                       seed=rep.seed)
@@ -322,8 +318,9 @@ def _check_profile_family(entry, rep: Report) -> None:
     bindings = {k: entry.parse_expr(v) for k, v in entry.profile}
     residuals = tuple(entry.reduced_exprs()) + tuple(
         entry.parse_expr(s) for s in entry.consistency)
-    exact, notes = _zero_tally([substitute(r, bindings) for r in residuals],
-                               rep, "residual")
+    exact, notes = _zero_tally(
+        [_zero_test(substitute(r, bindings), rep) for r in residuals],
+        "residual")
     for q in entry.inequations:
         res = _zero_test(substitute(entry.parse_expr(q), bindings), rep)
         if res.verdict != NONZERO:
@@ -342,13 +339,14 @@ def _per_solution(entry, check: str):
 
 
 def _check_solutions(entry, rep: Report) -> None:
-    sys2 = system2()
+    residuals = [terms(p) for p in system2().polys]
     for cid, triple in _per_solution(entry, "solution"):
-        exact, notes = _zero_tally(
-            substitute_all(sys2.residuals, triple.bindings()), rep,
-            "equation")
-        rep.add(cid, not notes,
-                "; ".join(notes) or f"6 residuals zero ({exact} exact)")
+        verdicts = curvature_verdicts(
+            residuals, triple.a, triple.b, triple.c, samples=rep.samples,
+            tol=rep.tol, seed=rep.seed)
+        exact, notes = _zero_tally(verdicts, "equation")
+        rep.add(cid, not notes, "; ".join(notes)
+                or f"{len(verdicts)} residuals zero ({exact} exact)")
 
 
 def _check_defect(entry, rep: Report) -> None:
@@ -451,8 +449,7 @@ def cmd_reducibility(args, rep: Report, parser) -> None:
 
 def _equivalence_checks(rep: Report):
     """The three Einstein/PDE correspondence checks; returns the probe."""
-    probe = equivalence_probe(samples=rep.samples, tol=rep.tol,
-                              seed=rep.seed)
+    probe = equivalence_probe(samples=rep.samples, seed=rep.seed)
     exact = sum(r.verdict == ZERO_SYMBOLIC for r in probe.rows)
     bad = [f"{label}: {r.describe()}"
            for label, r in zip(EINSTEIN_LABELS, probe.rows) if not r]

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from .expand import decide, expand_poly
 from .nodes import (
     Atan, Coord, ExpF, Expr, ExprError, Func, Ln, Num, Param, Pow, Prod,
-    SIGN_PARAMS, Sum, TERNARY_PARAMS, atom_name, free_atoms,
+    SIGN_PARAMS, Sum, TERNARY_PARAMS, ZERO, atom_name, free_atoms,
 )
 
 DENOM_GUARD = 1e-6
@@ -152,7 +153,8 @@ class MonomialSum:
     """A jet evaluator for ``probe_zero``: the sum of coefficient *
     prod(values[atom]^power) over the monomials of a table, read as
     ``expand.expand_tables`` reads one, evaluated at a point without
-    building the sum as a tree.
+    building the sum as a tree. Making one reads nothing, so a verdict
+    that needs no probe costs none.
 
     ``scaled(point)`` is (value, scale), where the scale is max(1,
     largest |monomial|), so the residual is relative to the size of the
@@ -161,20 +163,24 @@ class MonomialSum:
     negative power is guarded as in ``eval_expr``.
     """
 
-    __slots__ = ("atoms", "monomials")
+    __slots__ = ("values", "table")
 
     def __init__(self, values, table):
-        self.monomials = [(_float(c), [(values[a], n) for a, n in factors])
-                          for c, factors in table]
-        self.atoms = free_atoms(*[e for _, factors in self.monomials
-                                  for e, _ in factors])
+        self.values = values
+        self.table = table
+
+    @property
+    def atoms(self) -> set:
+        return free_atoms(*[self.values[a] for _, factors in self.table
+                            for a, _ in factors])
 
     def scaled(self, point: dict) -> tuple:
         memo: dict = {}
         terms = []
-        for c, factors in self.monomials:
-            for e, n in factors:
-                v = eval_expr(e, point, memo)
+        for c, factors in self.table:
+            c = _float(c)
+            for a, n in factors:
+                v = eval_expr(self.values[a], point, memo)
                 if n < 0:
                     c *= _eval_pow(v, n)
                 for _ in range(n):
@@ -260,18 +266,30 @@ def witness(e, samples: int = 64, seed: int = 0) -> ZeroResult:
     return res
 
 
-def is_zero(e: Expr, samples: int = 64, tol: float = 1e-9,
-            seed: int = 0) -> ZeroResult:
-    """Three-valued zero test: the exact ring first, probes second. A
-    proven nonzero (``expand.decide``) is never overruled by the probe."""
-    if isinstance(e, Num):
-        if e.value == 0:
-            return ZeroResult(ZERO_SYMBOLIC)
-        return ZeroResult(NONZERO, max_residual=abs(_float(e.value)),
-                          witness={})
-    exact = decide(expand_poly(e))
+def poly_verdict(poly, target, samples: int = 64, tol: float = 1e-9,
+                 seed: int = 0) -> ZeroResult:
+    """The verdict on ``target`` (as ``probe_zero`` takes it), whose exact
+    expansion is the ``expand.Poly`` ``poly``: ``zero_symbolic`` when it
+    cancels, an exact ``nonzero`` with no witness point when it is a
+    constant, ``nonzero`` with the probe's witness when it is proven
+    nonzero (``expand.decide``), and the probe's verdict otherwise. A
+    proven nonzero is never overruled by the probe."""
+    terms = poly.terms
+    if len(terms) == 1 and 0 in terms:
+        return ZeroResult(NONZERO, witness={}, max_residual=abs(
+            _float(Fraction(terms[0], poly.den))))
+    exact = decide(poly)
     if exact:
         return ZeroResult(ZERO_SYMBOLIC)
     if exact is False:
-        return witness(e, samples=samples, seed=seed)
-    return probe_zero(e, samples=samples, tol=tol, seed=seed)
+        return witness(target, samples=samples, seed=seed)
+    return probe_zero(target, samples=samples, tol=tol, seed=seed)
+
+
+def is_zero(e: Expr, samples: int = 64, tol: float = 1e-9,
+            seed: int = 0) -> ZeroResult:
+    """Three-valued zero test: the exact ring first, probes second
+    (``poly_verdict``); ZERO, the most frequent input, needs no ring."""
+    if e is ZERO:
+        return ZeroResult(ZERO_SYMBOLIC)
+    return poly_verdict(expand_poly(e), e, samples, tol, seed)

@@ -21,12 +21,12 @@ from fractions import Fraction
 from functools import cache
 
 from .expr import (
-    ALL_DEPS, COORD_INDEX, Coord, Expr, Func, INDEX_COORD, Num, Pow, ZERO,
-    ONE, ZeroResult, free_atoms, is_zero, num, parse, pow_, render,
+    ALL_DEPS, COORD_INDEX, Coord, Expr, Func, INDEX_COORD, Num, ZERO, ONE,
+    free_atoms, parse, render,
 )
 from .expr import numeric
-from .expr.expand import decide, expand_tables
-from .expr.nodes import _coeff_factors, _remake_term, _sort_key, jet_memo
+from .expr.expand import expand_tables
+from .expr.nodes import jet_memo
 from .jets import jet_poly, padd, pmul, total_diff
 from .liealg import det
 from . import jets
@@ -125,94 +125,63 @@ def einstein_residual(bundle: CurvatureBundle) -> tuple:
         for i in range(N) for j in range(i, N))
 
 
-class CurvatureTables(namedtuple("CurvatureTables", "jets ricci einstein")):
+class CurvatureTables(namedtuple("CurvatureTables", "ricci einstein")):
     """The Ricci and Einstein components of the metric on the abstract a,
-    b, c as monomial tables over the jet atoms. jets: every jet atom of
-    the components (a, a_1, ..., c_24), once each. ricci, einstein: ten
-    tables each, ordered as EINSTEIN_LABELS. A table is a tuple of
-    monomials (Fraction coefficient, ((jet, power), ...)), one per term,
-    where a jet is given by its position in ``jets``."""
+    b, c, ten each, ordered as EINSTEIN_LABELS, as ``jets.terms``."""
 
     __slots__ = ()
 
 
 @cache
 def curvature_tables() -> CurvatureTables:
-    """The tables of the jet polynomials of ``ricci`` and
-    ``einstein_residual``, built once per process, with ``jets`` in the
-    order the components first hold them."""
+    """The terms of ``ricci`` and ``einstein_residual``, unpacked once per
+    process."""
     bundle = ricci()
-    index: dict = {}
-    ricci_t, einstein_t = (
-        tuple(_table(p, index) for p in comps) for comps in (
-            [bundle.ricci[i][j] for i in range(N) for j in range(i, N)],
-            einstein_residual(bundle)))
-    return CurvatureTables(tuple(index), ricci_t, einstein_t)
-
-
-def _table(p: dict, index: dict) -> tuple:
-    """The table of ``p``, its jets numbered by ``index`` (atom -> number,
-    extended as atoms are met). Its terms and their jets are in the order
-    of the collected normal-form sum (E_xy is -1/4*b_22 + 1/4*a_11), so it
-    sums its floats as that tree would; a term is made as a node only to
-    be sorted."""
-    atoms = jets.jet_atoms(ALL_DEPS)
-    terms = sorted((_remake_term(Fraction(c), tuple(sorted(
-        [pow_(atoms[n], e) for n, e in jets.unpack(k, jets.WIDTH)],
-        key=_sort_key))) for k, c in p.items()), key=_sort_key)
-    return tuple((c, tuple(
-        (index.setdefault(f.base, len(index)), f.exp.numerator)
-        if type(f) is Pow else (index.setdefault(f, len(index)), 1)
-        for f in factors)) for c, factors in map(_coeff_factors, terms))
+    return CurvatureTables(
+        tuple(jets.terms(bundle.ricci[i][j])
+              for i in range(N) for j in range(i, N)),
+        tuple(map(jets.terms, einstein_residual(bundle))))
 
 
 def curvature_verdicts(tables, a, b, c, samples: int = 64,
                        tol: float = 1e-9, seed: int = 0) -> list:
-    """Zero verdicts for the component tables ``tables`` (from
-    ``curvature_tables``) on the metric with coefficients a, b, c.
+    """Zero verdicts for the jet polynomials ``tables``, each given by its
+    ``jets.terms`` (the components of ``curvature_tables``, or the
+    residuals of a ``PDESystem``), on the metric with coefficients a, b,
+    c.
 
-    Each jet of the curvature is one derivative of a, b or c, taken once
-    (``jet_memo``), and a monomial holding a ZERO jet is dropped. A jet
-    whose index names a coordinate that its coefficient cannot depend on
-    is ZERO without a ``diff`` call: the coefficient depends only on its
-    coordinates and on the ``deps`` of its function symbols, read in one
-    ``free_atoms`` walk, and differentiation never adds a coordinate (an
-    (x, t) metric has a_3 = b_24 = 0). Exact cancellation is decided for
-    every component in one ring, where each jet is expanded once
-    (``expand_tables``). A component that does not cancel is a nonzero
-    constant, which is exact, or is probed on the values of its jets
-    (``MonomialSum``): its residual is scaled by its largest monomial,
-    whatever form a substituted tree would take. Where the ring proves it
-    nonzero (``expand.decide``), the verdict is ``nonzero`` and the probe
-    only finds the witness. No component is built as an expression tree
-    (``expand_tables`` builds the product of one monomial only where its
-    jets meet on a root of a sum)."""
+    Each jet is one derivative of a, b or c, taken once (``jet_memo``),
+    and a coordinate is its atom; a monomial holding a ZERO jet is
+    dropped. A jet whose index names a coordinate that its coefficient
+    cannot depend on is ZERO without a ``diff`` call: the coefficient
+    depends only on its coordinates and on the ``deps`` of its function
+    symbols, read in one ``free_atoms`` walk, and differentiation never
+    adds a coordinate (an (x, t) metric has a_3 = b_24 = 0). Exact
+    cancellation is decided for every polynomial in one ring, where each
+    jet is expanded once (``expand_tables``), and ``numeric.poly_verdict``
+    turns each decision into a verdict. A polynomial left to the probe
+    is evaluated on the values of its jets (``MonomialSum``), so its
+    residual is scaled by its largest monomial, whatever form a
+    substituted tree would take. No polynomial is built as an expression
+    tree (``expand_tables`` builds the product of one monomial only where
+    its jets meet on a root of a sum)."""
     coeffs = {"a": a, "b": b, "c": c}
     deps = {name: _dependencies(e) for name, e in coeffs.items()}
     jet = jet_memo(coeffs)
-    values = [jet(f.name, f.idx) if deps[f.name].issuperset(f.idx) else ZERO
-              for f in curvature_tables().jets]
-    zero = {k for k, v in enumerate(values)
-            if type(v) is Num and not v.value}
+    atoms = jets.jet_atoms(ALL_DEPS)
+    values = {}
+    for n in {n for table in tables for _, factors in table
+              for n, _ in factors}:
+        v = jets.JET_VARS[n]
+        values[n] = (atoms[n] if type(v) is str
+                     else jet(*v) if deps[v[0]].issuperset(v[1]) else ZERO)
+    zero = {n for n, v in values.items() if type(v) is Num and not v.value}
     if zero:
-        tables = [tuple(m for m in table
-                        if not any(k in zero for k, _ in m[1]))
+        tables = [[m for m in table if not any(n in zero for n, _ in m[1])]
                   for table in tables]
-    out = []
-    for table, poly in zip(tables, expand_tables(values, tables)):
-        exact = decide(poly)
-        if exact:
-            out.append(ZeroResult(numeric.ZERO_SYMBOLIC))
-        elif list(poly.terms) == [0]:
-            out.append(is_zero(num(Fraction(poly.terms[0], poly.den))))
-        elif exact is False:
-            out.append(numeric.witness(numeric.MonomialSum(values, table),
-                                       samples=samples, seed=seed))
-        else:
-            out.append(numeric.probe_zero(
-                numeric.MonomialSum(values, table), samples=samples,
-                tol=tol, seed=seed))
-    return out
+    return [numeric.poly_verdict(poly, numeric.MonomialSum(values, table),
+                                 samples, tol, seed)
+            for table, poly in zip(tables, expand_tables(values, tables))]
 
 
 def _dependencies(e: Expr) -> set:
@@ -259,7 +228,7 @@ class EquivalenceReport(namedtuple(
                 and all(self.correspondence.values()))
 
 
-def equivalence_probe(samples: int = 100, tol: float = 1e-9,
+def equivalence_probe(samples: int = 100,
                       seed: int = 42) -> EquivalenceReport:
     """Both directions of the Einstein/PDE correspondence on the
     abstract metric, from the identity E = M r with M in
@@ -268,8 +237,8 @@ def equivalence_probe(samples: int = 100, tol: float = 1e-9,
     wherever E does when M's block on the rows xy, xz, ty, yy, yz, zz
     (triangular with a constant diagonal) has a nonzero constant
     determinant. A row that does not cancel is nonzero, and the probe
-    (``samples`` draws from ``seed``) finds its witness; ``tol`` is
-    unused, since no row is left to a tolerance."""
+    (``samples`` draws from ``seed``) finds its witness; no row is left
+    to a tolerance."""
     residuals = jets.system_a7().polys
     funcs = {f: ALL_DEPS for f in jets.FIBER}
     m = {label: [parse(row.get(k, "0"), functions=funcs)

@@ -125,6 +125,23 @@ def jet_poly(e: Expr) -> dict:
             _whole(Fraction(c, den)) for k, c in terms.items()}
 
 
+# the variables x, t, a, b, c of a vector field's coefficients
+FIELD_VARS = tuple(VAR[v] for v in ("x", "t", *((f, ()) for f in FIBER)))
+
+
+def field_polys(coeffs: tuple) -> tuple:
+    """The coefficients of a vector field on (x, t, a, b, c) as jet
+    polynomials; ExprError unless each is a polynomial in x, t, a, b and
+    c."""
+    polys = tuple(map(jet_poly, coeffs))
+    for cf, p in zip(coeffs, polys):
+        if any(n not in FIELD_VARS or e < 0
+               for k in p for n, e in unpack(k, WIDTH)):
+            raise ExprError(f"{render(cf)} is not a polynomial in x, t, a, "
+                            "b, c")
+    return polys
+
+
 def _whole(q: Fraction):
     return q.numerator if q.denominator == 1 else q
 
@@ -144,9 +161,15 @@ def to_expr(p: dict, deps: tuple = ALL_DEPS) -> Expr:
                  for k, c in p.items()])
 
 
+def terms(p: dict) -> list:
+    """``p`` as ``expand.expand_tables`` and ``MonomialSum`` read a table:
+    (coefficient, [(variable, power), ...]) per monomial, each variable
+    its index in JET_VARS."""
+    return [(c, unpack(k, WIDTH)) for k, c in p.items()]
+
+
 def probe_sum(p: dict, deps: tuple) -> MonomialSum:
-    return MonomialSum(jet_atoms(deps), [(c, unpack(k, WIDTH))
-                                      for k, c in p.items()])
+    return MonomialSum(jet_atoms(deps), terms(p))
 
 
 def verdict(p: dict, deps: tuple, samples: int, seed: int) -> ZeroResult:
@@ -353,9 +376,10 @@ def _step(phi_j: dict, i: int, dxi: tuple, fname: str, j: tuple) -> dict:
 def prolong2(v) -> dict:
     """pr^(2) of a ``liealg.VectorField`` v: variable in _SLOTS -> its
     coefficient (xi^x, xi^t, then phi^J), as jet polynomials; ExprError
-    for a coefficient that ``jet_poly`` refuses or that holds a jet of
-    a, b or c, whose derivatives would pass second order."""
-    phi = {"x": jet_poly(v.coeffs[0]), "t": jet_poly(v.coeffs[1])}
+    unless each coefficient of v is a polynomial in x, t, a, b and c
+    (``field_polys``)."""
+    coeffs = field_polys(v.coeffs)
+    phi = {"x": coeffs[0], "t": coeffs[1]}
     dxi = {i: (total_diff(phi["x"], i), total_diff(phi["t"], i))
            for i in (1, 2)}
     for fname, j in _JET_SLOTS:
@@ -363,7 +387,7 @@ def prolong2(v) -> dict:
             phi[fname, j] = _step(phi[fname, j[:-1]], j[-1], dxi[j[-1]],
                                   fname, j[:-1])
         else:
-            phi[fname, j] = jet_poly(v.coeffs[2 + FIBER.index(fname)])
+            phi[fname, j] = coeffs[2 + FIBER.index(fname)]
     return phi
 
 

@@ -30,7 +30,7 @@ from .expr import (
     coord, div, exp_, free_atoms, funcsym, is_zero, is_zero_symbolic, mul,
     neg, num, param, parse, partial, pow_, render, sub, substitute,
 )
-from .jets import VAR, WIDTH, derivative, jet_poly, padd, pmul, to_expr, unpack
+from .jets import FIELD_VARS, derivative, field_polys, padd, pmul, to_expr
 
 ADJOINT_SIGN = +1
 
@@ -87,21 +87,12 @@ def basis() -> tuple:
 BASIS = basis()
 
 
-# the jet variables x, t, a, b, c of BASE_ATOMS
-_BASE_VARS = tuple(VAR[v] for v in ("x", "t", *((f, ()) for f in "abc")))
-
-
 def _field(v: VectorField) -> tuple:
     """(coefficients, partials) of ``v`` as jet polynomials, with
     partials[k][j] = d coefficient k / d (x, t, a, b, c)[j]; ExprError
     unless each coefficient is a polynomial in x, t, a, b and c."""
-    coeffs = tuple(map(jet_poly, v.coeffs))
-    for cf, p in zip(v.coeffs, coeffs):
-        if any(n not in _BASE_VARS or e < 0
-               for k in p for n, e in unpack(k, WIDTH)):
-            raise ExprError(f"{render(cf)} is not a polynomial in x, t, a, "
-                            "b, c")
-    return coeffs, tuple(tuple(derivative(p, n) for n in _BASE_VARS)
+    coeffs = field_polys(v.coeffs)
+    return coeffs, tuple(tuple(derivative(p, n) for n in FIELD_VARS)
                          for p in coeffs)
 
 

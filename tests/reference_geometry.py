@@ -1,7 +1,7 @@
 """Reference curvature: the tree-built Ricci tensor and Einstein
-components, the curvature tables read back from them, and
-``geometry.einstein_verdicts`` as it was before it decided the
-components from the metric's jets.
+components, ``geometry.einstein_verdicts`` as it was before it decided
+the components from the metric's jets, and the solution check as it was
+before it decided the residuals of the plane system the same way.
 
 ``ricci`` builds the Christoffel symbols and the Ricci tensor of any
 metric as expression trees with ``diff``, ``mul`` and ``add``; it is how
@@ -9,15 +9,14 @@ the kit built the abstract curvature before it computed it as jet
 polynomials, and ``collected_curvature`` is that abstract curvature,
 each component expanded and rebuilt as a sum of monomials.
 ``abstract_curvature`` builds the same trees from the jet polynomials of
-``geometry.ricci``, and ``tables`` reads the curvature tables back out
-of such trees, as ``geometry.curvature_tables`` did before it read them
-from the jet polynomials.
+``geometry.ricci``.
 
 The verdicts substitute the coefficients into the collected abstract
-components, which builds each component as a normalized expression
-tree, and give each tree the three-valued zero test: exact cancellation
-of its own expansion first, then a probe whose residual is scaled by the
-terms of the substituted tree.
+components, or into the residual trees of ``jets.system2``, which
+builds each as a normalized expression tree, and give each tree the
+three-valued zero test: exact cancellation of its own expansion first,
+then a probe whose residual is scaled by the terms of the substituted
+tree.
 """
 
 from fractions import Fraction
@@ -25,13 +24,12 @@ from functools import cache
 
 from walkerkit import geometry, jets
 from walkerkit.expr import (
-    ALL_DEPS, ZERO, ONE, Num, Pow, Sum, add, diff, funcsym, is_zero, mul,
-    neg, num, substitute_all,
+    ALL_DEPS, ZERO, ONE, Num, add, diff, funcsym, is_zero, mul, neg, num,
+    substitute_all,
 )
 from walkerkit.expr.expand import expand_poly
-from walkerkit.expr.nodes import _coeff_factors
 from walkerkit.geometry import (
-    COORDS, N, CurvatureBundle, CurvatureTables, Metric4, build_metric,
+    COORDS, N, CurvatureBundle, Metric4, build_metric,
 )
 
 
@@ -152,30 +150,6 @@ def abstract_curvature():
             tuple(map(jets.to_expr, geometry.einstein_residual(bundle))))
 
 
-def tables(curvature):
-    """The ``CurvatureTables`` of collected (Ricci, Einstein) trees: each
-    term a monomial, its jets numbered in the order the terms first hold
-    them."""
-    monomials = [[[(c, [(f.base, f.exp.numerator) if type(f) is Pow
-                        else (f, 1) for f in factors])
-                   for c, factors in map(_coeff_factors, _terms(e))]
-                  for e in comps]
-                 for comps in curvature]
-    jet_atoms = {f: None for comps in monomials for comp in comps
-                 for _, factors in comp for f, _ in factors}
-    index = {f: k for k, f in enumerate(jet_atoms)}
-    ricci, einstein = (
-        tuple(tuple((c, tuple((index[f], n) for f, n in factors))
-                    for c, factors in comp)
-              for comp in comps)
-        for comps in monomials)
-    return CurvatureTables(tuple(jet_atoms), ricci, einstein)
-
-
-def _terms(e):
-    return e.terms if type(e) is Sum else () if e == ZERO else (e,)
-
-
 def on_metric(exprs, a, b, c):
     """Abstract curvature expressions on the metric with coefficients
     a, b, c; one substitution, so the expressions share each derivative
@@ -193,3 +167,9 @@ def ricci_verdicts(a, b, c, samples=64, tol=1e-9, seed=0):
     ricci, _ = abstract_curvature()
     return [is_zero(e, samples=samples, tol=tol, seed=seed)
             for e in on_metric(ricci, a, b, c)]
+
+
+def solution_verdicts(a, b, c, samples=64, tol=1e-9, seed=0):
+    return [is_zero(e, samples=samples, tol=tol, seed=seed)
+            for e in substitute_all(jets.system2().residuals,
+                                    {"a": a, "b": b, "c": c})]

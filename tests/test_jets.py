@@ -423,13 +423,18 @@ def test_a_symmetry_check_builds_no_tree(monkeypatch):
 
 @pytest.mark.parametrize("text", ["exp(x)", "ln(a)", "c1*x", "x^(1/2)",
                                   "1/(a + b)", "sqrt(3)*a", "x^257",
-                                  "(x^40 + a)^8"])
+                                  "(x^40 + a)^8", "y", "1/t", "a_1"])
 def test_a_field_that_is_not_polynomial_fails_cleanly(text):
+    # symmetry_check and bracket share one definition of a vector field,
+    # so both refuse it with the same message
     f = {"a": PLANE_DEPS, "b": PLANE_DEPS, "c": PLANE_DEPS}
     field = la.VectorField((parse(text, functions=f), ZERO, ZERO, ZERO,
                             ZERO))
-    with pytest.raises(ExprError):
+    with pytest.raises(ExprError) as checked:
         jets.symmetry_check(field, samples=5)
+    with pytest.raises(ExprError) as bracketed:
+        la.bracket(field, la.BASIS[0])
+    assert str(checked.value) == str(bracketed.value)
 
 
 def test_on_shell_map_rejects_a_pivot_that_is_not_a_monomial():

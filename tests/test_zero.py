@@ -260,6 +260,13 @@ def test_a_proven_nonzero_is_never_read_as_zero(text):
         assert res.witness and 0 < res.max_residual < 1e-8
 
 
+def test_a_constant_expansion_is_an_exact_nonzero():
+    # the expansion is the constant 1, so no point is probed, as for a
+    # curvature component that expands to a constant
+    res = is_zero(parse("(x+1)^2 - x^2 - 2*x"))
+    assert res.describe() == "nonzero (residual 1.000e+00 at {})"
+
+
 @pytest.mark.parametrize("text", [
     f"(x + t)^{POW_EXPAND_LIMIT + 1} - ({_binomial(POW_EXPAND_LIMIT + 1)})",
     "x/10^10 + sqrt(3)/10^20", "eps*x/10^10 + x/10^10", "exp(x)/10^12"])
